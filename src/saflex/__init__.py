@@ -10,14 +10,12 @@ from .augment import AugmenterSpec, apply_augmenter
 from .core import (
     SaflexConfig,
     SaflexOutput,
-    StepMetrics,
     closed_form_assignment,
     combined_step_gradient,
     pi_scores,
     saflex_assign,
     saflex_assign_contrastive,
     saflex_gradient,
-    saflex_step,
     validation_gradient,
 )
 from .data import Batch, Dataset, SplitSpec, gen_two_gaussians, gen_two_moons, load_csv, split
@@ -38,7 +36,6 @@ from .nn import (
     ModelParams,
     ParamGrad,
     init_mlp,
-    jvp_logits,
     jvp_logits_batch,
     load_checkpoint,
     mlp_backward,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Batch
-from .losses import ce_from_logits, ce_grad_logits, one_hot
+from .losses import ce_from_logits, ce_grad_logits, mean_ce_grad_logits, one_hot
 from .nn import (
     ForwardCache,
     ModelParams,
@@ -31,7 +31,7 @@ from .nn import (
     jvp_logits_batch,
     mlp_backward,
     mlp_forward,
-    sgd_step,
+    softmax,
 )
 
 
@@ -39,7 +39,6 @@ from .nn import (
 class SaflexConfig:
     beta: float = 0.0  # retention bonus added to the original label's score
     tau: float = 0.01  # softmax temperature for the relaxed assignment
-    val_batch_size: int | None = None
     seed: int = 0
     gumbel_enabled: bool = True
 
@@ -64,14 +63,48 @@ class SaflexOutput:
     diagnostics: dict[str, float] = field(default_factory=dict)
 
 
+# Row formulas shared by the composed functions below and the fused
+# saflex_gradient; `rows` selects a batch's rows in a forward cache.
+
+def _val_gradient(
+    params: ModelParams, cache: ForwardCache, rows: slice, labels: np.ndarray
+) -> ParamGrad:
+    targets = one_hot(labels, params.n_classes)
+    return mlp_backward(params, cache, mean_ce_grad_logits(cache.probs[rows], targets), rows)
+
+
+def _pi(params: ModelParams, cache: ForwardCache, rows: slice, g_val: ParamGrad) -> np.ndarray:
+    u = jvp_logits_batch(params, g_val, cache, rows)
+    return (cache.probs[rows] * u).sum(axis=1, keepdims=True) - u
+
+
+def _step_gradient(
+    params: ModelParams,
+    cache: ForwardCache,
+    train_labels: np.ndarray,
+    aug_weights: np.ndarray,
+    aug_soft_labels: np.ndarray,
+) -> tuple[ParamGrad, float]:
+    """Gradient and train loss of mean train CE plus weighted augmented soft CE.
+
+    The cache rows are [train, augmented, rest]; rest rows get a zero cotangent.
+    """
+    b_tr, b_aug = len(train_labels), len(aug_weights)
+    probs = cache.probs
+    dlogits = np.zeros_like(probs)
+    dlogits[:b_tr] = mean_ce_grad_logits(probs[:b_tr], one_hot(train_labels, params.n_classes))
+    dlogits[b_tr : b_tr + b_aug] = ce_grad_logits(
+        probs[b_tr : b_tr + b_aug], aug_weights, aug_soft_labels
+    )
+    return mlp_backward(params, cache, dlogits), ce_from_logits(cache.logits[:b_tr], train_labels)
+
+
 def validation_gradient(params: ModelParams, val_batch: Batch) -> ParamGrad:
     """Gradient of the mean cross-entropy over the validation minibatch."""
     if val_batch.size == 0:
         raise ValueError("empty validation batch")
-    probs, cache = mlp_forward(params, val_batch.X)
-    targets = one_hot(val_batch.hard_labels, params.n_classes)
-    dlogits = (probs - targets) / val_batch.size
-    return mlp_backward(params, cache, dlogits)
+    _, cache = mlp_forward(params, val_batch.X)
+    return _val_gradient(params, cache, slice(None), val_batch.hard_labels)
 
 
 def pi_scores(params: ModelParams, x_aug: np.ndarray, g_val: ParamGrad) -> np.ndarray:
@@ -84,15 +117,8 @@ def pi_scores(params: ModelParams, x_aug: np.ndarray, g_val: ParamGrad) -> np.nd
     x_aug = np.asarray(x_aug, dtype=np.float64)
     if x_aug.ndim == 1:
         x_aug = x_aug[None, :]
-    probs, cache = mlp_forward(params, x_aug)
-    u = jvp_logits_batch(params, g_val, cache)
-    return (probs * u).sum(axis=1, keepdims=True) - u
-
-
-def _stable_softmax_rows(scores: np.ndarray) -> np.ndarray:
-    z = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    _, cache = mlp_forward(params, x_aug)
+    return _pi(params, cache, slice(None), g_val)
 
 
 def saflex_assign(
@@ -100,7 +126,6 @@ def saflex_assign(
     orig_labels: np.ndarray,
     cfg: SaflexConfig,
     rng: np.random.Generator,
-    extra_stats: bool = False,
 ) -> SaflexOutput:
     """Assign soft labels and keep-weights from alignment scores.
 
@@ -108,10 +133,8 @@ def saflex_assign(
     requires another class to win by at least beta; optional Gumbel(0,1)
     noise softens the otherwise near-argmax labels. A sample is kept when
     its scores, averaged under its assigned soft label, are nonnegative;
-    kept weights are renormalized to total mass one.
-
-    extra_stats adds the score-sum keep rule's statistics (an alternative
-    rule surfaced for diagnostics only, never used for the weights).
+    kept weights are renormalized to total mass one. Non-finite scores
+    raise FloatingPointError: they mean the model has diverged.
     """
     pi = np.asarray(pi, dtype=np.float64)
     if pi.ndim != 2:
@@ -123,7 +146,10 @@ def saflex_assign(
     scores = pi + cfg.beta * one_hot(orig_labels, k) if cfg.beta != 0.0 else pi
     if cfg.gumbel_enabled:
         scores = scores + rng.gumbel(size=(b, k))
-    soft = _stable_softmax_rows(scores / cfg.tau)
+    scores = scores / cfg.tau
+    if not np.isfinite(scores).all():
+        raise FloatingPointError("alignment scores pi / tau are not finite")
+    soft = softmax(scores)
     keep = (pi * soft).sum(axis=1) >= 0.0
     binary = keep.astype(np.float64)
     total = binary.sum()
@@ -133,10 +159,6 @@ def saflex_assign(
         "frac_zero_weight": float(1.0 - total / b),
         "frac_label_changed": float(changed.mean()),
     }
-    if extra_stats:
-        sum_rule_keep = pi.sum(axis=1) >= 0.0
-        diagnostics["frac_keep_sum_rule"] = float(sum_rule_keep.mean())
-        diagnostics["weight_rule_agreement"] = float((keep == sum_rule_keep).mean())
     return SaflexOutput(weights, soft, binary, diagnostics)
 
 
@@ -186,32 +208,11 @@ def combined_step_gradient(
 
     The two terms are mixed equally: the train batch contributes unit
     mass through its mean, the augmented batch through weights that the
-    assignment already normalized to total mass one.
+    assignment already normalized to total mass one. Returns the
+    gradient and the train loss.
     """
-    probs_tr, cache_tr = mlp_forward(params, train_batch.X)
-    targets = one_hot(train_batch.hard_labels, params.n_classes)
-    grad = mlp_backward(params, cache_tr, (probs_tr - targets) / train_batch.size)
-    train_loss = ce_from_logits(cache_tr.logits, train_batch.hard_labels)
-    probs_aug, cache_aug = mlp_forward(params, aug_X)
-    dlogits = ce_grad_logits(probs_aug, aug_weights, aug_soft_labels)
-    grad = grad.add_scaled(mlp_backward(params, cache_aug, dlogits), 1.0)
-    return grad, train_loss
-
-
-@dataclass
-class StepMetrics:
-    val_loss_before: float
-    val_loss_after: float
-    train_loss: float
-
-
-def _slice_cache(cache: ForwardCache, rows: slice) -> ForwardCache:
-    out = ForwardCache(inputs=cache.inputs[rows])
-    out.pre_activations = [p[rows] for p in cache.pre_activations]
-    out.activations = [a[rows] for a in cache.activations]
-    out.logits = cache.logits[rows]
-    out.probs = cache.probs[rows]
-    return out
+    _, cache = mlp_forward(params, np.concatenate([train_batch.X, aug_X]))
+    return _step_gradient(params, cache, train_batch.hard_labels, aug_weights, aug_soft_labels)
 
 
 def saflex_gradient(
@@ -225,54 +226,20 @@ def saflex_gradient(
     """Assignment plus combined gradient in one fused stacked pass.
 
     Returns (gradient, assignment output, train loss, val loss at the
-    incoming parameters). Numerically this is the composition of
-    validation_gradient, pi_scores, saflex_assign and
-    combined_step_gradient, sharing forward passes.
+    incoming parameters). This is validation_gradient, pi_scores,
+    saflex_assign and combined_step_gradient over one shared forward
+    pass of the stacked [train, augmented, validation] rows.
     """
     if train_batch.size == 0 or aug_batch.size == 0 or val_batch.size == 0:
         raise ValueError("all batches must be nonempty")
-    k = params.n_classes
     b_tr, b_aug = train_batch.size, aug_batch.size
-    stacked = np.concatenate([train_batch.X, aug_batch.X, val_batch.X])
-    probs, cache = mlp_forward(params, stacked)
+    _, cache = mlp_forward(params, np.concatenate([train_batch.X, aug_batch.X, val_batch.X]))
     val_rows = slice(b_tr + b_aug, None)
-
-    val_cache = _slice_cache(cache, val_rows)
-    targets_v = one_hot(val_batch.hard_labels, k)
-    g_val = mlp_backward(params, val_cache, (val_cache.probs - targets_v) / val_batch.size)
-    val_loss = ce_from_logits(val_cache.logits, val_batch.hard_labels)
-
-    aug_cache = _slice_cache(cache, slice(b_tr, b_tr + b_aug))
-    u = jvp_logits_batch(params, g_val, aug_cache)
-    pi = (aug_cache.probs * u).sum(axis=1, keepdims=True) - u
+    g_val = _val_gradient(params, cache, val_rows, val_batch.hard_labels)
+    val_loss = ce_from_logits(cache.logits[val_rows], val_batch.hard_labels)
+    pi = _pi(params, cache, slice(b_tr, b_tr + b_aug), g_val)
     out = saflex_assign(pi, aug_batch.hard_labels, cfg, rng)
-
-    # one backward over the whole stack; val rows carry a zero cotangent
-    dlogits = np.zeros_like(probs)
-    dlogits[:b_tr] = (probs[:b_tr] - one_hot(train_batch.hard_labels, k)) / b_tr
-    dlogits[b_tr : b_tr + b_aug] = ce_grad_logits(
-        probs[b_tr : b_tr + b_aug], out.weights, out.soft_labels
+    grad, train_loss = _step_gradient(
+        params, cache, train_batch.hard_labels, out.weights, out.soft_labels
     )
-    grad = mlp_backward(params, cache, dlogits)
-    train_loss = ce_from_logits(cache.logits[:b_tr], train_batch.hard_labels)
     return grad, out, train_loss, val_loss
-
-
-def saflex_step(
-    params: ModelParams,
-    train_batch: Batch,
-    aug_batch: Batch,
-    val_batch: Batch,
-    alpha: float,
-    cfg: SaflexConfig,
-    rng: np.random.Generator,
-) -> tuple[ModelParams, SaflexOutput, StepMetrics]:
-    """One full assignment + SGD update; returns new parameters."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    grad, out, train_loss, before = saflex_gradient(
-        params, train_batch, aug_batch, val_batch, cfg, rng
-    )
-    new_params = sgd_step(params, grad, alpha)
-    after = ce_from_logits(mlp_forward(new_params, val_batch.X)[1].logits, val_batch.hard_labels)
-    return new_params, out, StepMetrics(before, after, train_loss)

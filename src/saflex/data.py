@@ -35,12 +35,11 @@ class FeatureGroup:
 
 @dataclass
 class Batch:
-    """A minibatch: features, hard labels, optional soft labels / weights."""
+    """A minibatch: features, hard labels, optional soft labels."""
 
     X: np.ndarray
     hard_labels: np.ndarray
     soft_labels: np.ndarray | None = None
-    weights: np.ndarray | None = None
     image_hw: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
@@ -56,12 +55,6 @@ class Batch:
                 raise ValueError("soft labels must be nonnegative")
             if np.any(np.abs(self.soft_labels.sum(axis=1) - 1.0) > 1e-9):
                 raise ValueError("soft label rows must sum to 1")
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=np.float64)
-            if self.weights.shape != (self.X.shape[0],):
-                raise ValueError("weights must have one entry per sample")
-            if np.any(self.weights < 0) or np.any(self.weights > 1):
-                raise ValueError("weights must lie in [0, 1]")
 
     @property
     def size(self) -> int:
@@ -319,6 +312,8 @@ def load_images_raw(path: str) -> Dataset:
     if blob[: len(IMAGE_MAGIC)] != IMAGE_MAGIC:
         raise ValueError(f"not an image file: bad magic in {path!r}")
     off = len(IMAGE_MAGIC)
+    if len(blob) < off + 16:
+        raise ValueError(f"truncated image file header in {path!r}")
     n, h, w, k = struct.unpack_from("<IIII", blob, off)
     off += 16
     expected = off + n * h * w + n

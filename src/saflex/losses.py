@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import check_matrix
+from .nn import check_matrix, log_softmax
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -33,8 +33,8 @@ def _check_simplex_rows(y: np.ndarray, name: str, tol: float = 1e-9) -> None:
         raise ValueError(f"{name} rows must sum to 1")
 
 
-def weighted_soft_ce(probs: np.ndarray, weights: np.ndarray, soft_labels: np.ndarray) -> float:
-    """Sum over samples of -w_i * sum_k y_ik * log p_ik."""
+def _check_weighted(probs: np.ndarray, weights: np.ndarray, soft_labels: np.ndarray) -> tuple:
+    """Validated (probs, weights, soft_labels) of a weighted soft-label loss."""
     probs = check_matrix(probs, "probs")
     soft_labels = check_matrix(soft_labels, "soft_labels")
     weights = np.asarray(weights, dtype=np.float64)
@@ -43,6 +43,12 @@ def weighted_soft_ce(probs: np.ndarray, weights: np.ndarray, soft_labels: np.nda
             f"shape mismatch: probs {probs.shape}, labels {soft_labels.shape}, "
             f"weights {weights.shape}"
         )
+    return probs, weights, soft_labels
+
+
+def weighted_soft_ce(probs: np.ndarray, weights: np.ndarray, soft_labels: np.ndarray) -> float:
+    """Sum over samples of -w_i * sum_k y_ik * log p_ik."""
+    probs, weights, soft_labels = _check_weighted(probs, weights, soft_labels)
     if np.any(probs <= 0.0):
         raise ValueError("probabilities must be strictly positive")
     return float(-(weights * (soft_labels * np.log(probs)).sum(axis=1)).sum())
@@ -50,12 +56,13 @@ def weighted_soft_ce(probs: np.ndarray, weights: np.ndarray, soft_labels: np.nda
 
 def ce_grad_logits(probs: np.ndarray, weights: np.ndarray, soft_labels: np.ndarray) -> np.ndarray:
     """Logit-space gradient of weighted_soft_ce: row i is w_i * (p_i - y_i)."""
-    probs = check_matrix(probs, "probs")
-    soft_labels = check_matrix(soft_labels, "soft_labels")
-    weights = np.asarray(weights, dtype=np.float64)
-    if probs.shape != soft_labels.shape or weights.shape != (probs.shape[0],):
-        raise ValueError("shape mismatch in ce_grad_logits")
+    probs, weights, soft_labels = _check_weighted(probs, weights, soft_labels)
     return weights[:, None] * (probs - soft_labels)
+
+
+def mean_ce_grad_logits(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Logit-space gradient of the mean cross-entropy against target rows: (p - y) / n."""
+    return (probs - targets) / probs.shape[0]
 
 
 def hard_ce(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -83,10 +90,7 @@ def ce_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (logits.shape[0],):
         raise ValueError("labels shape mismatch")
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    picked = z[np.arange(labels.shape[0]), labels]
-    return float((lse - picked).mean())
+    return float((-log_softmax(logits)[np.arange(labels.shape[0]), labels]).mean())
 
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -142,21 +146,11 @@ class ContrastiveBatch:
     def size(self) -> int:
         return self.anchors.shape[0]
 
-    def swapped(self) -> "ContrastiveBatch":
-        return ContrastiveBatch(
-            self.partners, self.anchors, self.temperature, self.weights, self.proxy_labels
-        )
-
-
-def _log_softmax_rows(sims: np.ndarray) -> np.ndarray:
-    z = sims - sims.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
 
 def infonce_loss(cb: ContrastiveBatch) -> float:
     """Anchor-to-partner contrastive loss with B-1 in-batch negatives."""
     sims = (cb.anchors @ cb.partners.T) / cb.temperature
-    log_p = _log_softmax_rows(sims)
+    log_p = log_softmax(sims)
     return float(-np.trace(log_p))
 
 
@@ -171,7 +165,7 @@ def weighted_soft_clip(cb: ContrastiveBatch) -> float:
     y = cb.proxy_labels if cb.proxy_labels is not None else np.eye(b)
     sims = (cb.anchors @ cb.partners.T) / cb.temperature
     # direction 1: each anchor classifies over partners (rows of sims)
-    term1 = -(w * (y * _log_softmax_rows(sims)).sum(axis=1)).sum()
+    term1 = -(w * (y * log_softmax(sims)).sum(axis=1)).sum()
     # direction 2: each partner classifies over anchors (columns of sims)
-    term2 = -(w * (y * _log_softmax_rows(sims.T)).sum(axis=1)).sum()
+    term2 = -(w * (y * log_softmax(sims.T)).sum(axis=1)).sum()
     return float(term1 + term2)

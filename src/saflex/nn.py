@@ -5,7 +5,9 @@ Conventions used throughout the package:
 * batches are row-major float64 arrays of shape (batch, features);
 * a network stacks linear layers W (fan_in, fan_out) + bias (fan_out,),
   with ReLU on every hidden layer and raw logits on the last;
-* probabilities are the row-softmax of the logits.
+* probabilities are the row-softmax of the logits;
+* parameters and gradients live in one flat float64 vector, W0, b0, W1,
+  b1, ... (the checkpoint body), with per-layer views into it.
 
 Everything here is a pure function of its inputs; parameters and
 gradients are never mutated in place.
@@ -33,97 +35,102 @@ def check_matrix(x: np.ndarray, name: str = "matrix") -> np.ndarray:
     return x
 
 
-@dataclass
-class ModelParams:
-    """MLP parameters: ReLU hidden layers, linear output layer."""
+class _LayerVector:
+    """One contiguous float64 vector with per-layer weight and bias views.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    activation: str = "relu"
+    The layout is the checkpoint body: W0 (row-major), b0, W1, b1, ...
+    `shapes` holds each layer's (fan_in, fan_out); `weights` and `biases`
+    are views into `flat`, so writing through either side changes both.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.weights) != len(self.biases):
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]) -> None:
+        if len(weights) != len(biases):
             raise ValueError("weights and biases must pair up layer by layer")
-        if not self.weights:
-            raise ValueError("at least one layer required")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise ValueError(f"layer {i}: weight {w.shape} / bias {b.shape} mismatch")
-            if i > 0 and self.weights[i - 1].shape[1] != w.shape[0]:
+        parts = [a.ravel() for pair in zip(weights, biases) for a in pair]
+        flat = np.concatenate(parts, dtype=np.float64) if parts else np.zeros(0)
+        self._bind(flat, tuple(w.shape for w in weights))
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes: tuple[tuple[int, int], ...]):
+        """Views over `flat` itself (not a copy) for the given layer shapes."""
+        obj = cls.__new__(cls)
+        obj._bind(flat, shapes)
+        return obj
+
+    def _bind(self, flat: np.ndarray, shapes: tuple[tuple[int, int], ...]) -> None:
+        if not shapes:
+            raise ValueError("at least one layer required")
+        self.flat, self.shapes = flat, shapes
+        self.weights, self.biases = [], []
+        off, fan_in = 0, shapes[0][0]
+        for i, (fi, fo) in enumerate(shapes):
+            if fi != fan_in:
                 raise ValueError(f"layer {i}: fan-in does not chain from layer {i - 1}")
+            end = off + fi * fo
+            self.weights.append(flat[off:end].reshape(fi, fo))
+            off, fan_in = end + fo, fo
+            self.biases.append(flat[end:off])
+        if flat.shape != (off,):
+            raise ValueError(f"flat vector of shape {flat.shape} does not fit {off} parameters")
+
+
+class ModelParams(_LayerVector):
+    """MLP parameters: ReLU hidden layers, linear output layer."""
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.shapes)
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.shapes[0][0]
 
     @property
     def n_classes(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.shapes[-1][1]
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return (self.input_dim,) + tuple(w.shape[1] for w in self.weights)
+        return (self.input_dim,) + tuple(fo for _, fo in self.shapes)
 
     @property
     def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.flat.size
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.activation,
-        )
+        return ModelParams.from_flat(self.flat.copy(), self.shapes)
 
 
-@dataclass
-class ParamGrad:
-    """A vector in parameter space, shaped like some ModelParams."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+class ParamGrad(_LayerVector):
+    """A vector in parameter space, laid out like some ModelParams."""
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "ParamGrad":
-        return cls(
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-        )
+        return cls.from_flat(np.zeros_like(params.flat), params.shapes)
 
     def _check_same_shape(self, other: "ParamGrad") -> None:
-        shapes_a = [w.shape for w in self.weights] + [b.shape for b in self.biases]
-        shapes_b = [w.shape for w in other.weights] + [b.shape for b in other.biases]
-        if shapes_a != shapes_b:
+        if self.shapes != other.shapes:
             raise ValueError("parameter-vector shapes do not match")
 
     def dot(self, other: "ParamGrad") -> float:
+        """Sum of per-block dots, all weight blocks first, then all biases."""
         self._check_same_shape(other)
-        total = 0.0
-        for a, b in zip(self.weights, other.weights):
-            total += float(np.dot(a.ravel(), b.ravel()))
-        for a, b in zip(self.biases, other.biases):
-            total += float(np.dot(a, b))
-        return total
+        pairs = zip(self.weights + self.biases, other.weights + other.biases)
+        return sum(float(np.dot(a.ravel(), b.ravel())) for a, b in pairs)
 
     def add_scaled(self, other: "ParamGrad", scale: float) -> "ParamGrad":
         """Return self + scale * other."""
         self._check_same_shape(other)
-        return ParamGrad(
-            [a + scale * b for a, b in zip(self.weights, other.weights)],
-            [a + scale * b for a, b in zip(self.biases, other.biases)],
-        )
+        return ParamGrad.from_flat(self.flat + scale * other.flat, self.shapes)
 
     def scale(self, c: float) -> "ParamGrad":
-        return ParamGrad([c * w for w in self.weights], [c * b for b in self.biases])
+        return ParamGrad.from_flat(c * self.flat, self.shapes)
 
     def norm(self) -> float:
-        return float(np.sqrt(self.dot(self)))
+        return float(np.linalg.norm(self.flat))
 
 
 def param_dot(a: ParamGrad, b: ParamGrad) -> float:
@@ -168,6 +175,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row log-softmax with max subtraction; cannot underflow."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
 def mlp_forward(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Evaluate the network on a batch; returns (probabilities, cache)."""
     X = np.asarray(X, dtype=np.float64)
@@ -189,88 +202,70 @@ def mlp_forward(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, Forward
     return cache.probs, cache
 
 
-def mlp_backward(params: ModelParams, cache: ForwardCache, dloss_dlogits: np.ndarray) -> ParamGrad:
+def mlp_backward(
+    params: ModelParams,
+    cache: ForwardCache,
+    dloss_dlogits: np.ndarray,
+    rows: slice = slice(None),
+) -> ParamGrad:
     """Reverse-mode gradient of a scalar loss with the given logit gradient.
 
     The returned gradient is summed over the batch; divide dloss_dlogits
-    by the batch size beforehand for a mean-reduced loss.
+    by the batch size beforehand for a mean-reduced loss. `rows` picks
+    the cache rows the logit gradient belongs to.
     """
     d = np.asarray(dloss_dlogits, dtype=np.float64)
-    if cache.logits is None or d.shape != cache.logits.shape:
+    if cache.logits is None or d.shape != cache.logits[rows].shape:
         raise ValueError(
             f"dloss_dlogits shape {d.shape} != logits shape "
-            f"{None if cache.logits is None else cache.logits.shape}"
+            f"{None if cache.logits is None else cache.logits[rows].shape}"
         )
-    n = params.n_layers
-    d_weights: list = [None] * n
-    d_biases: list = [None] * n
+    grad = ParamGrad.from_flat(np.empty(params.flat.size), params.shapes)
     delta = d
-    for i in range(n - 1, -1, -1):
+    for i in range(params.n_layers - 1, -1, -1):
         a_in = cache.activations[i - 1] if i > 0 else cache.inputs
-        d_weights[i] = a_in.T @ delta
-        d_biases[i] = delta.sum(axis=0)
+        np.dot(a_in[rows].T, delta, out=grad.weights[i])
+        np.add.reduce(delta, axis=0, out=grad.biases[i])
         if i > 0:
-            delta = (delta @ params.weights[i].T) * (cache.pre_activations[i - 1] > 0.0)
-    return ParamGrad(d_weights, d_biases)
+            delta = (delta @ params.weights[i].T) * (cache.pre_activations[i - 1][rows] > 0.0)
+    return grad
 
 
-def jvp_logits(
+def jvp_logits_batch(
     params: ModelParams,
-    x: np.ndarray,
     tangent: ParamGrad,
     cache: ForwardCache,
+    rows: slice = slice(None),
 ) -> np.ndarray:
-    """Directional derivative of the logits along a parameter-space tangent.
+    """Logit JVP along a parameter-space tangent for the cache rows `rows`.
 
-    One forward pass propagating (value, tangent) pairs; the cache must
-    come from mlp_forward on this same single-row input.
+    One forward pass propagating (value, tangent) pairs through the
+    cached activations; returns (rows, classes).
     """
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if cache.inputs.shape != x.shape or not np.array_equal(cache.inputs, x):
-        raise ValueError("cache does not match the given input")
-    return jvp_logits_batch(params, tangent, cache)[0]
-
-
-def jvp_logits_batch(params: ModelParams, tangent: ParamGrad, cache: ForwardCache) -> np.ndarray:
-    """Batched logit JVP reusing a forward cache; returns (batch, classes)."""
-    if [w.shape for w in tangent.weights] != [w.shape for w in params.weights]:
+    if tangent.shapes != params.shapes:
         raise ValueError("tangent shape does not match parameters")
-    a = cache.inputs
-    t = None  # tangent of the input is zero, so layer 0 has no t @ W term
-    last = params.n_layers - 1
-    for i in range(params.n_layers):
-        t_pre = a @ tangent.weights[i] + tangent.biases[i]
-        if t is not None:
-            t_pre += t @ params.weights[i]
-        if i < last:
-            t = t_pre * (cache.pre_activations[i] > 0.0)
-            a = cache.activations[i]
-        else:
-            return t_pre
-    raise AssertionError("unreachable")
+    # the input's tangent is zero, so layer 0 has no t @ W term
+    t = cache.inputs[rows] @ tangent.weights[0] + tangent.biases[0]
+    for i in range(1, params.n_layers):
+        t_in = t * (cache.pre_activations[i - 1][rows] > 0.0)
+        t = cache.activations[i - 1][rows] @ tangent.weights[i] + tangent.biases[i]
+        t += t_in @ params.weights[i]
+    return t
 
 
 def sgd_step(params: ModelParams, grad: ParamGrad, alpha: float) -> ModelParams:
     """One plain gradient-descent update; returns new parameters."""
     if alpha < 0:
         raise ValueError("learning rate must be >= 0")
-    return ModelParams(
-        [w - alpha * g for w, g in zip(params.weights, grad.weights)],
-        [b - alpha * g for b, g in zip(params.biases, grad.biases)],
-        params.activation,
-    )
+    return ModelParams.from_flat(params.flat - alpha * grad.flat, params.shapes)
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
-    """Little-endian binary checkpoint: magic, layer count, dims, f64 blocks."""
+    """Little-endian binary checkpoint: magic, layer count, dims, then `flat` as f8."""
+    dims = [d for shape in params.shapes for d in shape]
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", params.n_layers))
-        for w in params.weights:
-            f.write(struct.pack("<II", w.shape[0], w.shape[1]))
-        for w, b in zip(params.weights, params.biases):
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        f.write(CHECKPOINT_MAGIC + struct.pack(f"<I{len(dims)}I", params.n_layers, *dims))
+        f.write(params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> ModelParams:
@@ -278,22 +273,17 @@ def load_checkpoint(path: str) -> ModelParams:
         blob = f.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError(f"not a checkpoint file: bad magic in {path!r}")
-    off = len(CHECKPOINT_MAGIC)
-    (n_layers,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    dims = []
-    for _ in range(n_layers):
-        dims.append(struct.unpack_from("<II", blob, off))
-        off += 8
-    expected = off + sum(8 * (fi * fo + fo) for fi, fo in dims)
+    off = len(CHECKPOINT_MAGIC) + 4
+    if len(blob) < off:
+        raise ValueError(f"truncated checkpoint header in {path!r}")
+    (n_layers,) = struct.unpack_from("<I", blob, off - 4)
+    if len(blob) < off + 8 * n_layers:
+        raise ValueError(f"truncated checkpoint header in {path!r}: {n_layers} layers")
+    dims = struct.unpack_from(f"<{2 * n_layers}I", blob, off)
+    shapes = tuple(zip(dims[::2], dims[1::2]))
+    off += 8 * n_layers
+    expected = off + sum(8 * (fi * fo + fo) for fi, fo in shapes)
     if len(blob) != expected:
         raise ValueError(f"truncated checkpoint: expected {expected} bytes, got {len(blob)}")
-    weights, biases = [], []
-    for fi, fo in dims:
-        w = np.frombuffer(blob, dtype="<f8", count=fi * fo, offset=off).reshape(fi, fo)
-        off += 8 * fi * fo
-        b = np.frombuffer(blob, dtype="<f8", count=fo, offset=off)
-        off += 8 * fo
-        weights.append(w.astype(np.float64))
-        biases.append(b.astype(np.float64))
-    return ModelParams(weights, biases)
+    flat = np.frombuffer(blob, dtype="<f8", offset=off).astype(np.float64)
+    return ModelParams.from_flat(flat, shapes)

@@ -43,23 +43,20 @@ class Assignment:
 
 
 def finite_diff(fn: Callable[[ModelParams], float], params: ModelParams, eps: float) -> ParamGrad:
-    """Central finite differences of a scalar function, per coordinate."""
+    """Central finite differences of a scalar function, per flat coordinate."""
     if eps <= 0:
         raise ValueError("eps must be > 0")
     grad = ParamGrad.zeros_like(params)
     work = params.copy()
-    arrays = list(zip(work.weights, grad.weights)) + list(zip(work.biases, grad.biases))
-    for theta, g in arrays:
-        flat_t = theta.ravel()
-        flat_g = g.ravel()
-        for j in range(flat_t.size):
-            orig = flat_t[j]
-            flat_t[j] = orig + eps
-            hi = fn(work)
-            flat_t[j] = orig - eps
-            lo = fn(work)
-            flat_t[j] = orig
-            flat_g[j] = (hi - lo) / (2.0 * eps)
+    theta = work.flat
+    for j in range(theta.size):
+        orig = theta[j]
+        theta[j] = orig + eps
+        hi = fn(work)
+        theta[j] = orig - eps
+        lo = fn(work)
+        theta[j] = orig
+        grad.flat[j] = (hi - lo) / (2.0 * eps)
     return grad
 
 

@@ -12,7 +12,7 @@ the host.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .augment import AugmenterSpec, apply_augmenter
 from .core import SaflexConfig, SaflexOutput, saflex_gradient
 from .data import Batch, Dataset, SplitSpec, apply_train_statistics, split
-from .losses import ce_from_logits, one_hot
+from .losses import ce_from_logits, mean_ce_grad_logits, one_hot
 from .nn import ModelParams, ParamGrad, init_mlp, mlp_backward, mlp_forward
 from .rng import stream
 
@@ -69,8 +69,6 @@ class RunConfig:
     def effective_val_batch(self) -> int:
         if self.val_batch_size is not None:
             return self.val_batch_size
-        if self.saflex.val_batch_size is not None:
-            return self.saflex.val_batch_size
         return self.batch_size
 
 
@@ -86,10 +84,7 @@ class MetricsRow:
     sec_per_epoch: float
 
     def as_tuple(self) -> tuple:
-        return (
-            self.epoch, self.train_loss, self.val_loss, self.test_acc,
-            self.mean_w, self.frac_zero_w, self.frac_label_changed, self.sec_per_epoch,
-        )
+        return astuple(self)
 
 
 def evaluate(params: ModelParams, ds: Dataset) -> tuple[float, float]:
@@ -124,46 +119,30 @@ class _ValCycler:
 
 
 class _Optimizer:
-    """SGD with optional momentum, or Adam, over ParamGrad pytrees."""
+    """SGD with optional momentum, or Adam, over the flat parameter vector."""
 
     def __init__(self, cfg: RunConfig, params: ModelParams):
         self.cfg = cfg
-        self.velocity = ParamGrad.zeros_like(params) if cfg.momentum > 0 else None
+        self.velocity = np.zeros_like(params.flat) if cfg.momentum > 0 else None
         if cfg.optimizer == "adam":
-            self.m = ParamGrad.zeros_like(params)
-            self.v = ParamGrad.zeros_like(params)
+            self.m = np.zeros_like(params.flat)
+            self.v = np.zeros_like(params.flat)
             self.t = 0
 
     def apply(self, params: ModelParams, grad: ParamGrad) -> ModelParams:
-        lr = self.cfg.lr
+        g = grad.flat
         if self.cfg.optimizer == "adam":
             self.t += 1
             b1, b2, eps = 0.9, 0.999, 1e-8
-            self.m = self.m.scale(b1).add_scaled(grad, 1 - b1)
-            new_v_w = [b2 * v + (1 - b2) * g * g for v, g in zip(self.v.weights, grad.weights)]
-            new_v_b = [b2 * v + (1 - b2) * g * g for v, g in zip(self.v.biases, grad.biases)]
-            self.v = ParamGrad(new_v_w, new_v_b)
-            corr1 = 1 - b1 ** self.t
-            corr2 = 1 - b2 ** self.t
-            upd_w = [
-                (m / corr1) / (np.sqrt(v / corr2) + eps)
-                for m, v in zip(self.m.weights, self.v.weights)
-            ]
-            upd_b = [
-                (m / corr1) / (np.sqrt(v / corr2) + eps)
-                for m, v in zip(self.m.biases, self.v.biases)
-            ]
-            step = ParamGrad(upd_w, upd_b)
+            self.m = b1 * self.m + (1 - b1) * g
+            self.v = b2 * self.v + (1 - b2) * g * g
+            step = (self.m / (1 - b1 ** self.t)) / (np.sqrt(self.v / (1 - b2 ** self.t)) + eps)
         elif self.velocity is not None:
-            self.velocity = self.velocity.scale(self.cfg.momentum).add_scaled(grad, 1.0)
+            self.velocity = self.cfg.momentum * self.velocity + g
             step = self.velocity
         else:
-            step = grad
-        return ModelParams(
-            [w - lr * g for w, g in zip(params.weights, step.weights)],
-            [b - lr * g for b, g in zip(params.biases, step.biases)],
-            params.activation,
-        )
+            step = g
+        return ModelParams.from_flat(params.flat - self.cfg.lr * step, params.shapes)
 
 
 Observer = Callable[[int, int, Batch, Batch | None, SaflexOutput | None], None]
@@ -194,43 +173,43 @@ def train(
     for epoch in range(run.epochs):
         tic = time.perf_counter()
         order = stream(run.seed, "shuffle", epoch).permutation(train_ds.size)
-        w_sum = w_n = 0.0
-        zero_sum = changed_sum = batches = 0.0
+        w_sum = zero_sum = changed_sum = n_aug = 0.0
         for it in range(0, train_ds.size, run.batch_size):
-            idx = order[it : it + run.batch_size]
-            base = train_ds.batch(idx)
+            i = it // run.batch_size
+            base = train_ds.batch(order[it : it + run.batch_size])
             aug: Batch | None = None
             out: SaflexOutput | None = None
-            if run.mode == "none":
-                probs, cache = mlp_forward(params, base.X)
-                targets = one_hot(base.hard_labels, k)
-                grad = mlp_backward(params, cache, (probs - targets) / base.size)
-            else:
+            if run.mode != "none":
                 aug_rng = stream(run.seed, "augment", epoch, it)
                 aug = apply_augmenter(run.augment, base, aug_rng, k, groups)
-                if run.mode == "naive":
-                    # standard practice: the augmented batch replaces the raw one
-                    probs, cache = mlp_forward(params, aug.X)
-                    soft = aug.soft_labels if aug.soft_labels is not None else one_hot(
-                        aug.hard_labels, k
-                    )
-                    grad = mlp_backward(params, cache, (probs - soft) / aug.size)
-                    w_sum += 1.0 / aug.size
-                    w_n += 1
-                else:
-                    val_batch = cycler.next_batch()
-                    gumbel_rng = stream(run.saflex.seed, "gumbel", epoch, it)
+                n_aug += 1
+            if run.mode == "saflex":
+                val_batch = cycler.next_batch()
+                gumbel_rng = stream(run.saflex.seed, "gumbel", epoch, it)
+                try:
                     grad, out, _, _ = saflex_gradient(
                         params, base, aug, val_batch, run.saflex, gumbel_rng
                     )
-                    w_sum += float(out.weights.mean())
-                    w_n += 1
-                    zero_sum += out.diagnostics["frac_zero_weight"]
-                    changed_sum += out.diagnostics["frac_label_changed"]
-                    batches += 1
+                except FloatingPointError as exc:
+                    raise DivergenceError(f"{exc} at epoch {epoch}, iteration {i}") from exc
+                w_sum += float(out.weights.mean())
+                zero_sum += out.diagnostics["frac_zero_weight"]
+                changed_sum += out.diagnostics["frac_label_changed"]
+            else:
+                # naive is standard practice: the augmented batch replaces the raw one
+                batch = base if aug is None else aug
+                probs, cache = mlp_forward(params, batch.X)
+                targets = batch.soft_labels
+                if targets is None:
+                    targets = one_hot(batch.hard_labels, k)
+                grad = mlp_backward(params, cache, mean_ce_grad_logits(probs, targets))
+                if aug is not None:
+                    w_sum += 1.0 / aug.size
+            if not np.isfinite(grad.flat).all():
+                raise DivergenceError(f"non-finite gradient at epoch {epoch}, iteration {i}")
             params = optimizer.apply(params, grad)
             if observer is not None:
-                observer(epoch, it // run.batch_size, base, aug, out)
+                observer(epoch, i, base, aug, out)
         train_loss, _ = evaluate(params, train_ds)
         val_loss, _ = evaluate(params, val_ds)
         _, test_acc = evaluate(params, test_ds)
@@ -242,9 +221,9 @@ def train(
             train_loss=train_loss,
             val_loss=val_loss,
             test_acc=test_acc,
-            mean_w=w_sum / w_n if w_n else 0.0,
-            frac_zero_w=zero_sum / batches if batches else 0.0,
-            frac_label_changed=changed_sum / batches if batches else 0.0,
+            mean_w=w_sum / n_aug if n_aug else 0.0,
+            frac_zero_w=zero_sum / n_aug if n_aug else 0.0,
+            frac_label_changed=changed_sum / n_aug if n_aug else 0.0,
             sec_per_epoch=time.perf_counter() - tic,
         ))
     return history, params

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -192,9 +194,27 @@ def test_oracle_check_rejects_single_class(capsys):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
-def test_divergent_run_exits_three(tmp_path):
-    cfg = _cfg(tmp_path, optimizer={"lr": 1e305}, train={"mode": "none", "epochs": 1})
+@pytest.mark.parametrize("mode", ["none", "naive", "saflex"])
+def test_divergent_run_exits_three(tmp_path, capsys, mode):
+    cfg = _cfg(tmp_path, optimizer={"lr": 1e305}, train={"mode": mode, "epochs": 1})
     assert main(["train", "-c", cfg]) == 3
+    assert re.search(r"epoch 0, iteration \d+", capsys.readouterr().err)
+
+
+def test_truncated_checkpoint_header_exits_two(tmp_path, capsys):
+    ck = tmp_path / "ck.bin"
+    ck.write_bytes(b"SFLX1" + struct.pack("<I", 255) + b"\x00\x00")
+    rc = main(["eval", "-c", _cfg(tmp_path), "--checkpoint", str(ck)])
+    assert rc == 2
+    assert "truncated checkpoint header" in capsys.readouterr().err
+
+
+def test_truncated_image_header_exits_two(tmp_path, capsys):
+    img = tmp_path / "imgs.bin"
+    img.write_bytes(b"SFIM1\x00\x00")
+    cfg = _cfg(tmp_path, data={"kind": "images", "path": str(img)})
+    assert main(["train", "-c", cfg]) == 2
+    assert "truncated image file header" in capsys.readouterr().err
 
 
 def test_saflex_threads_validated(tmp_path, monkeypatch, capsys):

@@ -130,6 +130,16 @@ def test_images_truncated(tmp_path):
         load_images_raw(str(path))
 
 
+def test_images_every_strict_prefix_rejected(tmp_path):
+    path = tmp_path / "imgs.bin"
+    save_images_raw(np.zeros((3, 2, 2), dtype=np.uint8), np.zeros(3, dtype=np.uint8), 2, str(path))
+    blob = path.read_bytes()
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(ValueError):
+            load_images_raw(str(path))
+
+
 def test_images_bad_magic(tmp_path):
     path = tmp_path / "imgs.bin"
     path.write_bytes(b"XXXXX" + b"\x00" * 20)

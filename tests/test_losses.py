@@ -140,7 +140,8 @@ def test_infonce_empty_batch_rejected():
 
 def test_clip_reduces_to_symmetric_infonce(rng):
     cb = _random_cb(rng, b=5)
-    sym = infonce_loss(cb) + infonce_loss(cb.swapped())
+    swapped = ContrastiveBatch(cb.partners, cb.anchors, cb.temperature)
+    sym = infonce_loss(cb) + infonce_loss(swapped)
     assert weighted_soft_clip(cb) == pytest.approx(sym, abs=1e-10)
 
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import random_grad, small_mlp
 from saflex.nn import (
+    CHECKPOINT_MAGIC,
     ModelParams,
     ParamGrad,
     init_mlp,
-    jvp_logits,
     jvp_logits_batch,
     load_checkpoint,
     mlp_backward,
@@ -82,37 +84,32 @@ def test_backward_matches_finite_differences(rng):
 
 def test_jvp_zero_tangent(rng):
     params = small_mlp()
-    x = rng.standard_normal(3)
-    _, cache = mlp_forward(params, x.reshape(1, -1))
-    u = jvp_logits(params, x, ParamGrad.zeros_like(params), cache)
-    np.testing.assert_array_equal(u, np.zeros(4))
+    _, cache = mlp_forward(params, rng.standard_normal((2, 3)))
+    u = jvp_logits_batch(params, ParamGrad.zeros_like(params), cache)
+    np.testing.assert_array_equal(u, np.zeros((2, 4)))
 
 
 def test_jvp_linear_layer_closed_form(rng):
     params = ModelParams([np.zeros((2, 2))], [np.zeros(2)])
-    x = np.array([1.0, 0.0])
-    _, cache = mlp_forward(params, x.reshape(1, -1))
+    _, cache = mlp_forward(params, np.array([[1.0, 0.0]]))
     tangent = ParamGrad([np.array([[1.0, 0.0], [0.0, 0.0]])], [np.zeros(2)])
-    u = jvp_logits(params, x, tangent, cache)
-    np.testing.assert_allclose(u, [1.0, 0.0])
+    u = jvp_logits_batch(params, tangent, cache)
+    np.testing.assert_allclose(u, [[1.0, 0.0]])
 
 
 def _nudge(params, tangent, eps):
-    return ModelParams(
-        [w + eps * t for w, t in zip(params.weights, tangent.weights)],
-        [b + eps * t for b, t in zip(params.biases, tangent.biases)],
-    )
+    return ModelParams.from_flat(params.flat + eps * tangent.flat, params.shapes)
 
 
 def test_jvp_matches_central_differences(rng):
     params = small_mlp(dims=(4, 9, 7, 3), seed=11)
-    x = rng.standard_normal(4)
-    _, cache = mlp_forward(params, x.reshape(1, -1))
+    x = rng.standard_normal((1, 4))
+    _, cache = mlp_forward(params, x)
     t = random_grad(params, rng)
-    u = jvp_logits(params, x, t, cache)
+    u = jvp_logits_batch(params, t, cache)[0]
     eps = 1e-6
-    hi = mlp_forward(_nudge(params, t, eps), x.reshape(1, -1))[1].logits[0]
-    lo = mlp_forward(_nudge(params, t, -eps), x.reshape(1, -1))[1].logits[0]
+    hi = mlp_forward(_nudge(params, t, eps), x)[1].logits[0]
+    lo = mlp_forward(_nudge(params, t, -eps), x)[1].logits[0]
     fd = (hi - lo) / (2 * eps)
     assert np.linalg.norm(u - fd) / np.linalg.norm(fd) <= 1e-6
 
@@ -122,14 +119,28 @@ def test_jvp_matches_central_differences(rng):
 def test_jvp_linear_in_tangent(seed, a, b):
     rng = np.random.default_rng(seed)
     params = small_mlp(seed=seed % 17)
-    x = rng.standard_normal(3)
-    _, cache = mlp_forward(params, x.reshape(1, -1))
+    _, cache = mlp_forward(params, rng.standard_normal((2, 3)))
     t1 = random_grad(params, rng)
     t2 = random_grad(params, rng)
     combo = t1.scale(a).add_scaled(t2, b)
-    u = jvp_logits(params, x, combo, cache)
-    u_sep = a * jvp_logits(params, x, t1, cache) + b * jvp_logits(params, x, t2, cache)
+    u = jvp_logits_batch(params, combo, cache)
+    u_sep = a * jvp_logits_batch(params, t1, cache) + b * jvp_logits_batch(params, t2, cache)
     np.testing.assert_allclose(u, u_sep, atol=1e-10)
+
+
+def test_jvp_rows_match_a_forward_of_those_rows(rng):
+    # a row range of a stacked cache gives the JVP of a forward over those rows
+    params = small_mlp(dims=(3, 7, 5, 4), seed=2)
+    X = rng.standard_normal((9, 3))
+    t = random_grad(params, rng)
+    _, stacked = mlp_forward(params, X)
+    _, part = mlp_forward(params, X[3:7])
+    np.testing.assert_allclose(
+        jvp_logits_batch(params, t, stacked, slice(3, 7)), jvp_logits_batch(params, t, part),
+        rtol=1e-13, atol=1e-13)
+    c = rng.standard_normal((4, 4))
+    np.testing.assert_allclose(mlp_backward(params, stacked, c, slice(3, 7)).flat,
+                               mlp_backward(params, part, c).flat, rtol=1e-13, atol=1e-13)
 
 
 @given(st.integers(0, 10_000))
@@ -146,12 +157,11 @@ def test_jvp_backward_duality(seed):
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
-def test_jvp_rejects_mismatched_cache(rng):
+def test_jvp_rejects_mismatched_tangent(rng):
     params = small_mlp()
-    x1, x2 = rng.standard_normal(3), rng.standard_normal(3)
-    _, cache = mlp_forward(params, x1.reshape(1, -1))
-    with pytest.raises(ValueError, match="cache"):
-        jvp_logits(params, x2, ParamGrad.zeros_like(params), cache)
+    _, cache = mlp_forward(params, rng.standard_normal((2, 3)))
+    with pytest.raises(ValueError, match="tangent"):
+        jvp_logits_batch(params, ParamGrad.zeros_like(small_mlp(dims=(3, 5, 4))), cache)
 
 
 def test_sgd_zero_alpha_is_identity(rng):
@@ -223,6 +233,46 @@ def test_checkpoint_roundtrip(tmp_path, rng):
         np.testing.assert_array_equal(w0, w1)
     for b0, b1 in zip(params.biases, back.biases):
         np.testing.assert_array_equal(b0, b1)
+
+
+def test_flat_vector_is_checkpoint_order_and_views_write_through(tmp_path):
+    params = small_mlp(dims=(3, 5, 2), seed=1)
+    w0, b0, w1, b1 = params.weights[0], params.biases[0], params.weights[1], params.biases[1]
+    np.testing.assert_array_equal(
+        params.flat, np.concatenate([w0.ravel(), b0, w1.ravel(), b1]))
+    path = tmp_path / "ck.bin"
+    save_checkpoint(params, str(path))
+    header = CHECKPOINT_MAGIC + struct.pack("<5I", 2, 3, 5, 5, 2)
+    assert path.read_bytes() == header + params.flat.astype("<f8").tobytes()
+    w1[0, 0] = 7.0
+    assert params.flat[3 * 5 + 5] == 7.0
+
+
+def test_constructor_copies_the_layer_lists():
+    w, b = np.ones((2, 2)), np.zeros(2)
+    params = ModelParams([w], [b])
+    w[0, 0] = 5.0
+    assert params.weights[0][0, 0] == 1.0 and params.flat.dtype == np.float64
+
+
+def test_backward_writes_a_fresh_vector(rng):
+    params = small_mlp()
+    before = params.flat.copy()
+    _, cache = mlp_forward(params, rng.standard_normal((3, 3)))
+    g1 = mlp_backward(params, cache, rng.standard_normal((3, 4)))
+    g2 = mlp_backward(params, cache, rng.standard_normal((3, 4)))
+    np.testing.assert_array_equal(params.flat, before)
+    assert not np.shares_memory(g1.flat, g2.flat)
+
+
+def test_checkpoint_every_strict_prefix_rejected(tmp_path):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(small_mlp(dims=(2, 3, 2)), str(path))
+    blob = path.read_bytes()
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(ValueError):
+            load_checkpoint(str(path))
 
 
 def test_checkpoint_bad_magic(tmp_path):

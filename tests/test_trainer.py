@@ -4,9 +4,10 @@ import pytest
 from saflex.augment import AugmenterSpec
 from saflex.core import SaflexConfig
 from saflex.data import Dataset, SplitSpec, gen_two_gaussians
-from saflex.nn import ModelParams, init_mlp
+from saflex.nn import ModelParams, ParamGrad, init_mlp
 from saflex.trainer import (
     DivergenceError,
+    _Optimizer,
     MetricsRow,
     RunConfig,
     evaluate,
@@ -159,6 +160,31 @@ def test_adam_mode_trains():
     run = _run(mode="saflex", optimizer="adam", lr=0.01, epochs=2)
     history, _ = train(run, ds)
     assert len(history) == 2 and np.isfinite(history[-1].val_loss)
+
+
+def _two_grads(params, seed=0):
+    g = np.random.default_rng(seed)
+    return [ParamGrad.from_flat(g.standard_normal(params.flat.size), params.shapes)
+            for _ in range(2)]
+
+
+def test_momentum_is_heavy_ball_on_the_flat_vector():
+    params = init_mlp([3, 5, 2], seed=1)
+    g1, g2 = _two_grads(params)
+    opt = _Optimizer(_run(lr=0.1, momentum=0.9), params)
+    p2 = opt.apply(opt.apply(params, g1), g2)
+    v1 = g1.flat
+    v2 = 0.9 * v1 + g2.flat
+    np.testing.assert_array_equal(p2.flat, (params.flat - 0.1 * v1) - 0.1 * v2)
+
+
+def test_adam_first_step_is_normalized_gradient():
+    params = init_mlp([3, 5, 2], seed=2)
+    g, _ = _two_grads(params, seed=1)
+    lr = 0.01
+    stepped = _Optimizer(_run(optimizer="adam", lr=lr), params).apply(params, g)
+    want = lr * g.flat / (np.abs(g.flat) + 1e-8)
+    np.testing.assert_allclose(params.flat - stepped.flat, want, rtol=1e-9, atol=1e-15)
 
 
 def test_run_config_validation():
