@@ -87,16 +87,16 @@ def _step_gradient(
 ) -> tuple[ParamGrad, float]:
     """Gradient and train loss of mean train CE plus weighted augmented soft CE.
 
-    The cache rows are [train, augmented, rest]; rest rows get a zero cotangent.
+    The cache rows are [train, augmented, rest]; only the first two take part.
     """
     b_tr, b_aug = len(train_labels), len(aug_weights)
     probs = cache.probs
-    dlogits = np.zeros_like(probs)
-    dlogits[:b_tr] = mean_ce_grad_logits(probs[:b_tr], one_hot(train_labels, params.n_classes))
-    dlogits[b_tr : b_tr + b_aug] = ce_grad_logits(
-        probs[b_tr : b_tr + b_aug], aug_weights, aug_soft_labels
-    )
-    return mlp_backward(params, cache, dlogits), ce_from_logits(cache.logits[:b_tr], train_labels)
+    dlogits = np.concatenate([
+        mean_ce_grad_logits(probs[:b_tr], one_hot(train_labels, params.n_classes)),
+        ce_grad_logits(probs[b_tr : b_tr + b_aug], aug_weights, aug_soft_labels),
+    ])
+    grad = mlp_backward(params, cache, dlogits, slice(0, b_tr + b_aug))
+    return grad, ce_from_logits(cache.logits[:b_tr], train_labels)
 
 
 def validation_gradient(params: ModelParams, val_batch: Batch) -> ParamGrad:
@@ -143,10 +143,14 @@ def saflex_assign(
     orig_labels = np.asarray(orig_labels, dtype=np.int64)
     if orig_labels.shape != (b,):
         raise ValueError("orig_labels must have one entry per sample")
-    scores = pi + cfg.beta * one_hot(orig_labels, k) if cfg.beta != 0.0 else pi
+    shaped = pi + cfg.beta * one_hot(orig_labels, k) if cfg.beta != 0.0 else pi
     if cfg.gumbel_enabled:
-        scores = scores + rng.gumbel(size=(b, k))
-    scores = scores / cfg.tau
+        # Gumbel + shaped equals shaped + Gumbel bitwise
+        scores = rng.gumbel(size=(b, k))
+        scores += shaped
+        scores /= cfg.tau
+    else:
+        scores = shaped / cfg.tau
     if not np.isfinite(scores).all():
         raise FloatingPointError("alignment scores pi / tau are not finite")
     soft = softmax(scores)
@@ -157,7 +161,7 @@ def saflex_assign(
     changed = soft.argmax(axis=1) != orig_labels
     diagnostics = {
         "frac_zero_weight": float(1.0 - total / b),
-        "frac_label_changed": float(changed.mean()),
+        "frac_label_changed": float(changed.sum() / b),
     }
     return SaflexOutput(weights, soft, binary, diagnostics)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import check_matrix, log_softmax
+from .nn import check_matrix, log_softmax, row_max
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -90,7 +90,13 @@ def ce_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (logits.shape[0],):
         raise ValueError("labels shape mismatch")
-    return float((-log_softmax(logits)[np.arange(labels.shape[0]), labels]).mean())
+    # the label entries of log_softmax(logits), without the full matrix;
+    # sum / n is np.mean's own arithmetic
+    z = logits - row_max(logits)
+    z_label = z[np.arange(labels.shape[0]), labels]
+    np.exp(z, out=z)
+    nll = -(z_label - np.log(z.sum(axis=1)))
+    return float(nll.sum() / labels.shape[0])
 
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Counter-based random streams.
 
 Every stochastic component draws from its own Philox stream, keyed by a
-hash of (seed, purpose, epoch, batch, ...). Streams are independent of
+hash of (seed, purpose, epoch, batch, ...): the 128-bit blake2b digest of
+the "/"-joined key path is the Philox key, with the counter at zero.
+Building a stream draws nothing from the OS. Streams are independent of
 call order and of any batch-level parallelism, so runs are reproducible
 bit for bit from the seed alone.
 """
@@ -14,19 +16,22 @@ import os
 import numpy as np
 
 
-def _philox_from_key(key: np.ndarray) -> np.random.Philox:
-    # equivalent to Philox(key=key) but avoids the constructor's discarded
-    # os.urandom draw, which dominates stream setup cost on some hosts
-    bg = np.random.Philox(seed=0)
-    state = bg.state
-    state["state"]["key"] = key
-    state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-    state["buffer"] = np.zeros(4, dtype=np.uint64)
-    state["buffer_pos"] = 4
-    state["has_uint32"] = 0
-    state["uinteger"] = 0
-    bg.state = state
-    return bg
+class _Key(np.random.bit_generator.ISeedSequence):
+    """Seed source that hands Philox a precomputed 128-bit key.
+
+    Philox(_Key(key)) is the stream of Philox(key=key): counter zero,
+    empty buffer. Passing the key as the seed skips the SeedSequence that
+    Philox(key=...) builds and discards, and its os.urandom draw.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray) -> None:
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        # Philox asks for its key as 2 uint64 words
+        return self.key
 
 
 def stream(*key_parts: int | str) -> np.random.Generator:
@@ -38,7 +43,7 @@ def stream(*key_parts: int | str) -> np.random.Generator:
     tag = "/".join(str(p) for p in key_parts).encode("utf-8")
     digest = hashlib.blake2b(tag, digest_size=16).digest()
     key = np.frombuffer(digest, dtype=np.uint64)
-    return np.random.Generator(_philox_from_key(key))
+    return np.random.Generator(np.random.Philox(_Key(key)))
 
 
 def thread_cap(default: int = 1) -> int:

@@ -192,7 +192,7 @@ def train(
                     )
                 except FloatingPointError as exc:
                     raise DivergenceError(f"{exc} at epoch {epoch}, iteration {i}") from exc
-                w_sum += float(out.weights.mean())
+                w_sum += float(out.weights.sum() / out.weights.size)
                 zero_sum += out.diagnostics["frac_zero_weight"]
                 changed_sum += out.diagnostics["frac_label_changed"]
             else:

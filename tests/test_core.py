@@ -190,6 +190,16 @@ def test_assign_invariants_random(seed):
     # keep rule: weight is 1 exactly when the label-averaged score is >= 0
     label_avg = (pi * out.soft_labels).sum(axis=1)
     np.testing.assert_array_equal(out.binary_weights == 1.0, label_avg >= 0)
+    # bitwise the reference arithmetic ((pi + beta onehot) + Gumbel) / tau
+    scores = pi + cfg.beta * one_hot(orig, k) if cfg.beta != 0.0 else pi
+    if cfg.gumbel_enabled:
+        scores = scores + np.random.default_rng(seed + 1).gumbel(size=(b, k))
+    z = scores / cfg.tau
+    z = np.exp(z - z.max(axis=1, keepdims=True))
+    soft = z / z.sum(axis=1, keepdims=True)
+    assert out.soft_labels.tobytes() == soft.tobytes()
+    changed = float((soft.argmax(axis=1) != orig).mean())
+    assert out.diagnostics["frac_label_changed"] == changed
 
 
 @given(st.integers(0, 100_000))
@@ -363,3 +373,7 @@ def test_fused_gradient_matches_composed_path(seed):
     assert _rel_close(grad.flat, ref_grad.flat)
     assert _rel_close(train_loss, ref_train_loss)
     assert _rel_close(val_loss, ref_val_loss)
+    # the losses are ce_from_logits of the stacked cache's rows, exactly
+    _, stacked = mlp_forward(params, np.concatenate([tr.X, aug.X, val.X]))
+    assert train_loss == ce_from_logits(stacked.logits[: tr.size], tr.hard_labels)
+    assert val_loss == ce_from_logits(stacked.logits[tr.size + aug.size :], val.hard_labels)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from saflex.losses import (
     ContrastiveBatch,
+    ce_from_logits,
     ce_grad_logits,
     hard_ce,
     infonce_loss,
@@ -13,7 +14,7 @@ from saflex.losses import (
     weighted_soft_ce,
     weighted_soft_clip,
 )
-from saflex.nn import softmax
+from saflex.nn import log_softmax, softmax
 
 
 def test_soft_ce_coin_flip():
@@ -107,6 +108,20 @@ def _random_cb(rng, b=4, e=6, **kw):
         normalize_rows(rng.standard_normal((b, e))),
         **kw,
     )
+
+
+def test_ce_from_logits_bitwise_equals_mean_of_log_softmax(rng):
+    for _ in range(500):
+        n, k = int(rng.integers(1, 70)), int(rng.integers(1, 13))
+        L = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-3, 2)
+        L[rng.random(n) < 0.3] *= float(rng.uniform(1e3, 1e5))  # saturated rows
+        y = rng.integers(0, k, size=n)
+        got = ce_from_logits(L, y)
+        assert got == float((-log_softmax(L)[np.arange(n), y]).mean())
+        # the same formula with numpy's own row reduction for the max
+        z = L - L.max(axis=1, keepdims=True)
+        lsm = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        assert got == float((-lsm[np.arange(n), y]).mean())
 
 
 def test_infonce_single_pair_is_zero(rng):

@@ -13,11 +13,13 @@ from saflex.nn import (
     init_mlp,
     jvp_logits_batch,
     load_checkpoint,
+    log_softmax,
     mlp_backward,
     mlp_forward,
     param_dot,
     save_checkpoint,
     sgd_step,
+    softmax,
 )
 from saflex.oracle import finite_diff
 from saflex.losses import hard_ce, one_hot
@@ -246,6 +248,82 @@ def test_flat_vector_is_checkpoint_order_and_views_write_through(tmp_path):
     assert path.read_bytes() == header + params.flat.astype("<f8").tobytes()
     w1[0, 0] = 7.0
     assert params.flat[3 * 5 + 5] == 7.0
+
+
+def test_layout_checks_hold_after_the_layout_is_cached():
+    params = small_mlp(dims=(3, 5, 2), seed=1)
+    shapes = params.shapes
+    ModelParams.from_flat(params.flat.copy(), shapes)  # layout now cached
+    for bad in (np.zeros(params.flat.size - 1), np.zeros(params.flat.size + 1),
+                np.zeros((1, params.flat.size))):
+        with pytest.raises(ValueError, match="does not fit"):
+            ModelParams.from_flat(bad, shapes)
+    broken = ((3, 5), (4, 2))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="fan-in"):
+            ParamGrad.from_flat(np.zeros(3 * 5 + 5 + 4 * 2 + 2), broken)
+    with pytest.raises(ValueError, match="at least one layer"):
+        ModelParams.from_flat(np.zeros(0), ())
+    flat = np.zeros(params.flat.size)
+    view = ModelParams.from_flat(flat, shapes)
+    assert view.flat is flat
+    view.weights[1][4, 1] = 3.0
+    view.biases[0][2] = -1.0
+    assert flat[3 * 5 + 5 + 4 * 2 + 1] == 3.0 and flat[3 * 5 + 2] == -1.0
+
+
+def _snapshot(*arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("rows", [slice(None), slice(2, 7)])
+def test_forward_backward_jvp_mutate_no_input_or_cache(rng, rows):
+    params = small_mlp(dims=(3, 8, 6, 4), seed=5)
+    X = rng.standard_normal((9, 3))
+    X_before = X.copy()
+    params_before = params.flat.copy()
+    probs, cache = mlp_forward(params, X)
+    assert probs is cache.probs
+    for pre, act in zip(cache.pre_activations, cache.activations):
+        assert pre is not act and not np.shares_memory(pre, act)
+    cached = [cache.inputs, *cache.pre_activations, *cache.activations, cache.logits, cache.probs]
+    cached_before = _snapshot(*cached)
+    n = len(range(*rows.indices(9)))
+    d = rng.standard_normal((n, 4))
+    tangent = random_grad(params, rng)
+    inputs_before = _snapshot(d, tangent.flat)
+
+    grad = mlp_backward(params, cache, d, rows)
+    u = jvp_logits_batch(params, tangent, cache, rows)
+
+    assert _snapshot(*cached) == cached_before
+    assert _snapshot(d, tangent.flat) == inputs_before
+    assert X.tobytes() == X_before.tobytes() and params.flat.tobytes() == params_before.tobytes()
+    for out in (grad.flat, u):
+        for a in (X, d, tangent.flat, params.flat, *cached):
+            assert not np.shares_memory(out, a)
+
+
+def _softmax_reference(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _log_softmax_reference(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def test_softmax_and_log_softmax_bitwise_equal_the_row_reduction_formula(rng):
+    for _ in range(300):
+        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 13))
+        L = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-3, 3)
+        L[rng.random(n) < 0.2] *= 1e3  # saturated rows
+        if rng.random() < 0.3:
+            L = np.asfortranarray(L)
+        assert softmax(L).tobytes() == _softmax_reference(L).tobytes()
+        assert log_softmax(L).tobytes() == _log_softmax_reference(L).tobytes()
 
 
 def test_constructor_copies_the_layer_lists():
