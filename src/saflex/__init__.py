@@ -14,7 +14,6 @@ from .core import (
     combined_step_gradient,
     pi_scores,
     saflex_assign,
-    saflex_assign_contrastive,
     saflex_gradient,
     validation_gradient,
 )
@@ -48,7 +47,6 @@ from .nn import (
 from .oracle import (
     Assignment,
     assignment_objective,
-    enumerate_optimum,
     enumerate_optimum_scores,
     finite_diff,
     post_step_val_loss,

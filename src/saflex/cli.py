@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -21,13 +20,15 @@ from .config import ConfigError
 from .core import SaflexConfig, pi_scores, saflex_assign
 from .nn import init_mlp, load_checkpoint, save_checkpoint, ParamGrad
 from .oracle import (
+    ENUM_MAX_B,
+    ENUM_MAX_K,
     assignment_objective,
     Assignment,
     enumerate_optimum_scores,
     pi_scores_reverse,
 )
 from .rng import stream, thread_cap
-from .trainer import DivergenceError, evaluate, train, write_metrics_csv
+from .trainer import DivergenceError, evaluate, run_splits, train, write_metrics_csv
 
 
 def _build_dataset(cfg: dict) -> datamod.Dataset:
@@ -74,10 +75,7 @@ def _train_once(cfg: dict, out_dir: str) -> None:
     with open(os.path.join(out_dir, "resolved_config.json"), "w") as f:
         f.write(cfgmod.dump(resolved))
     ds = _build_dataset(cfg)
-    run = cfgmod.build_run_config(cfg)
-    if cfg["data"]["kind"] == "csv":
-        run = replace(run, standardize=True)
-    history, params = train(run, ds)
+    history, params = train(cfgmod.build_run_config(cfg), ds)
     write_metrics_csv(history, os.path.join(out_dir, "metrics.csv"))
     save_checkpoint(params, os.path.join(out_dir, "checkpoint.bin"))
     last = history[-1] if history else None
@@ -111,10 +109,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = cfgmod.load_config(args.config)
     params = load_checkpoint(args.checkpoint)
     ds = _build_dataset(cfg)
-    run = cfgmod.build_run_config(cfg)
-    tr, va, te = datamod.split(ds, run.split)
-    if cfg["data"]["kind"] == "csv":
-        tr, va, te = datamod.apply_train_statistics(tr, va, te)
+    tr, va, te = run_splits(cfgmod.build_run_config(cfg), ds)
     part = {"train": tr, "val": va, "test": te}[args.split]
     loss, acc = evaluate(params, part)
     print(f"{args.split}: loss={loss:.6f} accuracy={acc:.4f}")
@@ -124,8 +119,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.k < 2:
         raise ConfigError("--k must be >= 2: a single-class task has nothing to assign")
-    if args.b < 1 or args.b > 8 or args.k > 6:
-        raise ConfigError("guard bounds: 1 <= --b <= 8 and 2 <= --k <= 6")
+    if args.b < 1 or args.b > ENUM_MAX_B or args.k > ENUM_MAX_K:
+        raise ConfigError(f"guard bounds: 1 <= --b <= {ENUM_MAX_B} and 2 <= --k <= {ENUM_MAX_K}")
     cfg = SaflexConfig(beta=0.0, tau=args.tau, gumbel_enabled=False)
     rng_unused = np.random.default_rng(0)
     max_gap = 0.0

@@ -133,6 +133,7 @@ def build_run_config(cfg: dict) -> RunConfig:
                 test=float(cfg["split"]["test"]),
                 seed=int(cfg["split"]["seed"]),
             ),
+            standardize=cfg["data"]["kind"] == "csv",
             seed=int(tr["seed"]),
         )
     except (ValueError, TypeError) as exc:

@@ -18,12 +18,14 @@ minibatch, one step does:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Batch
-from .losses import ce_from_logits, ce_grad_logits, mean_ce_grad_logits, one_hot
+from .losses import ce_grad_logits, mean_ce_grad_logits, one_hot
+# not called here; perfbench/tracing.py wraps core.ce_from_logits, so the name stays
+from .losses import ce_from_logits  # noqa: F401
 from .nn import (
     ForwardCache,
     ModelParams,
@@ -60,7 +62,8 @@ class SaflexOutput:
     weights: np.ndarray
     soft_labels: np.ndarray
     binary_weights: np.ndarray
-    diagnostics: dict[str, float] = field(default_factory=dict)
+    frac_zero_weight: float  # share of samples dropped
+    frac_label_changed: float  # share whose soft-label argmax is not the original label
 
 
 # Row formulas shared by the composed functions below and the fused
@@ -84,8 +87,8 @@ def _step_gradient(
     train_labels: np.ndarray,
     aug_weights: np.ndarray,
     aug_soft_labels: np.ndarray,
-) -> tuple[ParamGrad, float]:
-    """Gradient and train loss of mean train CE plus weighted augmented soft CE.
+) -> ParamGrad:
+    """Gradient of mean train CE plus weighted augmented soft CE.
 
     The cache rows are [train, augmented, rest]; only the first two take part.
     """
@@ -95,8 +98,7 @@ def _step_gradient(
         mean_ce_grad_logits(probs[:b_tr], one_hot(train_labels, params.n_classes)),
         ce_grad_logits(probs[b_tr : b_tr + b_aug], aug_weights, aug_soft_labels),
     ])
-    grad = mlp_backward(params, cache, dlogits, slice(0, b_tr + b_aug))
-    return grad, ce_from_logits(cache.logits[:b_tr], train_labels)
+    return mlp_backward(params, cache, dlogits, slice(0, b_tr + b_aug))
 
 
 def validation_gradient(params: ModelParams, val_batch: Batch) -> ParamGrad:
@@ -159,27 +161,9 @@ def saflex_assign(
     total = binary.sum()
     weights = binary / total if total > 0 else np.zeros(b)
     changed = soft.argmax(axis=1) != orig_labels
-    diagnostics = {
-        "frac_zero_weight": float(1.0 - total / b),
-        "frac_label_changed": float(changed.sum() / b),
-    }
-    return SaflexOutput(weights, soft, binary, diagnostics)
-
-
-def saflex_assign_contrastive(
-    pi: np.ndarray,
-    cfg: SaflexConfig,
-    rng: np.random.Generator,
-) -> SaflexOutput:
-    """Assignment over the B proxy classes of a contrastive batch.
-
-    Sample i's original proxy label is its own index (its paired
-    positive), so pi must be (B, B).
-    """
-    pi = np.asarray(pi, dtype=np.float64)
-    if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
-        raise ValueError("contrastive pi must be square (B, B)")
-    return saflex_assign(pi, np.arange(pi.shape[0]), cfg, rng)
+    return SaflexOutput(
+        weights, soft, binary, float(1.0 - total / b), float(changed.sum() / b)
+    )
 
 
 def closed_form_assignment(
@@ -207,13 +191,12 @@ def combined_step_gradient(
     aug_X: np.ndarray,
     aug_weights: np.ndarray,
     aug_soft_labels: np.ndarray,
-) -> tuple[ParamGrad, float]:
+) -> ParamGrad:
     """Gradient of mean train CE plus weighted-sum augmented soft CE.
 
     The two terms are mixed equally: the train batch contributes unit
     mass through its mean, the augmented batch through weights that the
-    assignment already normalized to total mass one. Returns the
-    gradient and the train loss.
+    assignment already normalized to total mass one.
     """
     _, cache = mlp_forward(params, np.concatenate([train_batch.X, aug_X]))
     return _step_gradient(params, cache, train_batch.hard_labels, aug_weights, aug_soft_labels)
@@ -226,24 +209,19 @@ def saflex_gradient(
     val_batch: Batch,
     cfg: SaflexConfig,
     rng: np.random.Generator,
-) -> tuple[ParamGrad, SaflexOutput, float, float]:
+) -> tuple[ParamGrad, SaflexOutput]:
     """Assignment plus combined gradient in one fused stacked pass.
 
-    Returns (gradient, assignment output, train loss, val loss at the
-    incoming parameters). This is validation_gradient, pi_scores,
-    saflex_assign and combined_step_gradient over one shared forward
-    pass of the stacked [train, augmented, validation] rows.
+    This is validation_gradient, pi_scores, saflex_assign and
+    combined_step_gradient over one shared forward pass of the stacked
+    [train, augmented, validation] rows.
     """
     if train_batch.size == 0 or aug_batch.size == 0 or val_batch.size == 0:
         raise ValueError("all batches must be nonempty")
     b_tr, b_aug = train_batch.size, aug_batch.size
     _, cache = mlp_forward(params, np.concatenate([train_batch.X, aug_batch.X, val_batch.X]))
-    val_rows = slice(b_tr + b_aug, None)
-    g_val = _val_gradient(params, cache, val_rows, val_batch.hard_labels)
-    val_loss = ce_from_logits(cache.logits[val_rows], val_batch.hard_labels)
+    g_val = _val_gradient(params, cache, slice(b_tr + b_aug, None), val_batch.hard_labels)
     pi = _pi(params, cache, slice(b_tr, b_tr + b_aug), g_val)
     out = saflex_assign(pi, aug_batch.hard_labels, cfg, rng)
-    grad, train_loss = _step_gradient(
-        params, cache, train_batch.hard_labels, out.weights, out.soft_labels
-    )
-    return grad, out, train_loss, val_loss
+    grad = _step_gradient(params, cache, train_batch.hard_labels, out.weights, out.soft_labels)
+    return grad, out

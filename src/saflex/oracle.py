@@ -22,6 +22,7 @@ from .data import Batch
 from .losses import ce_from_logits, one_hot
 from .nn import ModelParams, ParamGrad, mlp_backward, mlp_forward, param_dot, sgd_step
 
+# largest augmented batch and class count `saflex oracle-check` accepts
 ENUM_MAX_B = 8
 ENUM_MAX_K = 6
 
@@ -107,35 +108,6 @@ def enumerate_optimum_scores(pi: np.ndarray) -> tuple[Assignment, float]:
     return best, assignment_objective(pi, best)
 
 
-def enumerate_optimum(
-    params: ModelParams, aug_batch: Batch, g_val: ParamGrad
-) -> tuple[Assignment, float]:
-    """Exhaustive first-order optimum for an augmented batch."""
-    b = aug_batch.size
-    k = params.n_classes
-    if b > ENUM_MAX_B or k > ENUM_MAX_K:
-        raise ValueError(f"enumeration guard exceeded: B={b} (max {ENUM_MAX_B}), "
-                         f"K={k} (max {ENUM_MAX_K})")
-    pi = pi_scores_reverse(params, aug_batch.X, g_val)
-    return enumerate_optimum_scores(pi)
-
-
-def enumerate_optimum_constrained(pi: np.ndarray) -> tuple[Assignment, float]:
-    """Variant with the total-weight-one constraint enforced.
-
-    A linear objective over the weight simplex concentrates all mass on
-    one sample, so the optimum keeps exactly the single best (sample,
-    label) pair; the other samples keep their own best label at weight 0.
-    """
-    pi = np.asarray(pi, dtype=np.float64)
-    labels = pi.argmax(axis=1)
-    per_sample = pi[np.arange(pi.shape[0]), labels]
-    winner = int(per_sample.argmax())
-    weights = np.zeros(pi.shape[0], dtype=np.int64)
-    weights[winner] = 1
-    return Assignment(labels, weights), float(per_sample[winner])
-
-
 def assignment_objective(pi: np.ndarray, assignment: Assignment) -> float:
     """First-order objective of an assignment under a score table."""
     pi = np.asarray(pi, dtype=np.float64)
@@ -168,7 +140,7 @@ def post_step_val_loss(
         raise ValueError("alpha must be >= 0")
     k = params.n_classes
     soft = one_hot(assignment.labels, k)
-    grad, _ = combined_step_gradient(
+    grad = combined_step_gradient(
         params, train_batch, aug_batch.X, assignment.weights.astype(np.float64), soft
     )
     stepped = sgd_step(params, grad, alpha)

@@ -145,6 +145,18 @@ class _Optimizer:
         return ModelParams.from_flat(params.flat - self.cfg.lr * step, params.shapes)
 
 
+def run_splits(run: RunConfig, data: Dataset) -> tuple[Dataset, Dataset, Dataset]:
+    """The (train, val, test) splits a run trains and evaluates on.
+
+    With run.standardize, continuous columns are z-scored with the train
+    split's statistics.
+    """
+    parts = split(data, run.split)
+    if run.standardize:
+        parts = apply_train_statistics(*parts)
+    return parts
+
+
 Observer = Callable[[int, int, Batch, Batch | None, SaflexOutput | None], None]
 
 
@@ -159,9 +171,7 @@ def train(
     augmented minibatch (None in mode "none"), and assignment output
     (None outside mode "saflex").
     """
-    train_ds, val_ds, test_ds = split(data, run.split)
-    if run.standardize:
-        train_ds, val_ds, test_ds = apply_train_statistics(train_ds, val_ds, test_ds)
+    train_ds, val_ds, test_ds = run_splits(run, data)
     if min(train_ds.size, val_ds.size, test_ds.size) == 0:
         raise ValueError("every split must be nonempty for training")
     k = data.num_classes
@@ -187,14 +197,14 @@ def train(
                 val_batch = cycler.next_batch()
                 gumbel_rng = stream(run.saflex.seed, "gumbel", epoch, it)
                 try:
-                    grad, out, _, _ = saflex_gradient(
+                    grad, out = saflex_gradient(
                         params, base, aug, val_batch, run.saflex, gumbel_rng
                     )
                 except FloatingPointError as exc:
                     raise DivergenceError(f"{exc} at epoch {epoch}, iteration {i}") from exc
                 w_sum += float(out.weights.sum() / out.weights.size)
-                zero_sum += out.diagnostics["frac_zero_weight"]
-                changed_sum += out.diagnostics["frac_label_changed"]
+                zero_sum += out.frac_zero_weight
+                changed_sum += out.frac_label_changed
             else:
                 # naive is standard practice: the augmented batch replaces the raw one
                 batch = base if aug is None else aug

@@ -158,13 +158,34 @@ def test_bad_augmenter_kind_exits_two(tmp_path, capsys):
     assert "warp" in capsys.readouterr().err
 
 
-def test_eval_subcommand(tmp_path, capsys):
-    cfg = _cfg(tmp_path)
+def _eval_matches_last_metrics_row(cfg, run_dir, capsys):
+    """`saflex eval` on each split reproduces the training run's last row."""
     assert main(["train", "-c", cfg]) == 0
-    ck = str(tmp_path / "run" / "checkpoint.bin")
+    with open(os.path.join(run_dir, "metrics.csv")) as f:
+        header, *rows = f.read().splitlines()
+    last = dict(zip(header.split(","), rows[-1].split(",")))
+    ck = os.path.join(run_dir, "checkpoint.bin")
+    capsys.readouterr()
+    for split, key in (("val", "val_loss"), ("train", "train_loss")):
+        assert main(["eval", "-c", cfg, "--checkpoint", ck, "--split", split]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{split}: loss={float(last[key]):.6f} accuracy="), out
     assert main(["eval", "-c", cfg, "--checkpoint", ck, "--split", "test"]) == 0
     out = capsys.readouterr().out
-    assert "accuracy=" in out
+    assert out.rstrip().endswith(f" accuracy={float(last['test_acc']):.4f}"), out
+
+
+def test_eval_subcommand(tmp_path, capsys):
+    _eval_matches_last_metrics_row(_cfg(tmp_path), str(tmp_path / "run"), capsys)
+
+
+def test_eval_subcommand_csv_standardizes_like_training(tmp_path, capsys):
+    data_dir = str(tmp_path / "data")
+    assert main(["gen-data", "--kind", "two_gaussians", "--n", "300", "--seed", "4",
+                 "--out", data_dir]) == 0
+    cfg = _cfg(tmp_path, data={"kind": "csv", "path": os.path.join(data_dir, "data.csv"),
+                               "schema": os.path.join(data_dir, "schema.csv")})
+    _eval_matches_last_metrics_row(cfg, str(tmp_path / "run"), capsys)
 
 
 def test_sweep_emits_one_run_per_sigma(tmp_path):
@@ -185,6 +206,13 @@ def test_oracle_check_small(capsys):
     assert rc == 0
     assert "max |objective gap|: 0.0" in out
     assert "score-sum rule" in out
+
+
+@pytest.mark.parametrize("flag", [["--b", "9"], ["--k", "7"]], ids=["b9", "k7"])
+def test_oracle_check_guard_bounds_exit_two(capsys, flag):
+    assert main(["oracle-check", "--n", "1", *flag]) == 2
+    assert capsys.readouterr().err == (
+        "config error: guard bounds: 1 <= --b <= 8 and 2 <= --k <= 6\n")
 
 
 def test_oracle_check_rejects_single_class(capsys):

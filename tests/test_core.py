@@ -10,12 +10,11 @@ from saflex.core import (
     combined_step_gradient,
     pi_scores,
     saflex_assign,
-    saflex_assign_contrastive,
     saflex_gradient,
     validation_gradient,
 )
 from saflex.data import Batch
-from saflex.losses import ce_from_logits, hard_ce, one_hot
+from saflex.losses import hard_ce, one_hot
 from saflex.nn import (
     ModelParams,
     ParamGrad,
@@ -141,7 +140,7 @@ def test_assign_retention_bonus_keeps_original_label():
     pi = np.array([[0.5, 0.6, 0.0]])
     out = saflex_assign(pi, np.array([0]), _cfg(beta=1.0), _rng())
     assert out.soft_labels.argmax(axis=1)[0] == 0
-    assert out.diagnostics["frac_label_changed"] == 0.0
+    assert out.frac_label_changed == 0.0
 
 
 def test_assign_renormalizes_kept_weights():
@@ -155,7 +154,7 @@ def test_assign_all_dropped_stays_zero():
     pi = -np.ones((3, 2))
     out = saflex_assign(pi, np.zeros(3, dtype=np.int64), _cfg(), _rng())
     np.testing.assert_array_equal(out.weights, np.zeros(3))
-    assert out.diagnostics["frac_zero_weight"] == 1.0
+    assert out.frac_zero_weight == 1.0
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -199,7 +198,7 @@ def test_assign_invariants_random(seed):
     soft = z / z.sum(axis=1, keepdims=True)
     assert out.soft_labels.tobytes() == soft.tobytes()
     changed = float((soft.argmax(axis=1) != orig).mean())
-    assert out.diagnostics["frac_label_changed"] == changed
+    assert out.frac_label_changed == changed
 
 
 @given(st.integers(0, 100_000))
@@ -260,25 +259,21 @@ def test_assign_one_hot_limit_matches_closed_form_at_margin(rng):
 
 
 # ---------------------------------------------------------------------------
-# contrastive assignment
+# contrastive assignment: sample i's original proxy label is its own index
+# (its paired positive), over the B proxy classes of the batch
 
 def test_contrastive_singleton():
-    out = saflex_assign_contrastive(np.array([[0.7]]), _cfg(), _rng())
+    out = saflex_assign(np.array([[0.7]]), np.arange(1), _cfg(), _rng())
     np.testing.assert_array_equal(out.soft_labels, [[1.0]])
     np.testing.assert_array_equal(out.weights, [1.0])
-    out = saflex_assign_contrastive(np.array([[-0.7]]), _cfg(), _rng())
+    out = saflex_assign(np.array([[-0.7]]), np.arange(1), _cfg(), _rng())
     np.testing.assert_array_equal(out.weights, [0.0])
 
 
 def test_contrastive_symmetric_scores_uniform_labels():
     pi = np.ones((4, 4)) * 0.3
-    out = saflex_assign_contrastive(pi, _cfg(tau=0.5), _rng())
+    out = saflex_assign(pi, np.arange(4), _cfg(tau=0.5), _rng())
     np.testing.assert_allclose(out.soft_labels, np.full((4, 4), 0.25), atol=1e-12)
-
-
-def test_contrastive_requires_square():
-    with pytest.raises(ValueError, match="square"):
-        saflex_assign_contrastive(np.ones((3, 2)), _cfg(), _rng())
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +290,7 @@ def test_step_zero_alpha_keeps_params(rng):
     params = small_mlp(seed=8)
     before = params.flat.copy()
     tr, aug, val = _batches(rng, params)
-    grad, _, _, _ = saflex_gradient(params, tr, aug, val, _cfg(), _rng())
+    grad, _ = saflex_gradient(params, tr, aug, val, _cfg(), _rng())
     np.testing.assert_array_equal(params.flat, before)  # the step reads, never writes
     np.testing.assert_array_equal(sgd_step(params, grad, 0.0).flat, before)
 
@@ -307,7 +302,7 @@ def test_step_all_weights_dropped_equals_plain_train_step(rng):
     # force the drop by monkeypatching pi via a val batch whose gradient
     # yields all-negative best scores rarely; easier: alpha step comparison
     # with manually zeroed weights through the combined gradient.
-    grad_comb, _ = combined_step_gradient(
+    grad_comb = combined_step_gradient(
         params, tr, aug.X, np.zeros(aug.size), one_hot(aug.hard_labels, params.n_classes)
     )
     probs, cache = mlp_forward(params, tr.X)
@@ -320,7 +315,8 @@ def test_step_all_weights_dropped_equals_plain_train_step(rng):
 def test_step_reduces_val_batch_loss_on_average(rng):
     params = small_mlp(seed=10)
     tr, aug, val = _batches(rng, params, b=16)
-    grad, _, _, before = saflex_gradient(params, tr, aug, val, _cfg(), _rng())
+    before = hard_ce(mlp_forward(params, val.X)[0], val.hard_labels)
+    grad, _ = saflex_gradient(params, tr, aug, val, _cfg(), _rng())
     stepped = sgd_step(params, grad, 1e-2)
     after = hard_ce(mlp_forward(stepped, val.X)[0], val.hard_labels)
     assert after < before
@@ -357,23 +353,15 @@ def test_fused_gradient_matches_composed_path(seed):
     cfg = SaflexConfig(beta=float(g.uniform(0.1, 2.0)), tau=float(g.uniform(0.01, 1.0)),
                        gumbel_enabled=True)
 
-    grad, out, train_loss, val_loss = saflex_gradient(
+    grad, out = saflex_gradient(
         params, tr, aug, val, cfg, stream(seed, "gumbel", 0, 0))
 
     g_val = validation_gradient(params, val)
     ref = saflex_assign(pi_scores(params, aug.X, g_val), aug.hard_labels, cfg,
                         stream(seed, "gumbel", 0, 0))
-    ref_grad, ref_train_loss = combined_step_gradient(
-        params, tr, aug.X, ref.weights, ref.soft_labels)
-    ref_val_loss = ce_from_logits(mlp_forward(params, val.X)[1].logits, val.hard_labels)
+    ref_grad = combined_step_gradient(params, tr, aug.X, ref.weights, ref.soft_labels)
 
     np.testing.assert_array_equal(out.binary_weights, ref.binary_weights)
     assert _rel_close(out.weights, ref.weights)
     assert _rel_close(out.soft_labels, ref.soft_labels)
     assert _rel_close(grad.flat, ref_grad.flat)
-    assert _rel_close(train_loss, ref_train_loss)
-    assert _rel_close(val_loss, ref_val_loss)
-    # the losses are ce_from_logits of the stacked cache's rows, exactly
-    _, stacked = mlp_forward(params, np.concatenate([tr.X, aug.X, val.X]))
-    assert train_loss == ce_from_logits(stacked.logits[: tr.size], tr.hard_labels)
-    assert val_loss == ce_from_logits(stacked.logits[tr.size + aug.size :], val.hard_labels)

@@ -9,8 +9,6 @@ from saflex.nn import ModelParams, ParamGrad, mlp_forward
 from saflex.oracle import (
     Assignment,
     assignment_objective,
-    enumerate_optimum,
-    enumerate_optimum_constrained,
     enumerate_optimum_scores,
     finite_diff,
     iter_assignments,
@@ -78,27 +76,20 @@ def test_enumerate_permutation_invariant_objective(rng):
     assert obj == pytest.approx(obj_p, abs=1e-15)
 
 
-def test_enumerate_guard():
-    params = small_mlp()
-    batch = Batch(np.zeros((9, 3)), np.zeros(9, dtype=np.int64))
-    with pytest.raises(ValueError, match="guard"):
-        enumerate_optimum(params, batch, ParamGrad.zeros_like(params))
-
-
 def test_enumerate_from_model_matches_fast_path_assignment(rng):
     from saflex.core import SaflexConfig, saflex_assign
 
     params = small_mlp(dims=(3, 7, 5, 3), seed=21)
     batch = Batch(rng.standard_normal((5, 3)), rng.integers(0, 3, size=5))
     g_val = random_grad(params, rng)
-    best, best_obj = enumerate_optimum(params, batch, g_val)
+    pi_ref = pi_scores_reverse(params, batch.X, g_val)
+    best, best_obj = enumerate_optimum_scores(pi_ref)
     out = saflex_assign(
         pi_scores(params, batch.X, g_val), batch.hard_labels,
         SaflexConfig(beta=0.0, tau=0.01, gumbel_enabled=False),
         np.random.default_rng(0),
     )
     ours = Assignment(out.soft_labels.argmax(axis=1), out.binary_weights.astype(np.int64))
-    pi_ref = pi_scores_reverse(params, batch.X, g_val)
     assert assignment_objective(pi_ref, ours) == best_obj
 
 
@@ -120,32 +111,17 @@ def test_closed_form_agrees_with_enumeration(rng):
 
 
 def test_contrastive_assignment_matches_enumeration(rng):
-    from saflex.core import SaflexConfig, saflex_assign_contrastive
+    from saflex.core import SaflexConfig, saflex_assign
 
     cfg = SaflexConfig(beta=0.0, tau=0.01, gumbel_enabled=False)
     for seed in range(200):
         g = np.random.default_rng(seed)
         b = int(g.integers(1, 7))
-        pi = g.standard_normal((b, b))  # proxy-class scores
-        out = saflex_assign_contrastive(pi, cfg, np.random.default_rng(0))
+        pi = g.standard_normal((b, b))  # proxy-class scores; sample i's own class is i
+        out = saflex_assign(pi, np.arange(b), cfg, np.random.default_rng(0))
         ours = Assignment(out.soft_labels.argmax(axis=1), out.binary_weights.astype(np.int64))
         _, best_obj = enumerate_optimum_scores(pi)
         assert assignment_objective(pi, ours) == best_obj
-
-
-def test_constrained_mode_picks_single_best():
-    pi = np.array([[0.2, -0.1], [0.9, 0.1], [-3.0, -4.0]])
-    best, obj = enumerate_optimum_constrained(pi)
-    np.testing.assert_array_equal(best.weights, [0, 1, 0])
-    assert best.labels[1] == 0
-    assert obj == pytest.approx(0.9)
-
-
-def test_constrained_mode_forces_mass_even_when_negative():
-    pi = np.array([[-0.5, -0.2], [-3.0, -1.0]])
-    best, obj = enumerate_optimum_constrained(pi)
-    np.testing.assert_array_equal(best.weights, [1, 0])
-    assert obj == pytest.approx(-0.2)
 
 
 def _instance(seed, b=4, k=3):
@@ -180,7 +156,7 @@ def test_first_order_consistency_richardson():
     params, tr, aug, val = _instance(2)
     g_val = validation_gradient(params, val)
     a = Assignment(np.array([0, 1, 2, 0]), np.array([1, 1, 0, 1]))
-    d, _ = combined_step_gradient(
+    d = combined_step_gradient(
         params, tr, aug.X, a.weights.astype(float), one_hot(a.labels, 3)
     )
     expected = param_dot(g_val, d)
