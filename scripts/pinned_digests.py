@@ -12,6 +12,9 @@ Pinned runs:
   mixup} on two Gaussians: metrics rows without sec_per_epoch, and the
   final parameter vector;
 * train() in each mode with crop_flip on small blob images;
+* train() in each mode with cutmix_tabular on a CSV with continuous and
+  categorical columns and K = 3, loaded and standardized as `saflex
+  train` does for CSV input;
 * `saflex oracle-check --n 1000 --seed 0` stdout.
 
 Takes a few seconds. Exits 0 when every run completes.
@@ -31,7 +34,7 @@ import numpy as np
 from saflex import cli
 from saflex.augment import AugmenterSpec
 from saflex.core import SaflexConfig
-from saflex.data import Dataset, SplitSpec, gen_two_gaussians
+from saflex.data import Dataset, SplitSpec, gen_two_gaussians, load_csv
 from saflex.rng import stream
 from saflex.trainer import MODES, RunConfig, train
 
@@ -79,6 +82,22 @@ def blob_images(n: int = 400, hw: int = 8) -> Dataset:
     return Dataset(imgs.reshape(n, hw * hw), labels, 2, image_hw=(hw, hw))
 
 
+def tabular_csv(tmp: str, n: int = 300) -> Dataset:
+    """Three classes, two continuous columns and a 3-level categorical one."""
+    g = stream(0, "pinned_digests", "csv")
+    labels = g.integers(0, 3, size=n)
+    x = g.standard_normal((n, 2)) * [1.0, 4.0] + labels[:, None] * [1.0, -2.0] + [0.0, 10.0]
+    color = np.where(g.random(n) < 0.7, labels, g.integers(0, 3, size=n))
+    data, schema = os.path.join(tmp, "tabular.csv"), os.path.join(tmp, "tabular_schema.csv")
+    with open(data, "w") as f:
+        f.write("x0,x1,color,label\n")
+        for (a, b), c, y in zip(x, color, labels):
+            f.write(f"{float(a)!r},{float(b)!r},{('red', 'green', 'blue')[c]},class{y}\n")
+    with open(schema, "w") as f:
+        f.write("x0,continuous\nx1,continuous\ncolor,categorical,3\nlabel,label\n")
+    return load_csv(data, schema, standardize=False)
+
+
 def cli_digests(tmp: str) -> list[tuple[str, str]]:
     cfg = dict(CRITERION_8, output={"dir": os.path.join(tmp, "criterion8")})
     path = os.path.join(tmp, "config.json")
@@ -107,6 +126,7 @@ def cli_digests(tmp: str) -> list[tuple[str, str]]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         lines = cli_digests(tmp)
+        tabular = tabular_csv(tmp)
     gaussians = gen_two_gaussians(400, sigma=1.0, seed=3)
     for mode in MODES:
         for opt_name, opt in OPTIMIZERS.items():
@@ -125,6 +145,13 @@ def main() -> int:
             split=SplitSpec(0.6, 0.2, 0.2, seed=0), seed=0,
         )
         lines.append((f"train {mode} sgd crop_flip", train_digest(run, images)))
+    for mode in MODES:
+        run = RunConfig(
+            hidden=(16, 8), lr=0.1, epochs=2, batch_size=32, mode=mode,
+            augment=AugmenterSpec(kind="cutmix_tabular", p_replace=0.2),
+            split=SplitSpec(0.6, 0.2, 0.2, seed=1), standardize=True, seed=1,
+        )
+        lines.append((f"train {mode} sgd cutmix_tabular csv k3", train_digest(run, tabular)))
     for name, digest in lines:
         print(f"{digest}  {name}")
     return 0

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Batch
-from .losses import ce_grad_logits, mean_ce_grad_logits, one_hot
+from .losses import ce_grad_logits, check_labels, mean_ce_grad_logits, one_hot
 # not called here; perfbench/tracing.py wraps core.ce_from_logits, so the name stays
 from .losses import ce_from_logits  # noqa: F401
 from .nn import (
@@ -33,6 +33,7 @@ from .nn import (
     jvp_logits_batch,
     mlp_backward,
     mlp_forward,
+    row_sum,
     softmax,
 )
 
@@ -68,17 +69,17 @@ class SaflexOutput:
 
 # Row formulas shared by the composed functions below and the fused
 # saflex_gradient; `rows` selects a batch's rows in a forward cache.
+# Labels reaching them have been range-checked by the public entry point.
 
 def _val_gradient(
     params: ModelParams, cache: ForwardCache, rows: slice, labels: np.ndarray
 ) -> ParamGrad:
-    targets = one_hot(labels, params.n_classes)
-    return mlp_backward(params, cache, mean_ce_grad_logits(cache.probs[rows], targets), rows)
+    return mlp_backward(params, cache, mean_ce_grad_logits(cache.probs[rows], labels), rows)
 
 
 def _pi(params: ModelParams, cache: ForwardCache, rows: slice, g_val: ParamGrad) -> np.ndarray:
     u = jvp_logits_batch(params, g_val, cache, rows)
-    return (cache.probs[rows] * u).sum(axis=1, keepdims=True) - u
+    return np.subtract(row_sum(cache.probs[rows] * u), u, out=u)
 
 
 def _step_gradient(
@@ -92,21 +93,21 @@ def _step_gradient(
 
     The cache rows are [train, augmented, rest]; only the first two take part.
     """
-    b_tr, b_aug = len(train_labels), len(aug_weights)
+    b_tr, b = len(train_labels), len(train_labels) + len(aug_weights)
     probs = cache.probs
-    dlogits = np.concatenate([
-        mean_ce_grad_logits(probs[:b_tr], one_hot(train_labels, params.n_classes)),
-        ce_grad_logits(probs[b_tr : b_tr + b_aug], aug_weights, aug_soft_labels),
-    ])
-    return mlp_backward(params, cache, dlogits, slice(0, b_tr + b_aug))
+    dlogits = np.empty((b, params.n_classes))
+    mean_ce_grad_logits(probs[:b_tr], train_labels, out=dlogits[:b_tr])
+    ce_grad_logits(probs[b_tr:b], aug_weights, aug_soft_labels, out=dlogits[b_tr:])
+    return mlp_backward(params, cache, dlogits, slice(0, b))
 
 
 def validation_gradient(params: ModelParams, val_batch: Batch) -> ParamGrad:
     """Gradient of the mean cross-entropy over the validation minibatch."""
     if val_batch.size == 0:
         raise ValueError("empty validation batch")
+    labels = check_labels(val_batch.hard_labels, params.n_classes)
     _, cache = mlp_forward(params, val_batch.X)
-    return _val_gradient(params, cache, slice(None), val_batch.hard_labels)
+    return _val_gradient(params, cache, slice(None), labels)
 
 
 def pi_scores(params: ModelParams, x_aug: np.ndarray, g_val: ParamGrad) -> np.ndarray:
@@ -156,14 +157,12 @@ def saflex_assign(
     if not np.isfinite(scores).all():
         raise FloatingPointError("alignment scores pi / tau are not finite")
     soft = softmax(scores)
-    keep = (pi * soft).sum(axis=1) >= 0.0
+    keep = row_sum(pi * soft)[:, 0] >= 0.0
     binary = keep.astype(np.float64)
-    total = binary.sum()
-    weights = binary / total if total > 0 else np.zeros(b)
-    changed = soft.argmax(axis=1) != orig_labels
-    return SaflexOutput(
-        weights, soft, binary, float(1.0 - total / b), float(changed.sum() / b)
-    )
+    kept = np.count_nonzero(keep)
+    weights = binary / kept if kept else np.zeros(b)
+    changed = np.count_nonzero(soft.argmax(axis=1) != orig_labels)
+    return SaflexOutput(weights, soft, binary, float(1.0 - kept / b), float(changed / b))
 
 
 def closed_form_assignment(
@@ -198,8 +197,9 @@ def combined_step_gradient(
     mass through its mean, the augmented batch through weights that the
     assignment already normalized to total mass one.
     """
+    labels = check_labels(train_batch.hard_labels, params.n_classes)
     _, cache = mlp_forward(params, np.concatenate([train_batch.X, aug_X]))
-    return _step_gradient(params, cache, train_batch.hard_labels, aug_weights, aug_soft_labels)
+    return _step_gradient(params, cache, labels, aug_weights, aug_soft_labels)
 
 
 def saflex_gradient(
@@ -219,6 +219,9 @@ def saflex_gradient(
     if train_batch.size == 0 or aug_batch.size == 0 or val_batch.size == 0:
         raise ValueError("all batches must be nonempty")
     b_tr, b_aug = train_batch.size, aug_batch.size
+    check_labels(np.concatenate([
+        train_batch.hard_labels, aug_batch.hard_labels, val_batch.hard_labels
+    ]), params.n_classes)
     _, cache = mlp_forward(params, np.concatenate([train_batch.X, aug_batch.X, val_batch.X]))
     g_val = _val_gradient(params, cache, slice(b_tr + b_aug, None), val_batch.hard_labels)
     pi = _pi(params, cache, slice(b_tr, b_tr + b_aug), g_val)

@@ -180,7 +180,13 @@ def read_schema(schema_path: str) -> list[tuple[str, str, int | None]]:
             name, kind = row[0].strip(), row[1].strip()
             if kind not in _KINDS:
                 raise ValueError(f"{schema_path}:{ln}: unknown kind {kind!r}")
-            card = int(row[2]) if len(row) == 3 else None
+            card = row[2].strip() if len(row) == 3 else None
+            if card is not None:
+                if not card.isdigit() or int(card) < 1:
+                    raise ValueError(
+                        f"{schema_path}:{ln}: cardinality must be a positive integer, got {card!r}"
+                    )
+                card = int(card)
             out.append((name, kind, card))
     if sum(1 for _, kind, _ in out if kind == "label") != 1:
         raise ValueError(f"{schema_path}: schema must declare exactly one label column")
@@ -199,23 +205,33 @@ def load_csv(path: str, schema_path: str, standardize: bool = True) -> Dataset:
 
     Continuous columns are z-scored over the file (idempotent: already
     standardized data passes through unchanged); categorical columns are
-    one-hot expanded over their sorted observed values.
+    one-hot expanded over their sorted observed values. A row whose field
+    count differs from the header's, or a continuous value that is not a
+    finite number, raises ValueError naming the file, line and column.
     """
     schema = read_schema(schema_path)
+    expected = [name for name, _, _ in schema]
     with open(path, newline="") as f:
         reader = csv.reader(f)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        rows = [r for r in reader if r]
-    header = [h.strip() for h in header]
-    expected = [name for name, _, _ in schema]
-    if header != expected:
-        missing = [c for c in expected if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing} required by schema")
-        raise ValueError(f"{path}: header {header} does not match schema order {expected}")
+        if header != expected:
+            missing = [c for c in expected if c not in header]
+            if missing:
+                raise ValueError(f"{path}: missing columns {missing} required by schema")
+            raise ValueError(f"{path}: header {header} does not match schema order {expected}")
+        rows, lines = [], []
+        for r in reader:
+            if not r:
+                continue
+            if len(r) != len(header):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: {len(r)} fields, the header has {len(header)}"
+                )
+            rows.append(r)
+            lines.append(reader.line_num)
 
     cols = {name: [r[j].strip() for r in rows] for j, name in enumerate(header)}
     n = len(rows)
@@ -236,6 +252,12 @@ def load_csv(path: str, schema_path: str, standardize: bool = True) -> Dataset:
                 x = np.array([float(v) for v in raw], dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(f"{path}: non-numeric value in column {name!r}") from exc
+            bad = np.flatnonzero(~np.isfinite(x))
+            if bad.size:
+                i = bad[0]
+                raise ValueError(
+                    f"{path}:{lines[i]}: non-finite value {raw[i]!r} in column {name!r}"
+                )
             if standardize:
                 sd = x.std()
                 x = (x - x.mean()) / (sd if sd > 0 else 1.0)
@@ -359,11 +381,12 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
         idx = np.sort(np.array(buckets[s], dtype=np.int64))
         part = ds.subset(idx)
         if fracs[s] > 0 and part.size:
-            present = np.unique(part.labels)
-            if present.size < ds.num_classes:
+            # np.unique would import numpy.ma on its first call
+            present = np.count_nonzero(np.bincount(part.labels, minlength=ds.num_classes))
+            if present < ds.num_classes:
                 warnings.warn(
                     f"split {('train', 'val', 'test')[s]} is missing "
-                    f"{ds.num_classes - present.size} class(es)",
+                    f"{ds.num_classes - present} class(es)",
                     stacklevel=2,
                 )
         parts.append(part)

@@ -15,12 +15,19 @@ import numpy as np
 from .nn import check_matrix, log_softmax, row_max
 
 
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+def check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """labels as a 1-D int64 array; ValueError unless each lies in [0, num_classes)."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ValueError("labels must be 1-D")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+    # the ufunc reductions skip the per-call cost of the .min()/.max() methods
+    if labels.size and (np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= num_classes):
         raise ValueError(f"labels out of range [0, {num_classes})")
+    return labels
+
+
+def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    labels = check_labels(labels, num_classes)
     out = np.zeros((labels.shape[0], num_classes))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
@@ -34,11 +41,11 @@ def _check_simplex_rows(y: np.ndarray, name: str, tol: float = 1e-9) -> None:
 
 
 def _check_weighted(probs: np.ndarray, weights: np.ndarray, soft_labels: np.ndarray) -> tuple:
-    """Validated (probs, weights, soft_labels) of a weighted soft-label loss."""
-    probs = check_matrix(probs, "probs")
-    soft_labels = check_matrix(soft_labels, "soft_labels")
+    """(probs, weights, soft_labels) of a weighted soft-label loss, shapes checked."""
+    probs = np.asarray(probs, dtype=np.float64)
+    soft_labels = np.asarray(soft_labels, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    if probs.shape != soft_labels.shape or weights.shape != (probs.shape[0],):
+    if probs.ndim != 2 or probs.shape != soft_labels.shape or weights.shape != (probs.shape[0],):
         raise ValueError(
             f"shape mismatch: probs {probs.shape}, labels {soft_labels.shape}, "
             f"weights {weights.shape}"
@@ -48,21 +55,55 @@ def _check_weighted(probs: np.ndarray, weights: np.ndarray, soft_labels: np.ndar
 
 def weighted_soft_ce(probs: np.ndarray, weights: np.ndarray, soft_labels: np.ndarray) -> float:
     """Sum over samples of -w_i * sum_k y_ik * log p_ik."""
-    probs, weights, soft_labels = _check_weighted(probs, weights, soft_labels)
+    probs, weights, soft_labels = _check_weighted(
+        check_matrix(probs, "probs"), weights, check_matrix(soft_labels, "soft_labels")
+    )
     if np.any(probs <= 0.0):
         raise ValueError("probabilities must be strictly positive")
     return float(-(weights * (soft_labels * np.log(probs)).sum(axis=1)).sum())
 
 
-def ce_grad_logits(probs: np.ndarray, weights: np.ndarray, soft_labels: np.ndarray) -> np.ndarray:
-    """Logit-space gradient of weighted_soft_ce: row i is w_i * (p_i - y_i)."""
+def ce_grad_logits(
+    probs: np.ndarray,
+    weights: np.ndarray,
+    soft_labels: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Logit-space gradient of weighted_soft_ce: row i is w_i * (p_i - y_i).
+
+    Written to `out` when given. Shapes are checked, finiteness is not:
+    the saflex step raises on non-finite scores before it gets here, and
+    the trainer checks every gradient.
+    """
     probs, weights, soft_labels = _check_weighted(probs, weights, soft_labels)
-    return weights[:, None] * (probs - soft_labels)
+    out = np.subtract(probs, soft_labels, out=out)
+    out *= weights[:, None]
+    return out
 
 
-def mean_ce_grad_logits(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Logit-space gradient of the mean cross-entropy against target rows: (p - y) / n."""
-    return (probs - targets) / probs.shape[0]
+def mean_ce_grad_logits(
+    probs: np.ndarray, targets: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Logit-space gradient of the mean cross-entropy: (p - y) / n, in `out` if given.
+
+    `targets` holds target rows (n, K) or hard labels (n,). Labels build no
+    one-hot matrix: 1 is subtracted at the label entries of a copy of
+    probs, which equals (probs - one_hot(labels, K)) / n bitwise because
+    p - 0.0 == p. Labels are not range-checked here, and one out of range
+    would hit another row's entry: check_labels them where they enter.
+    """
+    n, k = probs.shape
+    if targets.ndim == 1:
+        if out is None:
+            out = probs.copy()
+        else:
+            np.copyto(out, probs)
+        # row-major flat positions; indexing .flat costs a fraction of out[rows, cols]
+        out.flat[np.arange(0, n * k, k) + targets] -= 1.0
+    else:
+        out = np.subtract(probs, targets, out=out)
+    out /= n
+    return out
 
 
 def hard_ce(probs: np.ndarray, labels: np.ndarray) -> float:

@@ -11,7 +11,8 @@ Conventions used throughout the package:
 
 Everything here is a pure function of its inputs. In-place operations
 touch only temporaries a function has just allocated itself, never its
-inputs, a cache array or a parameter vector.
+inputs, a cache array or a parameter vector; the one write to a cache is
+ForwardCache.relu_masks() storing the masks it derives on first use.
 """
 
 from __future__ import annotations
@@ -172,6 +173,8 @@ class ForwardCache:
     entry is the logits); activations holds the post-ReLU hidden outputs.
     Logits are kept even though the model's nominal output is the softmax,
     because downstream directional derivatives are taken at the logit level.
+    masks stays None until a backward pass or JVP asks for relu_masks(), so
+    forward-only passes (evaluation) never build it.
     """
 
     inputs: np.ndarray
@@ -179,6 +182,18 @@ class ForwardCache:
     activations: list[np.ndarray] = field(default_factory=list)
     logits: np.ndarray | None = None
     probs: np.ndarray | None = None
+    masks: list[np.ndarray] | None = None
+
+    def relu_masks(self) -> list[np.ndarray]:
+        """Per hidden layer, 1.0 where the pre-activation is > 0, else 0.0 (NaN too).
+
+        Built once and shared by every backward pass and JVP over this
+        cache. Multiplying by it equals multiplying by the boolean mask
+        bitwise: numpy casts a boolean operand to 0.0 / 1.0 itself.
+        """
+        if self.masks is None:
+            self.masks = [(pre > 0.0).astype(np.float64) for pre in self.pre_activations[:-1]]
+        return self.masks
 
 
 def row_max(x: np.ndarray) -> np.ndarray:
@@ -188,14 +203,28 @@ def row_max(x: np.ndarray) -> np.ndarray:
     so the values are those of x.max(axis=1, keepdims=True), at a fraction
     of its cost when rows are short.
     """
-    return np.ascontiguousarray(x.T).max(axis=0)[:, None]
+    return np.maximum.reduce(np.ascontiguousarray(x.T), axis=0)[:, None]
+
+
+def row_sum(x: np.ndarray) -> np.ndarray:
+    """Each row's sum, as an (n, 1) column, bitwise equal to x.sum(axis=1, keepdims=True).
+
+    numpy adds a row shorter than 8 entries left to right, as does a sum
+    across the rows of a transposed contiguous copy, which costs a fraction
+    for short rows. From 8 entries on, numpy's pairwise summation takes
+    another order, so longer rows take x.sum's own reduction. Here and in
+    row_max, the ufunc's reduce skips the array method's per-call cost.
+    """
+    if x.shape[1] < 8:
+        return np.add.reduce(np.ascontiguousarray(x.T), axis=0)[:, None]
+    return np.add.reduce(x, axis=1, keepdims=True)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row softmax with max subtraction."""
     z = logits - row_max(logits)
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= row_sum(z)
     return z
 
 
@@ -246,6 +275,7 @@ def mlp_backward(
             f"{None if cache.logits is None else cache.logits[rows].shape}"
         )
     grad = ParamGrad.from_flat(np.empty(params.flat.size), params.shapes)
+    masks = cache.relu_masks()
     delta = d
     for i in range(params.n_layers - 1, -1, -1):
         a_in = cache.activations[i - 1] if i > 0 else cache.inputs
@@ -254,7 +284,7 @@ def mlp_backward(
         if i > 0:
             # delta is the caller's array at the top layer; rebind, then scale
             delta = delta @ params.weights[i].T
-            delta *= cache.pre_activations[i - 1][rows] > 0.0
+            delta *= masks[i - 1][rows]
     return grad
 
 
@@ -271,12 +301,13 @@ def jvp_logits_batch(
     """
     if tangent.shapes != params.shapes:
         raise ValueError("tangent shape does not match parameters")
+    masks = cache.relu_masks()
     # the input's tangent is zero, so layer 0 has no t @ W term
     t = cache.inputs[rows] @ tangent.weights[0]
     t += tangent.biases[0]
     for i in range(1, params.n_layers):
         t_in = t
-        t_in *= cache.pre_activations[i - 1][rows] > 0.0
+        t_in *= masks[i - 1][rows]
         t = cache.activations[i - 1][rows] @ tangent.weights[i]
         t += tangent.biases[i]
         t += t_in @ params.weights[i]

@@ -65,6 +65,10 @@ class RunConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.lr <= 0 or self.epochs < 0 or self.batch_size < 1:
             raise ValueError("invalid run configuration")
+        if any(h < 1 for h in self.hidden):
+            raise ValueError(f"hidden layer widths must be >= 1, got {list(self.hidden)}")
+        if self.val_batch_size is not None and self.val_batch_size < 1:
+            raise ValueError(f"val_batch_size must be >= 1, got {self.val_batch_size}")
 
     def effective_val_batch(self) -> int:
         if self.val_batch_size is not None:
@@ -98,7 +102,11 @@ def evaluate(params: ModelParams, ds: Dataset) -> tuple[float, float]:
 
 
 class _ValCycler:
-    """Without-replacement validation minibatches, reshuffled per pass."""
+    """Without-replacement validation minibatches, reshuffled per pass.
+
+    Each pass is gathered once in its shuffled order; its minibatches are
+    consecutive slices of it.
+    """
 
     def __init__(self, val: Dataset, batch_size: int, seed: int):
         self.val = val
@@ -106,16 +114,18 @@ class _ValCycler:
         self.seed = seed
         self.cycle = -1
         self.pos = 0
-        self.order = np.empty(0, dtype=np.int64)
+        self.shuffled = val.batch(np.empty(0, dtype=np.int64))
 
     def next_batch(self) -> Batch:
-        if self.pos + self.batch_size > self.order.size:
+        if self.pos + self.batch_size > self.shuffled.size:
             self.cycle += 1
-            self.order = stream(self.seed, "val_order", self.cycle).permutation(self.val.size)
+            order = stream(self.seed, "val_order", self.cycle).permutation(self.val.size)
+            self.shuffled = self.val.batch(order)
             self.pos = 0
-        idx = self.order[self.pos : self.pos + self.batch_size]
+        rows = slice(self.pos, self.pos + self.batch_size)
         self.pos += self.batch_size
-        return self.val.batch(idx)
+        s = self.shuffled
+        return Batch(s.X[rows], s.hard_labels[rows], image_hw=s.image_hw)
 
 
 class _Optimizer:

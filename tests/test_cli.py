@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from saflex import core
 from saflex.cli import main
 from saflex.config import DEFAULTS, resolve, ConfigError
 from saflex.data import load_csv
@@ -254,3 +255,55 @@ def test_saflex_threads_validated(tmp_path, monkeypatch, capsys):
 def test_resolve_rejects_non_dict():
     with pytest.raises(ConfigError):
         resolve([1, 2])
+
+
+def _csv_cfg(tmp_path, text):
+    data, schema = tmp_path / "d.csv", tmp_path / "s.csv"
+    data.write_text(text)
+    schema.write_text("a,continuous\nc,categorical\nlabel,label\n")
+    return _cfg(tmp_path, data={"kind": "csv", "path": str(data), "schema": str(schema)})
+
+
+def test_csv_short_row_exits_two_naming_file_and_line(tmp_path, capsys):
+    cfg = _csv_cfg(tmp_path, "a,c,label\n0.5,u,0\n1.5,v\n-1.0,u,1\n")
+    assert main(["train", "-c", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'd.csv'}:3: 2 fields, the header has 3\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_non_finite_value_exits_two_naming_line_and_column(tmp_path, capsys, value):
+    cfg = _csv_cfg(tmp_path, f"a,c,label\n0.5,u,0\n\n{value},v,1\n-1.0,u,1\n")
+    assert main(["train", "-c", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'd.csv'}:4: non-finite value {value!r} in column 'a'\n")
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "hidden", [-3]),
+    ("model", "hidden", [0]),
+    ("model", "hidden", [8, 0]),
+    ("train", "val_batch_size", -5),
+])
+def test_bad_hidden_widths_and_val_batch_size_exit_two(tmp_path, capsys, section, key, value):
+    cfg = _cfg(tmp_path, **{section: {key: value}})
+    assert main(["train", "-c", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("block", [0, 1, 2], ids=["train", "aug", "val"])
+def test_nan_probabilities_exit_three_in_saflex_mode(tmp_path, capsys, monkeypatch, block):
+    forward = core.mlp_forward
+
+    def poisoned(params, X):
+        # the step's stacked rows are [train, aug, val], 32 each at this config
+        probs, cache = forward(params, X)
+        probs[32 * block : 32 * (block + 1), 0] = np.nan
+        return probs, cache
+
+    monkeypatch.setattr(core, "mlp_forward", poisoned)
+    cfg = _cfg(tmp_path, train={"mode": "saflex", "epochs": 1})
+    assert main(["train", "-c", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "epoch 0, iteration 0" in err, err

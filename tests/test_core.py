@@ -322,6 +322,26 @@ def test_step_reduces_val_batch_loss_on_average(rng):
     assert after < before
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["train", "aug", "val"])
+def test_out_of_range_labels_raise_value_error(rng, which, bad):
+    params = small_mlp(seed=3)  # 4 classes
+    batches = list(_batches(rng, params))
+    labels = batches[which].hard_labels.copy()
+    labels[-1] = bad
+    batches[which] = Batch(batches[which].X, labels)
+    with pytest.raises(ValueError, match="out of range"):
+        saflex_gradient(params, *batches, _cfg(), _rng())
+    tr, aug, val = batches
+    if which == 2:
+        with pytest.raises(ValueError, match="out of range"):
+            validation_gradient(params, val)
+    if which == 0:
+        with pytest.raises(ValueError, match="out of range"):
+            combined_step_gradient(params, tr, aug.X, np.full(aug.size, 1 / aug.size),
+                                   one_hot(aug.hard_labels, 4))
+
+
 def test_step_rejects_empty_batches(rng):
     params = small_mlp()
     tr, aug, val = _batches(rng, params)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +100,14 @@ def test_csv_unknown_category_names_column_and_value(tmp_path):
     with pytest.raises(ValueError) as exc:
         load_csv(data, schema)
     assert "'c'" in str(exc.value) and "unknown category" in str(exc.value)
+
+
+@pytest.mark.parametrize("card", ["x", "0", "-2"])
+def test_schema_cardinality_must_be_a_positive_integer(tmp_path, card):
+    data = _write(tmp_path / "d.csv", "c,label\na,0\nb,1\n")
+    schema = _write(tmp_path / "s.csv", f"c,categorical,{card}\nlabel,label\n")
+    with pytest.raises(ValueError, match=f"s.csv:1: cardinality must be a positive integer"):
+        load_csv(data, schema)
 
 
 def test_csv_missing_column(tmp_path):
@@ -204,3 +216,29 @@ def test_train_statistics_from_train_only():
 def test_split_spec_validation():
     with pytest.raises(ValueError):
         SplitSpec(0.5, 0.4, 0.2)
+
+
+def test_split_and_a_training_iteration_leave_numpy_ma_unimported():
+    # numpy.ma costs ~15 ms to import; np.unique's first call imports it
+    import saflex
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(saflex.__file__)))
+    code = (
+        "import sys\n"
+        "from saflex.data import gen_two_gaussians\n"
+        "from saflex.trainer import RunConfig, train\n"
+        "train(RunConfig(hidden=(4,), epochs=1, batch_size=500), gen_two_gaussians(200))\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_csv_rows_must_match_the_header(tmp_path):
+    schema = _write(tmp_path / "s.csv", "a,continuous\nlabel,label\n")
+    for text, line in [("a,label\n1,0\n2\n", 3), ("a,label\n1,0\n\n2,1,9\n", 4)]:
+        with pytest.raises(ValueError, match=f"d.csv:{line}: "):
+            load_csv(_write(tmp_path / "d.csv", text), schema)

@@ -9,6 +9,7 @@ from saflex.losses import (
     ce_grad_logits,
     hard_ce,
     infonce_loss,
+    mean_ce_grad_logits,
     normalize_rows,
     one_hot,
     weighted_soft_ce,
@@ -202,3 +203,26 @@ def test_clip_linear_in_weights(lam, seed):
 def test_contrastive_batch_requires_normalized_rows(rng):
     with pytest.raises(ValueError, match="normalized"):
         ContrastiveBatch(rng.standard_normal((3, 4)) * 2.0, normalize_rows(rng.standard_normal((3, 4))))
+
+
+def test_in_place_cotangents_equal_the_one_hot_formulas_bitwise(rng):
+    for _ in range(200):
+        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 11))
+        p = softmax(rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-2, 3))
+        if rng.random() < 0.3:
+            p = np.asfortranarray(p)
+        p_before = p.tobytes()
+        labels = rng.integers(0, k, size=n)
+        w, y = rng.random(n), softmax(rng.standard_normal((n, k)))
+        want = (p - one_hot(labels, k)) / n
+        want_soft = w[:, None] * (p - y)
+        assert mean_ce_grad_logits(p, labels).tobytes() == want.tobytes()
+        assert mean_ce_grad_logits(p, one_hot(labels, k)).tobytes() == want.tobytes()
+        assert ce_grad_logits(p, w, y).tobytes() == want_soft.tobytes()
+        # into row blocks of one buffer, as the combined step builds its cotangent
+        buf = np.full((2 * n + 1, k), np.nan)
+        mean_ce_grad_logits(p, labels, out=buf[:n])
+        ce_grad_logits(p, w, y, out=buf[n : 2 * n])
+        assert buf[:n].tobytes() == want.tobytes()
+        assert buf[n : 2 * n].tobytes() == want_soft.tobytes()
+        assert np.isnan(buf[2 * n]).all() and p.tobytes() == p_before

@@ -17,6 +17,7 @@ from saflex.nn import (
     mlp_backward,
     mlp_forward,
     param_dot,
+    row_sum,
     save_checkpoint,
     sgd_step,
     softmax,
@@ -380,3 +381,65 @@ def test_init_is_seeded_and_bounded():
     limit = np.sqrt(6.0 / (4 + 6))
     assert np.abs(a.weights[0]).max() <= limit
     assert a.param_count == 4 * 6 + 6 + 6 * 3 + 3
+
+
+def test_row_sum_bitwise_equals_sum_and_falls_back_from_8_entries(rng):
+    transposed_order_differs = False
+    for _ in range(400):
+        n, k = int(rng.integers(1, 60)), int(rng.integers(1, 13))
+        x = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-3, 3, size=(n, k))
+        if rng.random() < 0.3:
+            x = np.exp(1e3 * (x - x.max(axis=1, keepdims=True)))  # saturated rows
+        if rng.random() < 0.3:
+            x = np.asfortranarray(x)
+        assert row_sum(x).tobytes() == x.sum(axis=1, keepdims=True).tobytes()
+        if k >= 8 and x.flags.c_contiguous:
+            transposed = np.ascontiguousarray(x.T).sum(axis=0)
+            transposed_order_differs |= transposed.tobytes() != x.sum(axis=1).tobytes()
+    # from 8 entries on the transposed sum is not sum(axis=1), so the fallback matters
+    assert transposed_order_differs
+
+
+def _backward_with_boolean_masks(params, cache, d, rows):
+    grad = ParamGrad.zeros_like(params)
+    delta = d
+    for i in range(params.n_layers - 1, -1, -1):
+        a_in = cache.activations[i - 1] if i > 0 else cache.inputs
+        np.dot(a_in[rows].T, delta, out=grad.weights[i])
+        np.add.reduce(delta, axis=0, out=grad.biases[i])
+        if i > 0:
+            delta = delta @ params.weights[i].T
+            delta *= cache.pre_activations[i - 1][rows] > 0.0
+    return grad
+
+
+def _jvp_with_boolean_masks(params, tangent, cache, rows):
+    t = cache.inputs[rows] @ tangent.weights[0]
+    t += tangent.biases[0]
+    for i in range(1, params.n_layers):
+        t *= cache.pre_activations[i - 1][rows] > 0.0
+        t_in = t
+        t = cache.activations[i - 1][rows] @ tangent.weights[i]
+        t += tangent.biases[i]
+        t += t_in @ params.weights[i]
+    return t
+
+
+@pytest.mark.parametrize("rows", [slice(None), slice(2, 7)])
+def test_cached_relu_masks_match_boolean_masks_bitwise(rng, rows):
+    params = small_mlp(dims=(3, 8, 6, 4), seed=5)
+    _, cache = mlp_forward(params, rng.standard_normal((9, 3)))
+    # -0.0, +0.0 and NaN are not > 0 and mask to 0.0; the smallest subnormal is
+    for pre in cache.pre_activations[:-1]:
+        pre[2:7, :4] = [-0.0, np.nan, 0.0, 5e-324]
+    assert cache.masks is None  # a forward pass builds none
+    n = len(range(*rows.indices(9)))
+    tangent = random_grad(params, rng)
+    for _ in range(2):
+        d = rng.standard_normal((n, 4))
+        grad = mlp_backward(params, cache, d, rows)
+        assert grad.flat.tobytes() == _backward_with_boolean_masks(params, cache, d, rows).flat.tobytes()
+        u = jvp_logits_batch(params, tangent, cache, rows)
+        assert u.tobytes() == _jvp_with_boolean_masks(params, tangent, cache, rows).tobytes()
+    masks = cache.relu_masks()
+    assert cache.masks is masks and len(masks) == 2  # built once, shared by every pass

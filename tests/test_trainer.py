@@ -4,10 +4,13 @@ import pytest
 from saflex.augment import AugmenterSpec
 from saflex.core import SaflexConfig
 from saflex.data import Dataset, SplitSpec, gen_two_gaussians
-from saflex.nn import ModelParams, ParamGrad, init_mlp
+from saflex import trainer as trainer_mod
+from saflex.nn import ModelParams, ParamGrad, init_mlp, mlp_forward
+from saflex.rng import stream
 from saflex.trainer import (
     DivergenceError,
     _Optimizer,
+    _ValCycler,
     MetricsRow,
     RunConfig,
     evaluate,
@@ -192,3 +195,35 @@ def test_run_config_validation():
         _run(mode="bogus")
     with pytest.raises(ValueError):
         _run(lr=-0.1)
+    for hidden in [(-3,), (0,), (8, 0)]:
+        with pytest.raises(ValueError, match="hidden layer widths"):
+            _run(hidden=hidden)
+    for size in (0, -5):
+        with pytest.raises(ValueError, match="val_batch_size"):
+            _run(val_batch_size=size)
+
+
+def test_evaluate_builds_no_relu_masks(monkeypatch):
+    caches = []
+
+    def forward(params, X):
+        probs, cache = mlp_forward(params, X)
+        caches.append(cache)
+        return probs, cache
+
+    monkeypatch.setattr(trainer_mod, "mlp_forward", forward)
+    evaluate(init_mlp([2, 8, 8, 2], seed=0), gen_two_gaussians(300, seed=1))
+    assert len(caches) == 1 and caches[0].masks is None
+
+
+def test_val_cycler_batches_are_slices_of_each_shuffled_pass():
+    val = gen_two_gaussians(50, seed=2)
+    cycler = _ValCycler(val, 16, seed=3)
+    # 3 batches per pass; the 2 rows left over at the end of each pass are skipped
+    for cycle in range(3):
+        order = stream(3, "val_order", cycle).permutation(val.size)
+        for j in range(3):
+            want = val.batch(order[16 * j : 16 * (j + 1)])
+            got = cycler.next_batch()
+            assert got.X.tobytes() == want.X.tobytes()
+            assert got.hard_labels.tobytes() == want.hard_labels.tobytes()
