@@ -7,7 +7,9 @@ commits is one diff of this script's output.
 
 Pinned runs:
 * the acceptance criterion-8 config through `saflex train`: metrics.csv
-  without its wall-clock column, and checkpoint.bin;
+  without its wall-clock column, checkpoint.bin, and resolved_config.json
+  with the run's temporary directory replaced by a fixed name;
+* `saflex train --print-config` stdout, the default config's format;
 * train() in each mode x {sgd, momentum 0.9, adam} x {gaussian_jitter,
   mixup} on two Gaussians: metrics rows without sec_per_epoch, and the
   final parameter vector;
@@ -111,6 +113,13 @@ def cli_digests(tmp: str) -> list[tuple[str, str]]:
         metrics = "\n".join(line.rsplit(",", 1)[0] for line in f.read().splitlines())
     with open(os.path.join(tmp, "criterion8", "checkpoint.bin"), "rb") as f:
         checkpoint = f.read()
+    with open(os.path.join(tmp, "criterion8", "resolved_config.json")) as f:
+        resolved = f.read().replace(tmp, "TMP")
+    defaults = io.StringIO()
+    with contextlib.redirect_stdout(defaults):
+        rc = cli.main(["train", "--print-config"])
+    if rc != 0:
+        raise SystemExit(f"train --print-config exited {rc}")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = cli.main(["oracle-check", "--n", "1000", "--seed", "0"])
@@ -119,6 +128,8 @@ def cli_digests(tmp: str) -> list[tuple[str, str]]:
     return [
         ("criterion8 metrics.csv", sha256(metrics.encode())),
         ("criterion8 checkpoint.bin", sha256(checkpoint)),
+        ("criterion8 resolved_config.json", sha256(resolved.encode())),
+        ("train --print-config", sha256(defaults.getvalue().encode())),
         ("oracle-check --n 1000 --seed 0", sha256(out.getvalue().encode())),
     ]
 

@@ -35,7 +35,7 @@ class AugmenterSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown augmenter kind {self.kind!r}")
-        if self.sigma < 0 or self.pad < 0 or self.mixup_alpha <= 0:
+        if not (self.sigma >= 0 and self.pad >= 0 and self.mixup_alpha > 0):
             raise ValueError("invalid strength parameters")
         for p in (self.p_replace, self.flip_rate):
             if not 0.0 <= p <= 1.0:
@@ -44,7 +44,7 @@ class AugmenterSpec:
 
 def gaussian_jitter(batch: Batch, sigma: float, rng: np.random.Generator) -> Batch:
     """Add isotropic Gaussian noise to the features; labels are copied."""
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
     noise = sigma * rng.standard_normal(batch.X.shape) if sigma > 0 else 0.0
     return Batch(batch.X + noise, batch.hard_labels.copy(), image_hw=batch.image_hw)
@@ -88,7 +88,7 @@ def mixup(
     lam: float | None = None,
 ) -> Batch:
     """Convex-combine each row with a random partner; soft label to match."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be > 0")
     lam_val = float(rng.beta(alpha, alpha)) if lam is None else float(lam)
     perm = rng.permutation(batch.size)

@@ -35,10 +35,9 @@ def _build_dataset(cfg: dict) -> datamod.Dataset:
     d = cfg["data"]
     kind = d["kind"]
     if kind == "two_gaussians":
-        means = tuple(tuple(float(v) for v in m) for m in d["means"])
-        return datamod.gen_two_gaussians(int(d["n"]), means, float(d["sigma"]), int(d["seed"]))
+        return datamod.gen_two_gaussians(d["n"], d["means"], d["sigma"], d["seed"])
     if kind == "two_moons":
-        return datamod.gen_two_moons(int(d["n"]), float(d["sigma"]), int(d["seed"]))
+        return datamod.gen_two_moons(d["n"], d["sigma"], d["seed"])
     if kind == "csv":
         path = cfgmod.require(cfg, "data", "path")
         schema = cfgmod.require(cfg, "data", "schema")
@@ -52,6 +51,8 @@ def _build_dataset(cfg: dict) -> datamod.Dataset:
 def cmd_gen_data(args: argparse.Namespace) -> int:
     if args.kind != "csv_passthrough" and args.n < 1:
         raise ConfigError("--n must be >= 1")
+    if not 0 <= args.sigma < np.inf:
+        raise ConfigError(f"--sigma must be a finite number >= 0, got {args.sigma}")
     os.makedirs(args.out, exist_ok=True)
     data_path = os.path.join(args.out, "data.csv")
     schema_path = os.path.join(args.out, "schema.csv")
@@ -92,9 +93,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = cfgmod.load_config(args.config)
     out_dir = args.output_dir or cfg["output"]["dir"]
     if args.sweep_sigma:
-        sigmas = [float(s) for s in args.sweep_sigma.split(",") if s.strip()]
-        if not sigmas:
-            raise ConfigError("--sweep-sigma got an empty grid")
+        try:
+            sigmas = [float(s) for s in args.sweep_sigma.split(",") if s.strip()]
+        except ValueError:  # not a number: rejected below, with the empty grid
+            sigmas = []
+        if not sigmas or not all(0 <= s < np.inf for s in sigmas):
+            raise ConfigError(f"--sweep-sigma wants finite numbers >= 0, got {args.sweep_sigma!r}")
         for sigma in sigmas:
             point = json.loads(json.dumps(cfg))
             point["augment"]["sigma"] = sigma
@@ -121,6 +125,10 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         raise ConfigError("--k must be >= 2: a single-class task has nothing to assign")
     if args.b < 1 or args.b > ENUM_MAX_B or args.k > ENUM_MAX_K:
         raise ConfigError(f"guard bounds: 1 <= --b <= {ENUM_MAX_B} and 2 <= --k <= {ENUM_MAX_K}")
+    if args.n < 1:
+        raise ConfigError("--n must be >= 1")
+    if not 0 < args.tau < np.inf:
+        raise ConfigError(f"--tau must be a finite number > 0, got {args.tau}")
     cfg = SaflexConfig(beta=0.0, tau=args.tau, gumbel_enabled=False)
     rng_unused = np.random.default_rng(0)
     max_gap = 0.0

@@ -2,7 +2,8 @@
 
 A run is a single JSON document with fixed sections. Unknown keys are
 rejected with their full path; every key has an explicit default that
-`saflex train --print-config` shows. The fully-resolved config is written
+`saflex train --print-config` shows, and the default's type is the only
+type the key takes (see `_leaf`). The fully-resolved config is written
 next to each run's outputs so any run can be reproduced from it.
 """
 
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
+from dataclasses import asdict
 from typing import Any
 
 from .augment import AugmenterSpec
@@ -32,7 +35,7 @@ DEFAULTS: dict[str, Any] = {
         "means": [[1.0, 1.0], [-1.0, -1.0]],
         "seed": 0,
     },
-    "split": {"train": 0.6, "val": 0.2, "test": 0.2, "seed": 0},
+    "split": asdict(SplitSpec()),
     "model": {"hidden": [32, 32]},
     "optimizer": {"kind": "sgd", "lr": 0.1, "momentum": 0.0},
     "train": {
@@ -42,18 +45,34 @@ DEFAULTS: dict[str, Any] = {
         "val_batch_size": 0,  # 0 means: use batch_size
         "seed": 0,
     },
-    "augment": {
-        "kind": "gaussian_jitter",
-        "sigma": 0.5,
-        "pad": 2,
-        "mixup_alpha": 1.0,
-        "p_replace": 0.1,
-        "flip_rate": 0.0,
-        "seed": 0,
-    },
+    "augment": asdict(AugmenterSpec()),  # its "seed" is accepted but not read
     "saflex": {"beta": 0.0, "tau": 0.01, "gumbel": True, "seed": 0},
     "output": {"dir": "runs/out"},
 }
+
+
+_EXPECTED = {dict: "an object", list: "a list", bool: "true or false", int: "an integer",
+             float: "a finite number", str: "a string"}
+
+
+def _leaf(default: Any, value: Any, path: str) -> Any:
+    """`value` checked against the type of `default`, which it replaces.
+
+    An int takes no bool and no float (not even 20.0); a float takes any
+    finite number but no bool, and is stored as a float; a list's
+    elements follow the rule of the default's first element.
+    """
+    kind = type(default)
+    if kind is dict and type(value) is dict:
+        return _merge(default, value, path)
+    if kind is list and type(value) is list:
+        return [_leaf(default[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
+    # false for NaN, the infinities and ints too large for a float
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind in (bool, int, str) and type(value) is kind:
+        return value
+    raise ConfigError(f"{path}: expected {_EXPECTED[kind]}, got {json.dumps(value, default=repr)}")
 
 
 def _merge(defaults: dict, user: dict, path: str) -> dict:
@@ -62,12 +81,7 @@ def _merge(defaults: dict, user: dict, path: str) -> dict:
         here = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown config key: {here}")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{here}: expected an object")
-            out[key] = _merge(defaults[key], value, here)
-        else:
-            out[key] = value
+        out[key] = _leaf(defaults[key], value, here)
     return out
 
 
@@ -93,50 +107,33 @@ def load_config(path: str) -> dict:
 
 def require(cfg: dict, section: str, key: str) -> Any:
     value = cfg[section][key]
-    if value in ("", None):
+    if not value:
         raise ConfigError(f"{section}.{key} is required for this run and has no default")
     return value
 
 
 def build_run_config(cfg: dict) -> RunConfig:
-    aug = cfg["augment"]
-    sf = cfg["saflex"]
-    tr = cfg["train"]
+    """The run a resolved config describes; its leaves are already typed."""
+    opt, tr, sf = cfg["optimizer"], cfg["train"], cfg["saflex"]
     try:
         return RunConfig(
-            hidden=tuple(int(h) for h in cfg["model"]["hidden"]),
-            lr=float(cfg["optimizer"]["lr"]),
-            momentum=float(cfg["optimizer"]["momentum"]),
-            optimizer=str(cfg["optimizer"]["kind"]),
-            epochs=int(tr["epochs"]),
-            batch_size=int(tr["batch_size"]),
-            val_batch_size=int(tr["val_batch_size"]) or None,
-            mode=str(tr["mode"]),
-            augment=AugmenterSpec(
-                kind=str(aug["kind"]),
-                sigma=float(aug["sigma"]),
-                pad=int(aug["pad"]),
-                mixup_alpha=float(aug["mixup_alpha"]),
-                p_replace=float(aug["p_replace"]),
-                flip_rate=float(aug["flip_rate"]),
-                seed=int(aug["seed"]),
-            ),
+            hidden=tuple(cfg["model"]["hidden"]),
+            lr=opt["lr"],
+            momentum=opt["momentum"],
+            optimizer=opt["kind"],
+            epochs=tr["epochs"],
+            batch_size=tr["batch_size"],
+            val_batch_size=tr["val_batch_size"] or None,
+            mode=tr["mode"],
+            augment=AugmenterSpec(**cfg["augment"]),
             saflex=SaflexConfig(
-                beta=float(sf["beta"]),
-                tau=float(sf["tau"]),
-                gumbel_enabled=bool(sf["gumbel"]),
-                seed=int(sf["seed"]),
+                beta=sf["beta"], tau=sf["tau"], gumbel_enabled=sf["gumbel"], seed=sf["seed"]
             ),
-            split=SplitSpec(
-                train=float(cfg["split"]["train"]),
-                val=float(cfg["split"]["val"]),
-                test=float(cfg["split"]["test"]),
-                seed=int(cfg["split"]["seed"]),
-            ),
+            split=SplitSpec(**cfg["split"]),
             standardize=cfg["data"]["kind"] == "csv",
-            seed=int(tr["seed"]),
+            seed=tr["seed"],
         )
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 

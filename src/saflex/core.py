@@ -46,9 +46,9 @@ class SaflexConfig:
     gumbel_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
-        if self.beta < 0:
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"tau must be a finite number > 0, got {self.tau}")
+        if not self.beta >= 0:
             raise ValueError("beta must be >= 0")
 
 

@@ -70,7 +70,7 @@ class SplitSpec:
 
     def __post_init__(self) -> None:
         fracs = (self.train, self.val, self.test)
-        if any(f < 0 for f in fracs) or all(f == 0 for f in fracs):
+        if not all(f >= 0 for f in fracs) or all(f == 0 for f in fracs):
             raise ValueError("split fractions must be nonnegative, not all zero")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {sum(fracs)}")
@@ -132,12 +132,17 @@ def gen_two_gaussians(
     """Balanced binary 2-D task: class c drawn from N(mean_c, sigma^2 I)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be a finite number > 0, got {sigma}")
+    try:
+        mu = np.asarray(means, dtype=np.float64)
+    except ValueError:  # ragged rows
+        mu = np.empty(0)
+    if mu.shape != (2, 2) or not np.isfinite(mu).all():
+        raise ValueError(f"means must be a finite 2x2 array, got {means}")
     rng = stream(seed, "two_gaussians")
     n0 = n // 2
     counts = (n0, n - n0)
-    mu = np.asarray(means, dtype=np.float64)
     xs, ys = [], []
     for c, cnt in enumerate(counts):
         xs.append(mu[c] + sigma * rng.standard_normal((cnt, 2)))
@@ -152,6 +157,8 @@ def gen_two_moons(n: int, noise: float = 0.1, seed: int = 0) -> Dataset:
     """Two interleaved half circles with Gaussian noise."""
     if n < 2:
         raise ValueError("need n >= 2")
+    if not 0 <= noise < np.inf:
+        raise ValueError(f"noise must be a finite number >= 0, got {noise}")
     rng = stream(seed, "two_moons")
     n0 = n // 2
     n1 = n - n0

@@ -12,7 +12,7 @@ the host.
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -23,17 +23,6 @@ from .data import Batch, Dataset, SplitSpec, apply_train_statistics, split
 from .losses import ce_from_logits, mean_ce_grad_logits, one_hot
 from .nn import ModelParams, ParamGrad, init_mlp, mlp_backward, mlp_forward
 from .rng import stream
-
-METRICS_COLUMNS = (
-    "epoch",
-    "train_loss",
-    "val_loss",
-    "test_acc",
-    "mean_w",
-    "frac_zero_w",
-    "frac_label_changed",
-    "sec_per_epoch",
-)
 
 MODES = ("none", "naive", "saflex")
 
@@ -63,7 +52,7 @@ class RunConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.lr <= 0 or self.epochs < 0 or self.batch_size < 1:
+        if not self.lr > 0 or self.epochs < 0 or self.batch_size < 1:
             raise ValueError("invalid run configuration")
         if any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden layer widths must be >= 1, got {list(self.hidden)}")
@@ -89,6 +78,9 @@ class MetricsRow:
 
     def as_tuple(self) -> tuple:
         return astuple(self)
+
+
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow))  # the metrics.csv header
 
 
 def evaluate(params: ModelParams, ds: Dataset) -> tuple[float, float]:

@@ -188,6 +188,17 @@ def test_spec_validation():
         AugmenterSpec(sigma=-1.0)
     with pytest.raises(ValueError):
         AugmenterSpec(p_replace=1.5)
+    for bad in ({"sigma": np.nan}, {"mixup_alpha": np.nan}, {"pad": -1}):
+        with pytest.raises(ValueError, match="strength"):
+            AugmenterSpec(**bad)
+
+
+def test_jitter_and_mixup_reject_nan_strengths(rng):
+    batch = _batch(rng)
+    with pytest.raises(ValueError, match="sigma"):
+        gaussian_jitter(batch, np.nan, rng)
+    with pytest.raises(ValueError, match="alpha"):
+        mixup(batch, np.nan, rng, num_classes=4)
 
 
 def test_augmenters_preserve_shape_and_size(rng):

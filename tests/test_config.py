@@ -1,0 +1,175 @@
+"""The config contract: each leaf takes only its default's type, and a bad
+config value or CLI flag exits 2 with one error line naming where it is."""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from saflex.cli import main
+from saflex.config import DEFAULTS, ConfigError, resolve
+
+TINY = {"data": {"n": 60}, "model": {"hidden": [4, 4]}, "train": {"epochs": 1, "batch_size": 16}}
+
+
+def _leaves(node, path=()):
+    """(key path, default) for every section, key and list element of DEFAULTS."""
+    if path:
+        yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(child, path + (key,))
+
+
+def _dotted(path) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of `saflex <argv>` run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects a malformed flag before main's handlers
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+_non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_too_big_for_a_float = st.integers(min_value=10**309, max_value=10**400)
+_containers = st.sampled_from([None, [], [1], {}, {"a": 1}])
+# for each default's type, values of every other JSON type; JSON's 1e400
+# parses to inf, which st.floats() draws
+WRONG = {
+    dict: st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([None, [], [1]]),
+    list: st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([None, {}, {"a": 1}]),
+    bool: st.integers() | st.floats() | st.text(max_size=6) | _containers,
+    int: st.booleans() | st.floats() | st.text(max_size=6) | _containers,
+    float: st.booleans() | _non_finite | _too_big_for_a_float
+    | _too_big_for_a_float.map(lambda i: -i) | st.text(max_size=6) | _containers,
+    str: st.booleans() | st.integers() | st.floats() | _containers,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(_leaves(DEFAULTS))).flatmap(
+    lambda leaf: st.tuples(st.just(leaf[0]), WRONG[type(leaf[1])])))
+def test_a_wrong_typed_leaf_exits_two_naming_its_key_path(case):
+    path, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = resolve(TINY)
+        doc["output"]["dir"] = os.path.join(tmp, "run")
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        cfg = os.path.join(tmp, "config.json")
+        with open(cfg, "w") as f:
+            json.dump(doc, f)
+        rc, out, err = _run(["train", "-c", cfg])
+    assert rc == 2, (path, value, out, err)
+    assert err.startswith(f"config error: {_dotted(path)}: expected "), err
+    assert err.count("\n") == 1 and out == "", err
+
+
+_bad_floats = _non_finite | st.floats(max_value=-1e-300)
+FLAGS = {
+    ("oracle-check", "--n"): st.integers(max_value=0).map(str)
+    | st.sampled_from(["1.5", "abc", "", "1e3"]),
+    ("gen-data", "--n"): st.integers(max_value=0).map(str) | st.sampled_from(["1.5", "abc"]),
+    ("oracle-check", "--tau"): (_bad_floats | st.just(0.0)).map(repr)
+    | st.sampled_from(["abc", ""]),
+    ("gen-data", "--sigma"): _bad_floats.map(repr) | st.sampled_from(["abc", ""]),
+    ("train", "--sweep-sigma"): _bad_floats.map(repr) | _bad_floats.map(lambda s: f"0.5,{s!r}")
+    | st.sampled_from(["abc", ",", " ", "0.5,abc"]),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(FLAGS)), st.data())
+def test_a_bad_flag_value_exits_two_naming_the_flag(case, data):
+    (command, flag), value = case, data.draw(FLAGS[case])
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = {
+            "oracle-check": ["oracle-check", "--n", "2"],
+            "gen-data": ["gen-data", "--n", "20", "--out", os.path.join(tmp, "data")],
+            "train": ["train", "-c", os.path.join(tmp, "config.json")],
+        }[command]
+        with open(os.path.join(tmp, "config.json"), "w") as f:
+            json.dump(dict(TINY, output={"dir": os.path.join(tmp, "run")}), f)
+        rc, out, err = _run([*argv, f"{flag}={value}"])
+    assert rc == 2, (command, flag, value, out, err)
+    errors = [line for line in err.splitlines() if "error: " in line]
+    assert len(errors) == 1 and flag in errors[0] and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("text,line", [
+    ('{"model": {"hidden": [1e400]}}',
+     "config error: model.hidden[0]: expected an integer, got Infinity"),
+    ('{"saflex": {"gumbel": "false"}}',
+     'config error: saflex.gumbel: expected true or false, got "false"'),
+    ('{"train": {"batch_size": true}}',
+     "config error: train.batch_size: expected an integer, got true"),
+    ('{"train": {"epochs": 1.5}}', "config error: train.epochs: expected an integer, got 1.5"),
+    ('{"train": {"epochs": 20.0}}', "config error: train.epochs: expected an integer, got 20.0"),
+    ('{"augment": {"pad": 2.7}}', "config error: augment.pad: expected an integer, got 2.7"),
+    ('{"model": {"hidden": [32.9]}}',
+     "config error: model.hidden[0]: expected an integer, got 32.9"),
+    ('{"optimizer": {"lr": NaN}}',
+     "config error: optimizer.lr: expected a finite number, got NaN"),
+    ('{"saflex": {"tau": Infinity}}',
+     "config error: saflex.tau: expected a finite number, got Infinity"),
+    ('{"data": {"n": "abc"}}', 'config error: data.n: expected an integer, got "abc"'),
+    ('{"data": {"means": [[1, 1], [1, NaN]]}}',
+     "config error: data.means[1][1]: expected a finite number, got NaN"),
+    ('{"data": {"kind": "csv", "path": null}}',
+     "config error: data.path: expected a string, got null"),
+    ('{"split": 0.5}', "config error: split: expected an object, got 0.5"),
+    ('{"data": {"means": [[1, 1]]}}',
+     "error: means must be a finite 2x2 array, got [[1.0, 1.0]]"),
+])
+def test_config_value_errors_are_one_line_naming_the_key(tmp_path, monkeypatch, text, line):
+    monkeypatch.chdir(tmp_path)  # a run that gets as far as the data writes to output.dir
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert _run(["train", "-c", str(path)]) == (2, "", line + "\n")
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["oracle-check", "--n", "0"], "config error: --n must be >= 1"),
+    (["oracle-check", "--n", "-1"], "config error: --n must be >= 1"),
+    (["oracle-check", "--tau", "nan"],
+     "config error: --tau must be a finite number > 0, got nan"),
+    (["oracle-check", "--tau", "inf"],
+     "config error: --tau must be a finite number > 0, got inf"),
+    (["gen-data", "--sigma", "nan"],
+     "config error: --sigma must be a finite number >= 0, got nan"),
+    (["train", "--sweep-sigma", "nan"],
+     "config error: --sweep-sigma wants finite numbers >= 0, got 'nan'"),
+])
+def test_flag_errors_are_one_line_naming_the_flag(tmp_path, argv, line):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(TINY, output={"dir": str(tmp_path / "run")})))
+    extra = {"gen-data": ["--out", str(tmp_path / "data")], "train": ["-c", str(cfg)]}
+    assert _run([*argv, *extra.get(argv[0], [])]) == (2, "", line + "\n")
+
+
+def test_float_leaves_store_integers_as_floats_when_they_fit():
+    cfg = resolve({"optimizer": {"lr": 1}, "data": {"means": [[2, 0], [0, -2]]}})
+    assert type(cfg["optimizer"]["lr"]) is float and cfg["optimizer"]["lr"] == 1.0
+    assert all(type(v) is float for row in cfg["data"]["means"] for v in row)
+    too_big = r"^optimizer\.lr: expected a finite number, got 10{400}$"
+    with pytest.raises(ConfigError, match=too_big):
+        resolve({"optimizer": {"lr": 10**400}})
+
+
+def test_an_empty_list_leaf_is_kept():
+    assert resolve({"model": {"hidden": []}})["model"]["hidden"] == []

@@ -32,6 +32,15 @@ def _cfg(**kw):
     return SaflexConfig(**defaults)
 
 
+@pytest.mark.parametrize("kw,match", [
+    ({"tau": 0.0}, "tau"), ({"tau": np.nan}, "tau"), ({"tau": np.inf}, "tau"),
+    ({"beta": -1.0}, "beta"), ({"beta": np.nan}, "beta"),
+])
+def test_saflex_config_rejects_bad_tau_and_beta(kw, match):
+    with pytest.raises(ValueError, match=match):
+        _cfg(**kw)
+
+
 def _rng():
     return np.random.default_rng(0)
 

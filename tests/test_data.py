@@ -216,6 +216,29 @@ def test_train_statistics_from_train_only():
 def test_split_spec_validation():
     with pytest.raises(ValueError):
         SplitSpec(0.5, 0.4, 0.2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        SplitSpec(np.nan, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("kw,match", [
+    ({"sigma": np.nan}, "sigma must be a finite number > 0"),
+    ({"sigma": np.inf}, "sigma must be a finite number > 0"),
+    ({"sigma": 0.0}, "sigma must be a finite number > 0"),
+    ({"means": [[1.0, 1.0]]}, "means must be a finite 2x2 array"),
+    ({"means": [[1.0, 1.0], [-1.0, -1.0], [0.0, 0.0]]}, "means must be a finite 2x2 array"),
+    ({"means": [[1.0, 1.0], [2.0]]}, "means must be a finite 2x2 array"),
+    ({"means": [[1.0, 1.0], [np.nan, -1.0]]}, "means must be a finite 2x2 array"),
+])
+def test_two_gaussians_input_checks(kw, match):
+    with pytest.raises(ValueError, match=match):
+        gen_two_gaussians(50, **kw)
+
+
+@pytest.mark.parametrize("noise", [np.nan, np.inf, -0.1])
+def test_two_moons_noise_must_be_finite_and_nonnegative(noise):
+    with pytest.raises(ValueError, match="noise must be a finite number >= 0"):
+        gen_two_moons(50, noise=noise)
+    assert gen_two_moons(50, noise=0.0).size == 50
 
 
 def test_split_and_a_training_iteration_leave_numpy_ma_unimported():

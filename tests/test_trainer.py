@@ -193,8 +193,9 @@ def test_adam_first_step_is_normalized_gradient():
 def test_run_config_validation():
     with pytest.raises(ValueError):
         _run(mode="bogus")
-    with pytest.raises(ValueError):
-        _run(lr=-0.1)
+    for lr in (-0.1, 0.0, np.nan):
+        with pytest.raises(ValueError, match="invalid run configuration"):
+            _run(lr=lr)
     for hidden in [(-3,), (0,), (8, 0)]:
         with pytest.raises(ValueError, match="hidden layer widths"):
             _run(hidden=hidden)
