@@ -13,10 +13,13 @@ Pinned runs:
 * train() in each mode x {sgd, momentum 0.9, adam} x {gaussian_jitter,
   mixup} on two Gaussians: metrics rows without sec_per_epoch, and the
   final parameter vector;
-* train() in each mode with crop_flip on small blob images;
+* train() in each mode with crop_flip on small blob images, raw and
+  standardized (every column continuous);
 * train() in each mode with cutmix_tabular on a CSV with continuous and
   categorical columns and K = 3, loaded and standardized as `saflex
   train` does for CSV input;
+* the same on a CSV whose continuous columns, one of them constant, are
+  separated by a categorical group;
 * `saflex oracle-check --n 1000 --seed 0` stdout.
 
 Takes a few seconds. Exits 0 when every run completes.
@@ -100,6 +103,22 @@ def tabular_csv(tmp: str, n: int = 300) -> Dataset:
     return load_csv(data, schema, standardize=False)
 
 
+def gapped_csv(tmp: str, n: int = 240) -> Dataset:
+    """Three classes; continuous columns on both sides of a categorical one, one constant."""
+    g = stream(0, "pinned_digests", "gapped csv")
+    labels = g.integers(0, 3, size=n)
+    x = g.standard_normal((n, 2)) * [2.0, 0.5] + labels[:, None] * [1.5, -1.0] + [5.0, 0.0]
+    shape = np.where(g.random(n) < 0.6, labels, g.integers(0, 3, size=n))
+    data, schema = os.path.join(tmp, "gapped.csv"), os.path.join(tmp, "gapped_schema.csv")
+    with open(data, "w") as f:
+        f.write("x0,shape,x1,flat,label\n")
+        for (a, b), c, y in zip(x, shape, labels):
+            f.write(f"{float(a)!r},{('disc', 'ring', 'star')[c]},{float(b)!r},2.5,class{y}\n")
+    with open(schema, "w") as f:
+        f.write("x0,continuous\nshape,categorical,3\nx1,continuous\nflat,continuous\nlabel,label\n")
+    return load_csv(data, schema, standardize=False)
+
+
 def cli_digests(tmp: str) -> list[tuple[str, str]]:
     cfg = dict(CRITERION_8, output={"dir": os.path.join(tmp, "criterion8")})
     path = os.path.join(tmp, "config.json")
@@ -138,6 +157,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         lines = cli_digests(tmp)
         tabular = tabular_csv(tmp)
+        gapped = gapped_csv(tmp)
     gaussians = gen_two_gaussians(400, sigma=1.0, seed=3)
     for mode in MODES:
         for opt_name, opt in OPTIMIZERS.items():
@@ -159,10 +179,24 @@ def main() -> int:
     for mode in MODES:
         run = RunConfig(
             hidden=(16, 8), lr=0.1, epochs=2, batch_size=32, mode=mode,
+            augment=AugmenterSpec(kind="crop_flip", pad=2),
+            split=SplitSpec(0.6, 0.2, 0.2, seed=3), standardize=True, seed=3,
+        )
+        lines.append((f"train {mode} sgd crop_flip standardized", train_digest(run, images)))
+    for mode in MODES:
+        run = RunConfig(
+            hidden=(16, 8), lr=0.1, epochs=2, batch_size=32, mode=mode,
             augment=AugmenterSpec(kind="cutmix_tabular", p_replace=0.2),
             split=SplitSpec(0.6, 0.2, 0.2, seed=1), standardize=True, seed=1,
         )
         lines.append((f"train {mode} sgd cutmix_tabular csv k3", train_digest(run, tabular)))
+    for mode in MODES:
+        run = RunConfig(
+            hidden=(16, 8), lr=0.1, epochs=2, batch_size=32, mode=mode,
+            augment=AugmenterSpec(kind="cutmix_tabular", p_replace=0.3),
+            split=SplitSpec(0.6, 0.2, 0.2, seed=4), standardize=True, seed=4,
+        )
+        lines.append((f"train {mode} sgd cutmix_tabular gapped csv k3", train_digest(run, gapped)))
     for name, digest in lines:
         print(f"{digest}  {name}")
     return 0

@@ -31,13 +31,22 @@ from .rng import stream, thread_cap
 from .trainer import DivergenceError, evaluate, run_splits, train, write_metrics_csv
 
 
+def _renamed(exc: datamod.RangeError, prefix: str) -> ConfigError:
+    """A generator's range error, named after its data.* config key or gen-data flag."""
+    name = "sigma" if exc.name == "noise" else exc.name  # two_moons' noise is data.sigma
+    return ConfigError(f"{prefix}{name} {exc.rule}")
+
+
 def _build_dataset(cfg: dict) -> datamod.Dataset:
     d = cfg["data"]
     kind = d["kind"]
-    if kind == "two_gaussians":
-        return datamod.gen_two_gaussians(d["n"], d["means"], d["sigma"], d["seed"])
-    if kind == "two_moons":
-        return datamod.gen_two_moons(d["n"], d["sigma"], d["seed"])
+    try:
+        if kind == "two_gaussians":
+            return datamod.gen_two_gaussians(d["n"], d["means"], d["sigma"], d["seed"])
+        if kind == "two_moons":
+            return datamod.gen_two_moons(d["n"], d["sigma"], d["seed"])
+    except datamod.RangeError as exc:
+        raise _renamed(exc, "data.") from exc
     if kind == "csv":
         path = cfgmod.require(cfg, "data", "path")
         schema = cfgmod.require(cfg, "data", "schema")
@@ -49,21 +58,20 @@ def _build_dataset(cfg: dict) -> datamod.Dataset:
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    if args.kind != "csv_passthrough" and args.n < 1:
-        raise ConfigError("--n must be >= 1")
-    if not 0 <= args.sigma < np.inf:
-        raise ConfigError(f"--sigma must be a finite number >= 0, got {args.sigma}")
+    try:
+        if args.kind == "two_gaussians":
+            ds = datamod.gen_two_gaussians(args.n, sigma=args.sigma, seed=args.seed)
+        elif args.kind == "two_moons":
+            ds = datamod.gen_two_moons(args.n, noise=args.sigma, seed=args.seed)
+        else:  # csv_passthrough: validate + re-emit an existing pair
+            if not args.input or not args.input_schema:
+                raise ConfigError("csv_passthrough needs --input and --input-schema")
+            ds = datamod.load_csv(args.input, args.input_schema)
+    except datamod.RangeError as exc:
+        raise _renamed(exc, "--") from exc
     os.makedirs(args.out, exist_ok=True)
     data_path = os.path.join(args.out, "data.csv")
     schema_path = os.path.join(args.out, "schema.csv")
-    if args.kind == "two_gaussians":
-        ds = datamod.gen_two_gaussians(args.n, sigma=args.sigma, seed=args.seed)
-    elif args.kind == "two_moons":
-        ds = datamod.gen_two_moons(args.n, noise=args.sigma, seed=args.seed)
-    else:  # csv_passthrough: validate + re-emit an existing pair
-        if not args.input or not args.input_schema:
-            raise ConfigError("csv_passthrough needs --input and --input-schema")
-        ds = datamod.load_csv(args.input, args.input_schema)
     datamod.save_csv(ds, data_path, schema_path)
     print(f"wrote {data_path} ({ds.size} rows, {ds.num_classes} classes) and {schema_path}")
     return 0

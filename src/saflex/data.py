@@ -123,6 +123,15 @@ class Dataset:
         return [np.arange(g.start, g.start + g.width) for g in self.groups]
 
 
+class RangeError(ValueError):
+    """A generator argument outside its range: `name` is the argument, `rule` the rest."""
+
+    def __init__(self, name: str, rule: str):
+        super().__init__(f"{name} {rule}")
+        self.name = name
+        self.rule = rule
+
+
 def gen_two_gaussians(
     n: int,
     means: tuple[tuple[float, float], tuple[float, float]] = ((1.0, 1.0), (-1.0, -1.0)),
@@ -131,15 +140,15 @@ def gen_two_gaussians(
 ) -> Dataset:
     """Balanced binary 2-D task: class c drawn from N(mean_c, sigma^2 I)."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise RangeError("n", f"must be >= 2, got {n}")
     if not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be a finite number > 0, got {sigma}")
+        raise RangeError("sigma", f"must be a finite number > 0, got {sigma}")
     try:
         mu = np.asarray(means, dtype=np.float64)
     except ValueError:  # ragged rows
         mu = np.empty(0)
     if mu.shape != (2, 2) or not np.isfinite(mu).all():
-        raise ValueError(f"means must be a finite 2x2 array, got {means}")
+        raise RangeError("means", f"must be a finite 2x2 array, got {means}")
     rng = stream(seed, "two_gaussians")
     n0 = n // 2
     counts = (n0, n - n0)
@@ -156,9 +165,9 @@ def gen_two_gaussians(
 def gen_two_moons(n: int, noise: float = 0.1, seed: int = 0) -> Dataset:
     """Two interleaved half circles with Gaussian noise."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise RangeError("n", f"must be >= 2, got {n}")
     if not 0 <= noise < np.inf:
-        raise ValueError(f"noise must be a finite number >= 0, got {noise}")
+        raise RangeError("noise", f"must be a finite number >= 0, got {noise}")
     rng = stream(seed, "two_moons")
     n0 = n // 2
     n1 = n - n0
@@ -361,7 +370,7 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     """Disjoint, exhaustive, seed-deterministic, label-stratified partition."""
     rng = stream(spec.seed, "split")
     fracs = np.array([spec.train, spec.val, spec.test])
-    buckets: list[list[int]] = [[], [], []]
+    chunks: list[list[np.ndarray]] = [[], [], []]
     for c in range(ds.num_classes):
         idx = np.flatnonzero(ds.labels == c)
         idx = idx[rng.permutation(idx.size)]
@@ -369,24 +378,21 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
         quota = fracs * idx.size
         base = np.floor(quota).astype(int)
         rem = idx.size - base.sum()
-        order = np.argsort(-(quota - base), kind="stable")
-        for j in order[:rem]:
-            base[j] += 1
+        base[np.argsort(-(quota - base), kind="stable")[:rem]] += 1
         pos = 0
         for s in range(3):
-            buckets[s].extend(idx[pos : pos + base[s]].tolist())
+            chunks[s].append(idx[pos : pos + base[s]])
             pos += base[s]
+    buckets = [np.concatenate(c) if c else np.empty(0, dtype=np.int64) for c in chunks]
     # guarantee nonzero splits receive at least one sample
-    sizes = [len(b) for b in buckets]
     for s in range(3):
-        if fracs[s] > 0 and sizes[s] == 0:
-            donor = int(np.argmax(sizes))
-            buckets[s].append(buckets[donor].pop())
-            sizes = [len(b) for b in buckets]
+        if fracs[s] > 0 and buckets[s].size == 0:
+            donor = int(np.argmax([b.size for b in buckets]))
+            buckets[s] = buckets[donor][-1:]
+            buckets[donor] = buckets[donor][:-1]
     parts = []
     for s in range(3):
-        idx = np.sort(np.array(buckets[s], dtype=np.int64))
-        part = ds.subset(idx)
+        part = ds.subset(np.sort(buckets[s]))
         if fracs[s] > 0 and part.size:
             # np.unique would import numpy.ma on its first call
             present = np.count_nonzero(np.bincount(part.labels, minlength=ds.num_classes))
@@ -401,16 +407,31 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
 
 
 def apply_train_statistics(train: Dataset, *others: Dataset) -> tuple[Dataset, ...]:
-    """Re-standardize continuous columns using the training split only."""
+    """Re-standardize continuous columns using the training split only.
+
+    Each output is `(X - shift) / scale`, one pass over its split: `shift`
+    and `scale` hold the train mean and std on continuous columns and 0
+    and 1 elsewhere, which leave a value bitwise as it is. The statistics
+    come from one copy of the continuous columns. That copy is
+    Fortran-ordered, so `np.add.reduce(dev, 0)` sums each column pairwise
+    in the order `X[:, cont].mean(axis=0)` and `.std(axis=0)` use, and
+    gives their values bit for bit.
+    """
     cont = [g.start for g in train.groups if g.kind == "continuous"]
     if not cont:
         return (train, *others)
-    mean = train.X[:, cont].mean(axis=0)
-    sd = train.X[:, cont].std(axis=0)
-    sd = np.where(sd > 0, sd, 1.0)
+    dev = train.X[:, cont]
+    mean = np.add.reduce(dev, 0) / train.size
+    dev -= mean
+    dev *= dev
+    sd = np.sqrt(np.add.reduce(dev, 0) / train.size)
+    shift = np.zeros(train.dim)
+    shift[cont] = mean
+    scale = np.ones(train.dim)
+    scale[cont] = np.where(sd > 0, sd, 1.0)
     out = []
     for ds in (train, *others):
-        X = ds.X.copy()
-        X[:, cont] = (X[:, cont] - mean) / sd
+        X = ds.X - shift
+        X /= scale
         out.append(Dataset(X, ds.labels, ds.num_classes, ds.groups, ds.label_values, ds.image_hw))
     return tuple(out)

@@ -65,6 +65,7 @@ def test_gen_data_csv_passthrough(tmp_path):
 def test_gen_data_rejects_zero_n(tmp_path):
     rc = main(["gen-data", "--n", "0", "--out", str(tmp_path / "x")])
     assert rc == 2
+    assert not (tmp_path / "x").exists()  # checked before anything is written
 
 
 def test_print_config_covers_defaults(capsys):

@@ -84,10 +84,10 @@ _bad_floats = _non_finite | st.floats(max_value=-1e-300)
 FLAGS = {
     ("oracle-check", "--n"): st.integers(max_value=0).map(str)
     | st.sampled_from(["1.5", "abc", "", "1e3"]),
-    ("gen-data", "--n"): st.integers(max_value=0).map(str) | st.sampled_from(["1.5", "abc"]),
+    ("gen-data", "--n"): st.integers(max_value=1).map(str) | st.sampled_from(["1.5", "abc"]),
     ("oracle-check", "--tau"): (_bad_floats | st.just(0.0)).map(repr)
     | st.sampled_from(["abc", ""]),
-    ("gen-data", "--sigma"): _bad_floats.map(repr) | st.sampled_from(["abc", ""]),
+    ("gen-data", "--sigma"): (_bad_floats | st.just(0.0)).map(repr) | st.sampled_from(["abc", ""]),
     ("train", "--sweep-sigma"): _bad_floats.map(repr) | _bad_floats.map(lambda s: f"0.5,{s!r}")
     | st.sampled_from(["abc", ",", " ", "0.5,abc"]),
 }
@@ -134,7 +134,15 @@ def test_a_bad_flag_value_exits_two_naming_the_flag(case, data):
      "config error: data.path: expected a string, got null"),
     ('{"split": 0.5}', "config error: split: expected an object, got 0.5"),
     ('{"data": {"means": [[1, 1]]}}',
-     "error: means must be a finite 2x2 array, got [[1.0, 1.0]]"),
+     "config error: data.means must be a finite 2x2 array, got [[1.0, 1.0]]"),
+    ('{"data": {"means": [[1, 1], [2, 2], [3, 3]]}}',
+     "config error: data.means must be a finite 2x2 array, "
+     "got [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]"),
+    ('{"data": {"n": -5}}', "config error: data.n must be >= 2, got -5"),
+    ('{"data": {"kind": "two_moons", "n": 1}}', "config error: data.n must be >= 2, got 1"),
+    ('{"data": {"sigma": 0}}', "config error: data.sigma must be a finite number > 0, got 0.0"),
+    ('{"data": {"kind": "two_moons", "sigma": -1}}',
+     "config error: data.sigma must be a finite number >= 0, got -1.0"),
 ])
 def test_config_value_errors_are_one_line_naming_the_key(tmp_path, monkeypatch, text, line):
     monkeypatch.chdir(tmp_path)  # a run that gets as far as the data writes to output.dir
@@ -151,9 +159,14 @@ def test_config_value_errors_are_one_line_naming_the_key(tmp_path, monkeypatch, 
     (["oracle-check", "--tau", "inf"],
      "config error: --tau must be a finite number > 0, got inf"),
     (["gen-data", "--sigma", "nan"],
-     "config error: --sigma must be a finite number >= 0, got nan"),
+     "config error: --sigma must be a finite number > 0, got nan"),
     (["train", "--sweep-sigma", "nan"],
      "config error: --sweep-sigma wants finite numbers >= 0, got 'nan'"),
+    (["gen-data", "--sigma", "0"], "config error: --sigma must be a finite number > 0, got 0.0"),
+    (["gen-data", "--kind", "two_moons", "--sigma", "-1"],
+     "config error: --sigma must be a finite number >= 0, got -1.0"),
+    (["gen-data", "--n", "1"], "config error: --n must be >= 2, got 1"),
+    (["gen-data", "--kind", "two_moons", "--n", "0"], "config error: --n must be >= 2, got 0"),
 ])
 def test_flag_errors_are_one_line_naming_the_flag(tmp_path, argv, line):
     cfg = tmp_path / "config.json"

@@ -166,6 +166,22 @@ def test_assign_all_dropped_stays_zero():
     assert out.frac_zero_weight == 1.0
 
 
+@pytest.mark.parametrize("gumbel,beta", [(False, 0.0), (True, 0.0), (True, 0.5)])
+def test_keep_rule_keeps_an_exactly_zero_score(rng, gumbel, beta):
+    # the paper keeps a sample whose label-averaged score is nonnegative, zero
+    # included; a zero validation gradient makes every score exactly zero
+    params = small_mlp()
+    pi = pi_scores(params, rng.standard_normal((5, 3)), ParamGrad.zeros_like(params))
+    labels = np.array([0, 1, 2, 3, 0])
+    out = saflex_assign(pi, labels, _cfg(gumbel_enabled=gumbel, beta=beta), _rng())
+    np.testing.assert_array_equal(out.binary_weights, np.ones(5))
+    np.testing.assert_array_equal(out.weights, np.full(5, 1 / 5))
+    assert out.frac_zero_weight == 0.0
+    chosen, kept = closed_form_assignment(pi, labels, beta)
+    np.testing.assert_array_equal(kept, np.ones(5, dtype=np.int64))
+    np.testing.assert_array_equal(chosen, labels if beta else np.zeros(5))
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e307])
 def test_assign_rejects_non_finite_scores(bad):

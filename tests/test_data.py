@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from saflex.data import (
     Dataset,
+    FeatureGroup,
     SplitSpec,
     apply_train_statistics,
     gen_two_gaussians,
@@ -20,6 +22,7 @@ from saflex.data import (
     split,
 )
 from saflex.rng import stream
+from saflex.trainer import RunConfig, run_splits
 
 
 def test_two_gaussians_degenerate_spread():
@@ -265,3 +268,127 @@ def test_csv_rows_must_match_the_header(tmp_path):
     for text, line in [("a,label\n1,0\n2\n", 3), ("a,label\n1,0\n\n2,1,9\n", 4)]:
         with pytest.raises(ValueError, match=f"d.csv:{line}: "):
             load_csv(_write(tmp_path / "d.csv", text), schema)
+
+
+# ---------------------------------------------------------------------------
+# Set-up against frozen copies of the earlier formulas, bitwise
+
+
+def _reference_split(ds, spec):
+    """Row indices of each split, as the list-based split computed them."""
+    rng = stream(spec.seed, "split")
+    fracs = np.array([spec.train, spec.val, spec.test])
+    buckets = [[], [], []]
+    for c in range(ds.num_classes):
+        idx = np.flatnonzero(ds.labels == c)
+        idx = idx[rng.permutation(idx.size)]
+        quota = fracs * idx.size
+        base = np.floor(quota).astype(int)
+        rem = idx.size - base.sum()
+        order = np.argsort(-(quota - base), kind="stable")
+        for j in order[:rem]:
+            base[j] += 1
+        pos = 0
+        for s in range(3):
+            buckets[s].extend(idx[pos : pos + base[s]].tolist())
+            pos += base[s]
+    sizes = [len(b) for b in buckets]
+    for s in range(3):
+        if fracs[s] > 0 and sizes[s] == 0:
+            donor = int(np.argmax(sizes))
+            buckets[s].append(buckets[donor].pop())
+            sizes = [len(b) for b in buckets]
+    return [np.sort(np.array(b, dtype=np.int64)) for b in buckets]
+
+
+def _reference_statistics(train_X, cont, *Xs):
+    """Each X with its continuous columns z-scored as `(X[:, cont] - m) / s`."""
+    mean = train_X[:, cont].mean(axis=0)
+    sd = train_X[:, cont].std(axis=0)
+    sd = np.where(sd > 0, sd, 1.0)
+    out = []
+    for X in Xs:
+        X = X.copy()
+        X[:, cont] = (X[:, cont] - mean) / sd
+        out.append(X)
+    return out
+
+
+def _mixed_dataset(seed):
+    """Continuous and one-hot groups interleaved, with constant and -0.0 columns."""
+    g = stream(seed, "test_data", "mixed")
+    n, k = int(g.integers(12, 200)), int(g.integers(2, 5))
+    blocks, groups, start = [], [], 0
+    for j in range(int(g.integers(2, 8))):
+        if j % 2:
+            w = int(g.integers(1, 4))
+            block = np.zeros((n, w))
+            block[np.arange(n), g.integers(0, w, n)] = 1.0
+            groups.append(FeatureGroup(f"c{j}", "categorical", start, w))
+        else:
+            w = 1
+            block = g.standard_normal((n, 1)) * g.uniform(0.1, 100.0) + g.uniform(-50.0, 50.0)
+            groups.append(FeatureGroup(f"x{j}", "continuous", start, 1))
+        blocks.append(block)
+        start += w
+    blocks[0][:] = (3.25, -0.0)[seed % 2]  # zero variance, a signed zero on odd seeds
+    return Dataset(np.concatenate(blocks, axis=1), g.integers(0, k, n), k, groups)
+
+
+def _assert_setup_bitwise(ds, spec):
+    """run_splits with and without standardization against the frozen formulas."""
+    before = (ds.X.tobytes(), ds.labels.tobytes())
+    ref_idx = _reference_split(ds, spec)
+    cont = [grp.start for grp in ds.groups if grp.kind == "continuous"]
+    raw = run_splits(RunConfig(split=spec), ds)
+    scaled = run_splits(RunConfig(split=spec, standardize=True), ds)
+    ref_X = _reference_statistics(ds.X[ref_idx[0]], cont, *(ds.X[i] for i in ref_idx))
+    for part, std, idx, want in zip(raw, scaled, ref_idx, ref_X):
+        assert part.X.tobytes() == ds.X[idx].tobytes()
+        assert part.labels.tobytes() == std.labels.tobytes() == ds.labels[idx].tobytes()
+        assert std.X.shape == want.shape and std.X.tobytes() == want.tobytes()
+        assert std.groups == ds.groups and std.image_hw == ds.image_hw
+        for arr in (part.X, part.labels, std.X, std.labels):
+            assert not arr.flags.writeable
+    assert (ds.X.tobytes(), ds.labels.tobytes()) == before
+
+
+@pytest.mark.filterwarnings("ignore:split .* is missing:UserWarning")
+def test_setup_matches_the_reference_on_mixed_columns():
+    for seed in range(60):
+        fr = stream(seed, "test_data", "fracs").dirichlet([2.0, 1.0, 1.0])
+        spec = SplitSpec(float(fr[0]), float(fr[1]), float(1.0 - fr[0] - fr[1]), seed=seed)
+        _assert_setup_bitwise(_mixed_dataset(seed), spec)
+
+
+def test_setup_matches_the_reference_on_one_column_and_on_images():
+    g = stream(1, "test_data", "setup")
+    one = Dataset(g.standard_normal((90, 1)) * 7.0 + 2.0, g.integers(0, 3, 90), 3)
+    _assert_setup_bitwise(one, SplitSpec(0.6, 0.2, 0.2, seed=4))
+    pixels = np.round(g.random((150, 36)) * 255.0) / 255.0
+    pixels[:, 5] = 0.0  # a pixel that never lights: zero variance
+    images = Dataset(pixels, g.integers(0, 2, 150), 2, image_hw=(6, 6))
+    _assert_setup_bitwise(images, SplitSpec(0.6, 0.2, 0.2, seed=5))
+
+
+def test_setup_matches_the_reference_through_the_donor_path_and_the_warning():
+    # 10 rows at 0.98/0.01/0.01: val and test get their sample from a donor
+    ds = gen_two_gaussians(10, seed=6)
+    spec = SplitSpec(0.98, 0.01, 0.01, seed=1)
+    assert [i.size for i in _reference_split(ds, spec)] == [8, 1, 1]
+    with pytest.warns(UserWarning, match="missing 1 class"):
+        _assert_setup_bitwise(ds, spec)
+    X = stream(2, "test_data", "setup").standard_normal((12, 2))
+    rare = Dataset(X, np.array([0] * 11 + [1]), 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _assert_setup_bitwise(rare, SplitSpec(0.5, 0.25, 0.25, seed=0))
+    assert sorted({str(w.message) for w in caught}) == [
+        "split test is missing 1 class(es)", "split val is missing 1 class(es)"]
+
+
+def test_setup_without_continuous_columns_returns_its_inputs():
+    ds = Dataset(np.eye(4)[np.arange(20) % 4], np.arange(20) % 2, 2,
+                 [FeatureGroup("c", "categorical", 0, 4)])
+    parts = split(ds, SplitSpec(0.5, 0.25, 0.25, seed=0))
+    assert all(a is b for a, b in zip(apply_train_statistics(*parts), parts))

@@ -142,6 +142,31 @@ def test_observer_sees_every_iteration():
     assert all(not a_none and not o_none for _, _, a_none, o_none in seen)
 
 
+def test_naive_mean_w_is_the_mean_of_one_over_each_augmented_batch_size():
+    ds = gen_two_gaussians(200, seed=8)
+    sizes = []
+    history, _ = train(_run(mode="naive", epochs=2), ds,
+                       observer=lambda e, i, b, a, o: sizes.append((e, a.size)))
+    # train split 120 rows, batch 32: the last batch of each epoch has 24
+    assert [s for e, s in sizes if e == 0] == [32, 32, 32, 24]
+    for row in history:
+        per_iter = [1.0 / s for e, s in sizes if e == row.epoch]
+        assert row.mean_w == sum(per_iter) / len(per_iter)
+
+
+def test_single_iteration_epoch_reports_that_iterations_fractions():
+    ds = gen_two_gaussians(200, seed=8)
+    outs = []
+    run = _run(epochs=3, batch_size=500, augment=AugmenterSpec(kind="gaussian_jitter", sigma=3.0))
+    history, _ = train(run, ds, observer=lambda e, i, b, a, o: outs.append((e, i, o)))
+    assert [(e, i) for e, i, _ in outs] == [(0, 0), (1, 0), (2, 0)]
+    for row, (_, _, out) in zip(history, outs):
+        assert row.frac_zero_w == out.frac_zero_weight
+        assert row.frac_label_changed == out.frac_label_changed
+        assert row.mean_w == out.weights.sum() / out.weights.size
+    assert any(row.frac_zero_w > 0 for row in history)
+
+
 def test_metrics_csv_format(tmp_path):
     rows = [MetricsRow(0, 0.5, 0.4, 0.9, 0.1, 0.2, 0.3, 1.5)]
     path = tmp_path / "m.csv"
