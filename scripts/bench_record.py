@@ -1,11 +1,12 @@
 """Run the benchmark several times per workload and write BENCH_<workload>.json.
 
-    python3 scripts/bench_record.py                      # 3 runs per workload, 30 s each
-    python3 scripts/bench_record.py --runs 5 --workloads image_crop
+    python3 scripts/bench_record.py             # 3 runs per workload
+    python3 scripts/bench_record.py --runs 5
 
-From the repository root, it runs `perfbench/run.py --trace 0` N times per
-workload, the workloads round-robin (run i of every workload uses seed
---first-seed + i), and writes one JSON file per workload with:
+It runs `perfbench/run.py --trace 0 --seconds 30` N times for every
+workload in BENCHMARK.json, the workloads round-robin (run i, counted
+from 1, uses seed i), and writes BENCH_<workload>.json at the repository
+root with:
 
 * the commit and whether the tree had uncommitted changes;
 * the `env` line of each run (host, Python, numpy, BLAS);
@@ -13,7 +14,7 @@ workload, the workloads round-robin (run i of every workload uses seed
 * attempted and failed operations, summed over the runs;
 * every `digest` line.
 
-Each run takes about --seconds plus a few seconds of set-up probes.
+Each run takes about 30 s plus a few seconds of set-up probes.
 """
 
 from __future__ import annotations
@@ -79,24 +80,18 @@ def _git(*args: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    names = workloads()
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--runs", type=int, default=3)
-    p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--workloads", nargs="+", choices=names, default=names)
-    p.add_argument("--out", default=ROOT, help="directory for the BENCH_*.json files")
     args = p.parse_args(argv)
     if args.runs < 1:
         p.error("--runs must be >= 1")
     commit = _git("rev-parse", "HEAD")
     dirty = bool(_git("status", "--porcelain"))
-    outputs: dict[str, list[str]] = {w: [] for w in args.workloads}
-    for i in range(args.runs):
-        for workload in args.workloads:
+    outputs: dict[str, list[str]] = {w: [] for w in workloads()}
+    for seed in range(1, args.runs + 1):
+        for workload in outputs:
             cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-                   "--seed", str(args.first_seed + i), "--seconds", str(args.seconds),
-                   "--trace", "0"]
+                   "--seed", str(seed), "--seconds", "30", "--trace", "0"]
             print("running " + " ".join(cmd[1:]), file=sys.stderr)
             proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
             if proc.returncode != 0:
@@ -104,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
             outputs[workload].append(proc.stdout)
     for workload, texts in outputs.items():
-        path = os.path.join(args.out, f"BENCH_{workload}.json")
+        path = os.path.join(ROOT, f"BENCH_{workload}.json")
         with open(path, "w") as f:
             json.dump(summarize(workload, texts, commit, dirty), f, indent=2)
             f.write("\n")

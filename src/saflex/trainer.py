@@ -180,8 +180,7 @@ def train(
     params = init_mlp([data.dim, *run.hidden, k], seed=run.seed)
     optimizer = _Optimizer(run, params)
     cycler = _ValCycler(val_ds, run.effective_val_batch(), run.seed)
-    # only cutmix_tabular reads the column groups
-    groups = data.group_slices() if run.augment.kind == "cutmix_tabular" else None
+    groups = data.group_slices()
     history: list[MetricsRow] = []
     for epoch in range(run.epochs):
         tic = time.perf_counter()
