@@ -12,9 +12,12 @@ root with:
 * the `env` line of each run (host, Python, numpy, BLAS);
 * per end-to-end metric: its unit, median, quartiles and every value;
 * attempted and failed operations, summed over the runs;
-* every `digest` line.
+* every `digest` line;
+* the acceptance margins: the `[criterion N]` lines of one
+  `pytest tests/test_acceptance.py -s` run, the same in every record.
 
-Each run takes about 30 s plus a few seconds of set-up probes.
+Each run takes about 30 s plus a few seconds of set-up probes; the
+acceptance suite adds about half a minute.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -43,7 +47,16 @@ def parse_run(text: str) -> dict:
     }
 
 
-def summarize(workload: str, outputs: list[str], commit: str, dirty: bool) -> dict:
+def acceptance_margins(text: str) -> list[str]:
+    """The `[criterion N] ...` lines of a `pytest tests/test_acceptance.py -s` output.
+
+    pytest's progress dots can precede a line; they are dropped.
+    """
+    return re.findall(r"\[criterion \d+\][^\n]*", text)
+
+
+def summarize(workload: str, outputs: list[str], commit: str, dirty: bool,
+              acceptance: list[str]) -> dict:
     """The record of one workload from the stdout of each of its runs."""
     runs = [parse_run(text) for text in outputs]
     metrics: dict[str, dict] = {}
@@ -65,6 +78,7 @@ def summarize(workload: str, outputs: list[str], commit: str, dirty: bool) -> di
         "attempted": sum(run["result"]["attempted"] for run in runs),
         "failed": sum(run["result"]["failed"] for run in runs),
         "digests": [d for run in runs for d in run["digests"]],
+        "acceptance": acceptance,
     }
 
 
@@ -87,6 +101,16 @@ def main(argv: list[str] | None = None) -> int:
         p.error("--runs must be >= 1")
     commit = _git("rev-parse", "HEAD")
     dirty = bool(_git("status", "--porcelain"))
+    print("running pytest tests/test_acceptance.py -s", file=sys.stderr)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+                           "tests/test_acceptance.py"],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    acceptance = acceptance_margins(proc.stdout)
+    if proc.returncode != 0 or not acceptance:
+        print(proc.stdout + proc.stderr, file=sys.stderr)
+        return 1
     outputs: dict[str, list[str]] = {w: [] for w in workloads()}
     for seed in range(1, args.runs + 1):
         for workload in outputs:
@@ -101,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     for workload, texts in outputs.items():
         path = os.path.join(ROOT, f"BENCH_{workload}.json")
         with open(path, "w") as f:
-            json.dump(summarize(workload, texts, commit, dirty), f, indent=2)
+            json.dump(summarize(workload, texts, commit, dirty, acceptance), f, indent=2)
             f.write("\n")
         print(f"wrote {path}")
     return 0

@@ -66,7 +66,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         else:  # csv_passthrough: validate + re-emit an existing pair
             if not args.input or not args.input_schema:
                 raise ConfigError("csv_passthrough needs --input and --input-schema")
-            ds = datamod.load_csv(args.input, args.input_schema)
+            ds = datamod.load_csv(args.input, args.input_schema, standardize=False)
     except datamod.RangeError as exc:
         raise _renamed(exc, "--") from exc
     os.makedirs(args.out, exist_ok=True)
@@ -78,13 +78,15 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _train_once(cfg: dict, out_dir: str) -> None:
+    # a config or data error exits before anything is written
+    ds = _build_dataset(cfg)
+    run = cfgmod.build_run_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
     resolved = json.loads(json.dumps(cfg))
     resolved["output"]["dir"] = out_dir
     with open(os.path.join(out_dir, "resolved_config.json"), "w") as f:
         f.write(cfgmod.dump(resolved))
-    ds = _build_dataset(cfg)
-    history, params = train(cfgmod.build_run_config(cfg), ds)
+    history, params = train(run, ds)
     write_metrics_csv(history, os.path.join(out_dir, "metrics.csv"))
     save_checkpoint(params, os.path.join(out_dir, "checkpoint.bin"))
     last = history[-1] if history else None

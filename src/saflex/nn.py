@@ -11,8 +11,9 @@ Conventions used throughout the package:
 
 Everything here is a pure function of its inputs. In-place operations
 touch only temporaries a function has just allocated itself, never its
-inputs, a cache array or a parameter vector; the one write to a cache is
-ForwardCache.relu_masks() storing the masks it derives on first use.
+inputs or a parameter vector. Two writes reach a cache: relu_masks()
+stores the masks it derives on first use, and mlp_forward given `reuse`
+overwrites that cache's arrays, which then belong to the cache it returns.
 """
 
 from __future__ import annotations
@@ -195,6 +196,32 @@ class ForwardCache:
             self.masks = [(pre > 0.0).astype(np.float64) for pre in self.pre_activations[:-1]]
         return self.masks
 
+    @classmethod
+    def empty(cls, params: "ModelParams", X: np.ndarray) -> "ForwardCache":
+        """Unset arrays for mlp_forward(params, X, reuse=...) to write into.
+
+        np.empty reserves the memory; the first forward pass writes it.
+        """
+        n = X.shape[0]
+        pre = [np.empty((n, fo)) for _, fo in params.shapes]
+        return cls(X, pre, [np.empty(p.shape) for p in pre[:-1]], pre[-1], np.empty(pre[-1].shape))
+
+    def fits(self, params: "ModelParams", X: np.ndarray) -> bool:
+        """Whether mlp_forward(params, X) can write into this cache's arrays.
+
+        It can when each array has the shape that call makes, and none
+        overlaps X or the parameters.
+        """
+        n = X.shape[0]
+        shapes = [(n, fo) for _, fo in params.shapes]
+        if (self.probs is None or self.probs.shape != shapes[-1]
+                or [p.shape for p in self.pre_activations] != shapes
+                or [a.shape for a in self.activations] != shapes[:-1]):
+            return False
+        arrays = [*self.pre_activations, *self.activations, self.probs]
+        return not any(np.may_share_memory(a, X) or np.may_share_memory(a, params.flat)
+                       for a in arrays)
+
 
 def row_max(x: np.ndarray) -> np.ndarray:
     """Each row's max, as an (n, 1) column.
@@ -220,9 +247,9 @@ def row_sum(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=1, keepdims=True)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row softmax with max subtraction."""
-    z = logits - row_max(logits)
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row softmax with max subtraction, written to `out` when given."""
+    z = np.subtract(logits, row_max(logits), out=out)
     np.exp(z, out=z)
     z /= row_sum(z)
     return z
@@ -234,25 +261,39 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def mlp_forward(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Evaluate the network on a batch; returns (probabilities, cache)."""
+def mlp_forward(
+    params: ModelParams,
+    X: np.ndarray,
+    reuse: ForwardCache | None = None,
+) -> tuple[np.ndarray, ForwardCache]:
+    """Evaluate the network on a batch; returns (probabilities, cache).
+
+    When `reuse` fits (ForwardCache.fits), every layer writes into its
+    arrays instead of fresh ones: the same matmuls on the same shapes, so
+    the values are bitwise those of a fresh call, without the page faults
+    of fresh memory. The returned cache then holds those arrays and no
+    masks; `reuse` must not be read again. A cache that does not fit is
+    left untouched.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
     if X.shape[1] != params.input_dim:
         raise ValueError(f"input dim {X.shape[1]} != model input dim {params.input_dim}")
+    if reuse is not None and not reuse.fits(params, X):
+        reuse = None
     cache = ForwardCache(inputs=X)
     a = X
     last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        pre = a @ w
+        pre = np.matmul(a, w, out=None if reuse is None else reuse.pre_activations[i])
         pre += b
         cache.pre_activations.append(pre)
         if i < last:
-            a = np.maximum(pre, 0.0)
+            a = np.maximum(pre, 0.0, out=None if reuse is None else reuse.activations[i])
             cache.activations.append(a)
-    cache.logits = cache.pre_activations[-1]
-    cache.probs = softmax(cache.logits)
+    cache.logits = pre
+    cache.probs = softmax(pre, out=None if reuse is None else reuse.probs)
     return cache.probs, cache
 
 

@@ -21,7 +21,7 @@ from .augment import AugmenterSpec, apply_augmenter
 from .core import SaflexConfig, SaflexOutput, saflex_gradient
 from .data import Batch, Dataset, SplitSpec, apply_train_statistics, split
 from .losses import ce_from_logits, mean_ce_grad_logits, one_hot
-from .nn import ModelParams, ParamGrad, init_mlp, mlp_backward, mlp_forward
+from .nn import ForwardCache, ModelParams, ParamGrad, init_mlp, mlp_backward, mlp_forward
 from .rng import stream
 
 MODES = ("none", "naive", "saflex")
@@ -83,11 +83,16 @@ class MetricsRow:
 METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow))  # the metrics.csv header
 
 
-def evaluate(params: ModelParams, ds: Dataset) -> tuple[float, float]:
-    """Mean cross-entropy and top-1 accuracy over a dataset."""
+def evaluate(
+    params: ModelParams, ds: Dataset, reuse: ForwardCache | None = None
+) -> tuple[float, float]:
+    """Mean cross-entropy and top-1 accuracy over a dataset.
+
+    The forward pass writes into `reuse` when it fits (nn.mlp_forward).
+    """
     if ds.size == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    probs, cache = mlp_forward(params, ds.X)
+    probs, cache = mlp_forward(params, ds.X, reuse)
     loss = ce_from_logits(cache.logits, ds.labels)
     acc = float((probs.argmax(axis=1) == ds.labels).mean())
     return loss, acc
@@ -151,9 +156,11 @@ def run_splits(run: RunConfig, data: Dataset) -> tuple[Dataset, Dataset, Dataset
     """The (train, val, test) splits a run trains and evaluates on.
 
     With run.standardize, continuous columns are z-scored with the train
-    split's statistics.
+    split's statistics. Every split must be nonempty.
     """
     parts = split(data, run.split)
+    if min(p.size for p in parts) == 0:
+        raise ValueError("every split must be nonempty")
     if run.standardize:
         parts = apply_train_statistics(*parts)
     return parts
@@ -174,10 +181,11 @@ def train(
     (None outside mode "saflex").
     """
     train_ds, val_ds, test_ds = run_splits(run, data)
-    if min(train_ds.size, val_ds.size, test_ds.size) == 0:
-        raise ValueError("every split must be nonempty for training")
     k = data.num_classes
     params = init_mlp([data.dim, *run.hidden, k], seed=run.seed)
+    # each split's evaluation forward writes into the same arrays every epoch
+    train_ws, val_ws, test_ws = (ForwardCache.empty(params, ds.X)
+                                 for ds in (train_ds, val_ds, test_ds))
     optimizer = _Optimizer(run, params)
     cycler = _ValCycler(val_ds, run.effective_val_batch(), run.seed)
     groups = data.group_slices()
@@ -222,9 +230,9 @@ def train(
             params = optimizer.apply(params, grad)
             if observer is not None:
                 observer(epoch, i, base, aug, out)
-        train_loss, _ = evaluate(params, train_ds)
-        val_loss, _ = evaluate(params, val_ds)
-        _, test_acc = evaluate(params, test_ds)
+        train_loss, _ = evaluate(params, train_ds, train_ws)
+        val_loss, _ = evaluate(params, val_ds, val_ws)
+        _, test_acc = evaluate(params, test_ds, test_ws)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise DivergenceError(f"non-finite loss at epoch {epoch}: "
                                   f"train={train_loss}, val={val_loss}")

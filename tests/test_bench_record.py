@@ -40,7 +40,8 @@ def test_summary_of_canned_runs(monkeypatch):
     monkeypatch.setattr(subprocess, "run", no_runs)
     outputs = [_canned(1, 300.0, 1.8), _canned(2, 100.0, None, failed=2),
                _canned(3, 200.0, 1.6), _canned(4, 400.0, 1.7)]
-    rec = bench_record.summarize("image_crop", outputs, "abc123", True)
+    margins = ["[criterion 1] PASS - closed form attains enumerated optimum: 300 instances"]
+    rec = bench_record.summarize("image_crop", outputs, "abc123", True, margins)
     assert (rec["workload"], rec["commit"], rec["dirty"], rec["runs"]) == (
         "image_crop", "abc123", True, 4)
     assert [e["seed"] for e in rec["env"]] == [1, 2, 3, 4]
@@ -54,11 +55,36 @@ def test_summary_of_canned_runs(monkeypatch):
     assert rec["digests"][:2] == ["digest image_crop seed=1 mode=none sha256=ab1",
                                   "digest image_crop oracle-check cd1"]
     assert len(rec["digests"]) == 8
+    assert rec["acceptance"] == margins
     json.dumps(rec)  # the record is plain JSON
+
+
+_PYTEST_OUTPUT = """\
+[criterion 1] PASS - closed form attains enumerated optimum: 300/300 instances, max gap 0.0
+.[criterion 2] PASS - reverse/forward mode vs finite differences: worst rel err 3.1e-07
+.[criterion 9] FAIL - per-epoch overhead: image/crop config: ratio 2.61 (ceiling 2.5); \
+minimal 2-D jitter config ratio 2.17 (context only)
+F
+=================================== FAILURES ===================================
+E   assert 2.61 <= 2.5
+FAILED tests/test_acceptance.py::test_criterion_9_overhead - assert 2.61 <= 2.5
+1 failed, 2 passed in 30.12s
+"""
+
+
+def test_acceptance_margins_are_the_criterion_lines_without_progress_dots():
+    assert bench_record.acceptance_margins(_PYTEST_OUTPUT) == [
+        "[criterion 1] PASS - closed form attains enumerated optimum: 300/300 instances, "
+        "max gap 0.0",
+        "[criterion 2] PASS - reverse/forward mode vs finite differences: worst rel err 3.1e-07",
+        "[criterion 9] FAIL - per-epoch overhead: image/crop config: ratio 2.61 (ceiling 2.5); "
+        "minimal 2-D jitter config ratio 2.17 (context only)",
+    ]
+    assert bench_record.acceptance_margins("3 passed in 1.0s\n") == []
 
 
 def test_output_that_is_not_one_run_is_refused():
     with pytest.raises(ValueError, match="not the output"):
-        bench_record.summarize("jitter2d", ["metric x = 1\n"], "abc", False)
+        bench_record.summarize("jitter2d", ["metric x = 1\n"], "abc", False, [])
     with pytest.raises(ValueError, match="not the output"):
         bench_record.parse_run(_canned(1, 1.0, 1.0) * 2)

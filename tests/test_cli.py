@@ -2,6 +2,7 @@ import json
 import os
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from saflex import core
 from saflex.cli import main
 from saflex.config import DEFAULTS, resolve, ConfigError
 from saflex.data import load_csv
-from saflex.nn import load_checkpoint
+from saflex.nn import init_mlp, load_checkpoint, save_checkpoint
 
 
 def _cfg(tmp_path, name="config.json", **overrides):
@@ -60,12 +61,47 @@ def test_gen_data_csv_passthrough(tmp_path):
     assert rc == 0
     ds = load_csv(os.path.join(out, "data.csv"), os.path.join(out, "schema.csv"))
     assert ds.size == 80
+    # the copy holds the source's values, not a z-scored rewrite of them
+    for name in ("data.csv", "schema.csv"):
+        with open(os.path.join(src, name), "rb") as a, open(os.path.join(out, name), "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_gen_data_rejects_zero_n(tmp_path):
     rc = main(["gen-data", "--n", "0", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert not (tmp_path / "x").exists()  # checked before anything is written
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep-sigma", "0.5,1.0"]])
+def test_failed_config_leaves_no_output_dir(tmp_path, capsys, sweep):
+    cfg = _cfg(tmp_path, data={"kind": "two_moons", "sigma": -1})
+    assert main(["train", "-c", cfg, *sweep]) == 2
+    assert "data.sigma" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()  # checked before anything is written
+
+
+def _empty_train_split_cfg(tmp_path):
+    """A CSV config, so standardized, whose train split is empty."""
+    data_dir = str(tmp_path / "data")
+    assert main(["gen-data", "--n", "100", "--out", data_dir]) == 0
+    return _cfg(tmp_path, data={"kind": "csv", "path": os.path.join(data_dir, "data.csv"),
+                                "schema": os.path.join(data_dir, "schema.csv")},
+                split={"train": 0.0, "val": 0.5, "test": 0.5})
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_empty_split_exits_two_without_warnings(tmp_path, capsys, command):
+    cfg = _empty_train_split_cfg(tmp_path)
+    ckpt = str(tmp_path / "init.bin")
+    save_checkpoint(init_mlp([2, 8, 8, 2]), ckpt)
+    argv = {"train": ["train", "-c", cfg],
+            "eval": ["eval", "-c", cfg, "--checkpoint", ckpt, "--split", "test"]}[command]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the statistics of an empty split would warn
+        assert main(argv) == 2
+    assert capsys.readouterr().err == "error: every split must be nonempty\n"
 
 
 def test_print_config_covers_defaults(capsys):

@@ -5,7 +5,7 @@ from saflex.augment import AugmenterSpec
 from saflex.core import SaflexConfig
 from saflex.data import Dataset, SplitSpec, gen_two_gaussians
 from saflex import trainer as trainer_mod
-from saflex.nn import ModelParams, ParamGrad, init_mlp, mlp_forward
+from saflex.nn import ForwardCache, ModelParams, ParamGrad, init_mlp, mlp_forward, sgd_step
 from saflex.rng import stream
 from saflex.trainer import (
     DivergenceError,
@@ -232,14 +232,54 @@ def test_run_config_validation():
 def test_evaluate_builds_no_relu_masks(monkeypatch):
     caches = []
 
-    def forward(params, X):
-        probs, cache = mlp_forward(params, X)
+    def forward(params, X, reuse=None):
+        probs, cache = mlp_forward(params, X, reuse)
         caches.append(cache)
         return probs, cache
 
     monkeypatch.setattr(trainer_mod, "mlp_forward", forward)
-    evaluate(init_mlp([2, 8, 8, 2], seed=0), gen_two_gaussians(300, seed=1))
-    assert len(caches) == 1 and caches[0].masks is None
+    params, ds = init_mlp([2, 8, 8, 2], seed=0), gen_two_gaussians(300, seed=1)
+    evaluate(params, ds)
+    _, reuse = mlp_forward(params, ds.X)
+    reuse.relu_masks()
+    evaluate(params, ds, reuse)  # writes into a cache that has masks
+    assert len(caches) == 2 and all(c.masks is None for c in caches)
+
+
+def test_evaluate_with_reuse_returns_what_a_fresh_evaluate_does(rng):
+    ds = gen_two_gaussians(500, seed=6)
+    params = init_mlp([2, 16, 16, 2], seed=3)
+    reuse = ForwardCache.empty(params, ds.X)
+    for _ in range(4):
+        assert evaluate(params, ds, reuse) == evaluate(params, ds)
+        grad = ParamGrad([rng.standard_normal(w.shape) for w in params.weights],
+                         [rng.standard_normal(b.shape) for b in params.biases])
+        params = sgd_step(params, grad, 0.5)
+
+
+def test_train_reuses_each_splits_evaluation_arrays_and_numbers_do_not_move(monkeypatch):
+    """Every epoch's evaluation forward of a split writes into the same
+    arrays, and the metrics and parameters equal those of fresh forwards."""
+    ds = gen_two_gaussians(300, seed=0)
+    run = _run(mode="naive", epochs=3)
+    written = []
+
+    def recording_forward(params, X, reuse=None):
+        probs, cache = mlp_forward(params, X, reuse)
+        if reuse is not None:
+            written.append(tuple(id(a) for a in cache.pre_activations + cache.activations))
+        return probs, cache
+
+    monkeypatch.setattr(trainer_mod, "mlp_forward", recording_forward)
+    history, params = train(run, ds)
+    assert len(written) == 9 and len(set(written)) == 3
+    assert written[:3] == written[3:6] == written[6:]
+
+    real_evaluate = trainer_mod.evaluate
+    monkeypatch.setattr(trainer_mod, "evaluate", lambda p, split, reuse=None: real_evaluate(p, split))
+    fresh_history, fresh_params = train(run, ds)
+    assert [r.as_tuple()[:-1] for r in history] == [r.as_tuple()[:-1] for r in fresh_history]
+    assert params.flat.tobytes() == fresh_params.flat.tobytes()
 
 
 def test_val_cycler_batches_are_slices_of_each_shuffled_pass():
