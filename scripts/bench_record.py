@@ -102,11 +102,9 @@ def main(argv: list[str] | None = None) -> int:
     commit = _git("rev-parse", "HEAD")
     dirty = bool(_git("status", "--porcelain"))
     print("running pytest tests/test_acceptance.py -s", file=sys.stderr)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
-                           "tests/test_acceptance.py"],
-                          cwd=ROOT, env=env, capture_output=True, text=True)
+                           "tests/test_acceptance.py"], cwd=ROOT, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
     acceptance = acceptance_margins(proc.stdout)
     if proc.returncode != 0 or not acceptance:
         print(proc.stdout + proc.stderr, file=sys.stderr)
