@@ -20,7 +20,11 @@ Pinned runs:
   train` does for CSV input;
 * the same on a CSV whose continuous columns, one of them constant, are
   separated by a categorical group;
-* `saflex oracle-check --n 1000 --seed 0` stdout.
+* `saflex oracle-check --n 1000 --seed 0` stdout;
+* the raw bytes of both score tables, `core.pi_scores` and
+  `oracle.pi_scores_reverse`, over the first 200 instances of that
+  run, drawn by the CLI's own `oracle_instance`: a last-bit change in a
+  score that flips no decision still shows.
 
 Takes a few seconds. Exits 0 when every run completes.
 """
@@ -38,8 +42,9 @@ import numpy as np
 
 from saflex import cli
 from saflex.augment import AugmenterSpec
-from saflex.core import SaflexConfig
+from saflex.core import SaflexConfig, pi_scores
 from saflex.data import Dataset, SplitSpec, gen_two_gaussians, load_csv
+from saflex.oracle import pi_scores_reverse
 from saflex.rng import stream
 from saflex.trainer import MODES, RunConfig, train
 
@@ -119,6 +124,17 @@ def gapped_csv(tmp: str, n: int = 240) -> Dataset:
     return load_csv(data, schema, standardize=False)
 
 
+def score_table_digest(n: int = 200) -> str:
+    """Both score tables of the first n instances of `oracle-check --seed 0`."""
+    args = cli.build_parser().parse_args(["oracle-check", "--seed", "0"])
+    chunks = []
+    for i in range(n):
+        params, X, g_val = cli.oracle_instance(args.seed, i, args.b, args.k)
+        chunks += [pi_scores(params, X, g_val).tobytes(),
+                   pi_scores_reverse(params, X, g_val).tobytes()]
+    return sha256(*chunks)
+
+
 def cli_digests(tmp: str) -> list[tuple[str, str]]:
     cfg = dict(CRITERION_8, output={"dir": os.path.join(tmp, "criterion8")})
     path = os.path.join(tmp, "config.json")
@@ -150,6 +166,7 @@ def cli_digests(tmp: str) -> list[tuple[str, str]]:
         ("criterion8 resolved_config.json", sha256(resolved.encode())),
         ("train --print-config", sha256(defaults.getvalue().encode())),
         ("oracle-check --n 1000 --seed 0", sha256(out.getvalue().encode())),
+        ("oracle-check --seed 0 score tables, first 200 instances", score_table_digest()),
     ]
 
 

@@ -18,7 +18,7 @@ from . import config as cfgmod
 from . import data as datamod
 from .config import ConfigError
 from .core import SaflexConfig, pi_scores, saflex_assign
-from .nn import init_mlp, load_checkpoint, save_checkpoint, ParamGrad
+from .nn import init_mlp, load_checkpoint, save_checkpoint, ModelParams, ParamGrad
 from .oracle import (
     ENUM_MAX_B,
     ENUM_MAX_K,
@@ -78,15 +78,16 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _train_once(cfg: dict, out_dir: str) -> None:
-    # a config or data error exits before anything is written
+    # a config, data or split error exits before anything is written
     ds = _build_dataset(cfg)
     run = cfgmod.build_run_config(cfg)
+    splits = run_splits(run, ds)
     os.makedirs(out_dir, exist_ok=True)
     resolved = json.loads(json.dumps(cfg))
     resolved["output"]["dir"] = out_dir
     with open(os.path.join(out_dir, "resolved_config.json"), "w") as f:
         f.write(cfgmod.dump(resolved))
-    history, params = train(run, ds)
+    history, params = train(run, ds, splits=splits)
     write_metrics_csv(history, os.path.join(out_dir, "metrics.csv"))
     save_checkpoint(params, os.path.join(out_dir, "checkpoint.bin"))
     last = history[-1] if history else None
@@ -130,6 +131,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def oracle_instance(
+    seed: int, i: int, b_max: int, k: int
+) -> tuple[ModelParams, np.ndarray, ParamGrad]:
+    """Instance i of `oracle-check --seed seed --b b_max --k k`: (params, X, g_val).
+
+    Each instance has its own stream: a 2-to-5-wide input, two hidden
+    layers 4 to 16 wide, 1 to b_max samples and a standard normal g_val.
+    """
+    g = stream(seed, "oracle_instance", i)
+    dims = [int(g.integers(2, 6)), int(g.integers(4, 17)), int(g.integers(4, 17)), k]
+    params = init_mlp(dims, seed=int(g.integers(0, 2**31)))
+    b = int(g.integers(1, b_max + 1))
+    X = g.standard_normal((b, dims[0]))
+    g_val = ParamGrad(
+        [g.standard_normal(w.shape) for w in params.weights],
+        [g.standard_normal(bb.shape) for bb in params.biases],
+    )
+    return params, X, g_val
+
+
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.k < 2:
         raise ConfigError("--k must be >= 2: a single-class task has nothing to assign")
@@ -149,15 +170,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     rule_disagree = 0
     samples = 0
     for i in range(args.n):
-        g = stream(args.seed, "oracle_instance", i)
-        dims = [int(g.integers(2, 6)), int(g.integers(4, 17)), int(g.integers(4, 17)), args.k]
-        params = init_mlp(dims, seed=int(g.integers(0, 2**31)))
-        b = int(g.integers(1, args.b + 1))
-        X = g.standard_normal((b, dims[0]))
-        g_val = ParamGrad(
-            [g.standard_normal(w.shape) for w in params.weights],
-            [g.standard_normal(bb.shape) for bb in params.biases],
-        )
+        params, X, g_val = oracle_instance(args.seed, i, args.b, args.k)
+        b = X.shape[0]
         pi_fast = pi_scores(params, X, g_val)
         out = saflex_assign(pi_fast, np.zeros(b, dtype=np.int64), cfg, rng_unused)
         ours = Assignment(out.soft_labels.argmax(axis=1), out.binary_weights.astype(np.int64))

@@ -11,9 +11,12 @@ Conventions used throughout the package:
 
 Everything here is a pure function of its inputs. In-place operations
 touch only temporaries a function has just allocated itself, never its
-inputs or a parameter vector. Two writes reach a cache: relu_masks()
-stores the masks it derives on first use, and mlp_forward given `reuse`
-overwrites that cache's arrays, which then belong to the cache it returns.
+inputs or a parameter vector, unless the caller hands over an array to
+write: mlp_backward given `out` overwrites every block of that ParamGrad
+and returns it, and mlp_forward given `reuse` overwrites that cache's
+arrays, which then belong to the cache it returns. Two more writes keep
+what is derived on first use: relu_masks() keeps its masks on the cache,
+and ParamGrad.dot keeps its 1-D block views of `flat` on the vector.
 """
 
 from __future__ import annotations
@@ -130,11 +133,25 @@ class ParamGrad(_LayerVector):
         if self.shapes != other.shapes:
             raise ValueError("parameter-vector shapes do not match")
 
+    # the 1-D blocks of `flat` that dot() pairs up, made on its first call
+    _dot_blocks: list[np.ndarray] | None = None
+
+    def _blocks(self) -> list[np.ndarray]:
+        """Every weight block, then every bias, each as its 1-D slice of `flat`.
+
+        A weight block's slice is the memory its ravel() views, so a dot
+        over these slices runs the same ddot on the same elements.
+        """
+        if self._dot_blocks is None:
+            spans, _ = _layout(self.shapes)
+            self._dot_blocks = ([self.flat[w:b] for w, b, _ in spans]
+                                + [self.flat[b:end] for _, b, end in spans])
+        return self._dot_blocks
+
     def dot(self, other: "ParamGrad") -> float:
         """Sum of per-block dots, all weight blocks first, then all biases."""
         self._check_same_shape(other)
-        pairs = zip(self.weights + self.biases, other.weights + other.biases)
-        return sum(float(np.dot(a.ravel(), b.ravel())) for a, b in pairs)
+        return sum(float(a.dot(b)) for a, b in zip(self._blocks(), other._blocks()))
 
     def add_scaled(self, other: "ParamGrad", scale: float) -> "ParamGrad":
         """Return self + scale * other."""
@@ -302,12 +319,14 @@ def mlp_backward(
     cache: ForwardCache,
     dloss_dlogits: np.ndarray,
     rows: slice = slice(None),
+    out: ParamGrad | None = None,
 ) -> ParamGrad:
     """Reverse-mode gradient of a scalar loss with the given logit gradient.
 
     The returned gradient is summed over the batch; divide dloss_dlogits
     by the batch size beforehand for a mean-reduced loss. `rows` picks
-    the cache rows the logit gradient belongs to.
+    the cache rows the logit gradient belongs to. Given `out`, laid out
+    like `params`, every block of it is overwritten and it is returned.
     """
     d = np.asarray(dloss_dlogits, dtype=np.float64)
     if cache.logits is None or d.shape != cache.logits[rows].shape:
@@ -315,7 +334,12 @@ def mlp_backward(
             f"dloss_dlogits shape {d.shape} != logits shape "
             f"{None if cache.logits is None else cache.logits[rows].shape}"
         )
-    grad = ParamGrad.from_flat(np.empty(params.flat.size), params.shapes)
+    if out is None:
+        grad = ParamGrad.from_flat(np.empty(params.flat.size), params.shapes)
+    elif out.shapes != params.shapes:
+        raise ValueError(f"out laid out for {out.shapes}, not the parameters' {params.shapes}")
+    else:
+        grad = out
     masks = cache.relu_masks()
     delta = d
     for i in range(params.n_layers - 1, -1, -1):

@@ -66,18 +66,30 @@ def pi_scores_reverse(params: ModelParams, X: np.ndarray, g_val: ParamGrad) -> n
 
     For sample i and class k, backpropagate the per-class loss -log p_k
     (logit gradient p - e_k) and take the parameter-space inner product
-    with g_val. Shares no code with the forward-mode fast path.
+    with g_val. Shares no code with the forward-mode fast path. A 1-D X
+    is one sample. Every backward pass writes into one gradient buffer,
+    one row and one class at a time: a multi-row product can differ from
+    the 1-row one in the last bit.
     """
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[None, :]
+    if X.ndim != 2 or X.shape[1] != params.input_dim:
+        raise ValueError(f"X of shape {X.shape} is not a batch of {params.input_dim}-wide samples")
+    if g_val.shapes != params.shapes:
+        raise ValueError(f"g_val laid out for {g_val.shapes}, not the parameters' {params.shapes}")
     b = X.shape[0]
     k = params.n_classes
     out = np.empty((b, k))
     eye = np.eye(k)
+    grad = ParamGrad.zeros_like(params)
     for i in range(b):
         probs_i, cache_i = mlp_forward(params, X[i : i + 1])
+        # row c is bitwise probs_i - eye[c : c + 1]
+        dlogits = probs_i - eye
         for c in range(k):
-            g_ic = mlp_backward(params, cache_i, probs_i - eye[c : c + 1])
-            out[i, c] = param_dot(g_ic, g_val)
+            mlp_backward(params, cache_i, dlogits[c : c + 1], out=grad)
+            out[i, c] = param_dot(grad, g_val)
     return out
 
 

@@ -90,18 +90,20 @@ def _empty_train_split_cfg(tmp_path):
                 split={"train": 0.0, "val": 0.5, "test": 0.5})
 
 
-@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("command", ["train", "train_sweep", "eval"])
 def test_empty_split_exits_two_without_warnings(tmp_path, capsys, command):
     cfg = _empty_train_split_cfg(tmp_path)
     ckpt = str(tmp_path / "init.bin")
     save_checkpoint(init_mlp([2, 8, 8, 2]), ckpt)
     argv = {"train": ["train", "-c", cfg],
+            "train_sweep": ["train", "-c", cfg, "--sweep-sigma", "0.5,1.0"],
             "eval": ["eval", "-c", cfg, "--checkpoint", ckpt, "--split", "test"]}[command]
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the statistics of an empty split would warn
         assert main(argv) == 2
     assert capsys.readouterr().err == "error: every split must be nonempty\n"
+    assert not (tmp_path / "run").exists()  # checked before anything is written
 
 
 def test_print_config_covers_defaults(capsys):

@@ -345,6 +345,49 @@ def test_backward_writes_a_fresh_vector(rng):
     assert not np.shares_memory(g1.flat, g2.flat)
 
 
+def _nan_grad(params):
+    return ParamGrad.from_flat(np.full(params.flat.size, np.nan), params.shapes)
+
+
+@pytest.mark.parametrize("rows", [slice(None), slice(0, 5), slice(5, 12)])
+def test_backward_into_out_is_bitwise_a_fresh_backward(rng, rows):
+    # slice(0, 5) and slice(5, 12) are the two halves of a stacked cache
+    for seed in range(20):
+        dims = (int(rng.integers(1, 5)), int(rng.integers(1, 9)), int(rng.integers(1, 9)),
+                int(rng.integers(1, 7)))
+        params = small_mlp(dims=dims, seed=seed)
+        _, cache = mlp_forward(params, rng.standard_normal((12, dims[0])))
+        d = rng.standard_normal((len(range(*rows.indices(12))), dims[-1]))
+        buf = _nan_grad(params)
+        got = mlp_backward(params, cache, d, rows, out=buf)
+        assert got is buf
+        assert got.flat.tobytes() == mlp_backward(params, cache, d, rows).flat.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(3, 8, 6, 5), (3, 8, 4), (3, 6, 8, 4)])
+def test_backward_rejects_an_out_of_another_layout(rng, dims):
+    params = small_mlp()
+    _, cache = mlp_forward(params, rng.standard_normal((2, 3)))
+    buf = _nan_grad(small_mlp(dims=dims))
+    with pytest.raises(ValueError, match="out laid out"):
+        mlp_backward(params, cache, rng.standard_normal((2, 4)), out=buf)
+    assert np.isnan(buf.flat).all()
+
+
+def test_dot_is_bitwise_the_sum_of_raveled_block_dots(rng):
+    for _ in range(300):
+        n_layers = int(rng.integers(1, 4))
+        dims = [int(d) for d in rng.integers(1, 20, size=n_layers + 1)]
+        dims[int(rng.integers(0, n_layers + 1))] = 1  # a 1-wide layer in every layout
+        params = init_mlp(dims)
+        a, b = random_grad(params, rng), random_grad(params, rng, scale=1e3)
+        for _ in range(2):  # the second dot reads blocks made by the first
+            pairs = zip(a.weights + a.biases, b.weights + b.biases)
+            old = sum(float(np.dot(x.ravel(), y.ravel())) for x, y in pairs)
+            assert np.float64(a.dot(b)).tobytes() == np.float64(old).tobytes()
+            a.flat[:] = rng.standard_normal(a.flat.size)
+
+
 def test_checkpoint_every_strict_prefix_rejected(tmp_path):
     path = tmp_path / "ck.bin"
     save_checkpoint(small_mlp(dims=(2, 3, 2)), str(path))

@@ -5,8 +5,11 @@ from conftest import random_grad, small_mlp
 from saflex.core import closed_form_assignment, pi_scores, validation_gradient
 from saflex.data import Batch
 from saflex.losses import hard_ce, one_hot
-from saflex.nn import ModelParams, ParamGrad, mlp_forward
+from saflex.cli import oracle_instance
+from saflex.nn import ModelParams, ParamGrad, mlp_backward, mlp_forward
 from saflex.oracle import (
+    ENUM_MAX_B,
+    ENUM_MAX_K,
     Assignment,
     assignment_objective,
     enumerate_optimum_scores,
@@ -48,6 +51,57 @@ def test_reverse_scores_match_fast_path(rng):
     fast = pi_scores(params, X, g_val)
     slow = pi_scores_reverse(params, X, g_val)
     np.testing.assert_allclose(fast, slow, atol=1e-10)
+
+
+def _reverse_scores_reference(params, X, g_val):
+    """One fresh backward per sample and class, dotted block by raveled block."""
+    k = params.n_classes
+    out = np.empty((X.shape[0], k))
+    for i in range(X.shape[0]):
+        probs_i, cache_i = mlp_forward(params, X[i : i + 1])
+        for c in range(k):
+            g_ic = mlp_backward(params, cache_i, probs_i - np.eye(k)[c : c + 1])
+            pairs = zip(g_ic.weights + g_ic.biases, g_val.weights + g_val.biases)
+            out[i, c] = sum(float(np.dot(a.ravel(), b.ravel())) for a, b in pairs)
+    return out
+
+
+@pytest.mark.parametrize("k", range(2, ENUM_MAX_K + 1))
+def test_reverse_scores_are_bitwise_one_backward_per_sample_and_class(k):
+    for i in range(25):
+        params, X, g_val = oracle_instance(9, i, ENUM_MAX_B, k)
+        got = pi_scores_reverse(params, X, g_val)
+        assert got.tobytes() == _reverse_scores_reference(params, X, g_val).tobytes()
+
+
+def test_reverse_scores_take_a_1d_sample_as_one_row(rng):
+    params = small_mlp(dims=(3, 9, 7, 4), seed=13)
+    x = rng.standard_normal(3)
+    g_val = random_grad(params, rng)
+    got = pi_scores_reverse(params, x, g_val)
+    assert got.shape == (1, 4)
+    assert got.tobytes() == pi_scores_reverse(params, x[None, :], g_val).tobytes()
+    np.testing.assert_allclose(got, pi_scores(params, x, g_val), atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (2, 5), (2, 1, 3)])
+def test_reverse_scores_reject_the_inputs_the_fast_path_rejects(rng, shape):
+    params = small_mlp(dims=(3, 9, 7, 4), seed=13)
+    X, g_val = np.zeros(shape), random_grad(params, rng)
+    with pytest.raises(ValueError):
+        pi_scores(params, X, g_val)
+    with pytest.raises(ValueError, match="is not a batch of 3-wide samples"):
+        pi_scores_reverse(params, X, g_val)
+
+
+@pytest.mark.parametrize("b", [0, 3])
+def test_reverse_scores_reject_a_g_val_of_another_layout(rng, b):
+    params = small_mlp(dims=(3, 9, 7, 4), seed=13)
+    g_val = random_grad(small_mlp(dims=(3, 9, 7, 5)), rng)
+    with pytest.raises(ValueError, match="g_val laid out"):
+        pi_scores_reverse(params, rng.standard_normal((b, 3)), g_val)
+    with pytest.raises(ValueError):
+        pi_scores(params, rng.standard_normal((3, 3)), g_val)
 
 
 def test_enumerate_all_negative_drops_everything():
