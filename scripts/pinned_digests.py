@@ -24,7 +24,9 @@ Pinned runs:
 * the raw bytes of both score tables, `core.pi_scores` and
   `oracle.pi_scores_reverse`, over the first 200 instances of that
   run, drawn by the CLI's own `oracle_instance`: a last-bit change in a
-  score that flips no decision still shows.
+  score that flips no decision still shows;
+* the features and labels of both CSVs loaded with `standardize=True`
+  (z-scored over the file), and of one `gen_two_moons` dataset.
 
 Takes a few seconds. Exits 0 when every run completes.
 """
@@ -43,7 +45,7 @@ import numpy as np
 from saflex import cli
 from saflex.augment import AugmenterSpec
 from saflex.core import SaflexConfig, pi_scores
-from saflex.data import Dataset, SplitSpec, gen_two_gaussians, load_csv
+from saflex.data import Dataset, SplitSpec, gen_two_gaussians, gen_two_moons, load_csv
 from saflex.oracle import pi_scores_reverse
 from saflex.rng import stream
 from saflex.trainer import MODES, RunConfig, train
@@ -81,6 +83,10 @@ def train_digest(run: RunConfig, data: Dataset) -> str:
     return sha256(rows.encode(), repr(params.shapes).encode(), params.flat.tobytes())
 
 
+def dataset_digest(ds: Dataset) -> str:
+    return sha256(repr(ds.X.shape).encode(), ds.X.tobytes(), ds.labels.tobytes())
+
+
 def blob_images(n: int = 400, hw: int = 8) -> Dataset:
     g = stream(0, "pinned_digests", "images")
     labels = g.integers(0, 2, size=n)
@@ -92,7 +98,7 @@ def blob_images(n: int = 400, hw: int = 8) -> Dataset:
     return Dataset(imgs.reshape(n, hw * hw), labels, 2, image_hw=(hw, hw))
 
 
-def tabular_csv(tmp: str, n: int = 300) -> Dataset:
+def tabular_csv(tmp: str, n: int = 300) -> tuple[str, str]:
     """Three classes, two continuous columns and a 3-level categorical one."""
     g = stream(0, "pinned_digests", "csv")
     labels = g.integers(0, 3, size=n)
@@ -105,10 +111,10 @@ def tabular_csv(tmp: str, n: int = 300) -> Dataset:
             f.write(f"{float(a)!r},{float(b)!r},{('red', 'green', 'blue')[c]},class{y}\n")
     with open(schema, "w") as f:
         f.write("x0,continuous\nx1,continuous\ncolor,categorical,3\nlabel,label\n")
-    return load_csv(data, schema, standardize=False)
+    return data, schema
 
 
-def gapped_csv(tmp: str, n: int = 240) -> Dataset:
+def gapped_csv(tmp: str, n: int = 240) -> tuple[str, str]:
     """Three classes; continuous columns on both sides of a categorical one, one constant."""
     g = stream(0, "pinned_digests", "gapped csv")
     labels = g.integers(0, 3, size=n)
@@ -121,7 +127,7 @@ def gapped_csv(tmp: str, n: int = 240) -> Dataset:
             f.write(f"{float(a)!r},{('disc', 'ring', 'star')[c]},{float(b)!r},2.5,class{y}\n")
     with open(schema, "w") as f:
         f.write("x0,continuous\nshape,categorical,3\nx1,continuous\nflat,continuous\nlabel,label\n")
-    return load_csv(data, schema, standardize=False)
+    return data, schema
 
 
 def score_table_digest(n: int = 200) -> str:
@@ -173,8 +179,9 @@ def cli_digests(tmp: str) -> list[tuple[str, str]]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         lines = cli_digests(tmp)
-        tabular = tabular_csv(tmp)
-        gapped = gapped_csv(tmp)
+        csvs = {"tabular": tabular_csv(tmp), "gapped": gapped_csv(tmp)}
+        tabular, gapped = (load_csv(*paths, standardize=False) for paths in csvs.values())
+        zscored = [(name, load_csv(*paths, standardize=True)) for name, paths in csvs.items()]
     gaussians = gen_two_gaussians(400, sigma=1.0, seed=3)
     for mode in MODES:
         for opt_name, opt in OPTIMIZERS.items():
@@ -214,6 +221,10 @@ def main() -> int:
             split=SplitSpec(0.6, 0.2, 0.2, seed=4), standardize=True, seed=4,
         )
         lines.append((f"train {mode} sgd cutmix_tabular gapped csv k3", train_digest(run, gapped)))
+    for name, ds in zscored:
+        lines.append((f"load_csv {name} csv standardize=True", dataset_digest(ds)))
+    # positional, so the line reads the same whatever the spread parameter is named
+    lines.append(("gen_two_moons 400 0.2 seed 7", dataset_digest(gen_two_moons(400, 0.2, 7))))
     for name, digest in lines:
         print(f"{digest}  {name}")
     return 0

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Batch
+from .losses import one_hot
 
 KINDS = ("gaussian_jitter", "crop_flip", "mixup", "cutmix_tabular", "label_noise")
 
@@ -93,8 +94,8 @@ def mixup(
     lam_val = float(rng.beta(alpha, alpha)) if lam is None else float(lam)
     perm = rng.permutation(batch.size)
     X = lam_val * batch.X + (1.0 - lam_val) * batch.X[perm]
-    eye = np.eye(num_classes)
-    soft = lam_val * eye[batch.hard_labels] + (1.0 - lam_val) * eye[batch.hard_labels[perm]]
+    soft = (lam_val * one_hot(batch.hard_labels, num_classes)
+            + (1.0 - lam_val) * one_hot(batch.hard_labels[perm], num_classes))
     hard = np.where(lam_val >= 0.5, batch.hard_labels, batch.hard_labels[perm])
     return Batch(X, hard, soft_labels=soft, image_hw=batch.image_hw)
 

@@ -31,12 +31,6 @@ from .rng import stream, thread_cap
 from .trainer import DivergenceError, evaluate, run_splits, train, write_metrics_csv
 
 
-def _renamed(exc: datamod.RangeError, prefix: str) -> ConfigError:
-    """A generator's range error, named after its data.* config key or gen-data flag."""
-    name = "sigma" if exc.name == "noise" else exc.name  # two_moons' noise is data.sigma
-    return ConfigError(f"{prefix}{name} {exc.rule}")
-
-
 def _build_dataset(cfg: dict) -> datamod.Dataset:
     d = cfg["data"]
     kind = d["kind"]
@@ -45,12 +39,12 @@ def _build_dataset(cfg: dict) -> datamod.Dataset:
             return datamod.gen_two_gaussians(d["n"], d["means"], d["sigma"], d["seed"])
         if kind == "two_moons":
             return datamod.gen_two_moons(d["n"], d["sigma"], d["seed"])
-    except datamod.RangeError as exc:
-        raise _renamed(exc, "data.") from exc
+    except datamod.RangeError as exc:  # named after its data.* config key
+        raise ConfigError(f"data.{exc}") from exc
     if kind == "csv":
         path = cfgmod.require(cfg, "data", "path")
         schema = cfgmod.require(cfg, "data", "schema")
-        return datamod.load_csv(path, schema, standardize=False)
+        return datamod.load_csv(path, schema)
     if kind == "images":
         path = cfgmod.require(cfg, "data", "path")
         return datamod.load_images_raw(path)
@@ -62,13 +56,13 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         if args.kind == "two_gaussians":
             ds = datamod.gen_two_gaussians(args.n, sigma=args.sigma, seed=args.seed)
         elif args.kind == "two_moons":
-            ds = datamod.gen_two_moons(args.n, noise=args.sigma, seed=args.seed)
+            ds = datamod.gen_two_moons(args.n, sigma=args.sigma, seed=args.seed)
         else:  # csv_passthrough: validate + re-emit an existing pair
             if not args.input or not args.input_schema:
                 raise ConfigError("csv_passthrough needs --input and --input-schema")
-            ds = datamod.load_csv(args.input, args.input_schema, standardize=False)
-    except datamod.RangeError as exc:
-        raise _renamed(exc, "--") from exc
+            ds = datamod.load_csv(args.input, args.input_schema)
+    except datamod.RangeError as exc:  # named after its gen-data flag
+        raise ConfigError(f"--{exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     data_path = os.path.join(args.out, "data.csv")
     schema_path = os.path.join(args.out, "schema.csv")
@@ -77,32 +71,12 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_once(cfg: dict, out_dir: str) -> None:
-    # a config, data or split error exits before anything is written
-    ds = _build_dataset(cfg)
-    run = cfgmod.build_run_config(cfg)
-    splits = run_splits(run, ds)
-    os.makedirs(out_dir, exist_ok=True)
-    resolved = json.loads(json.dumps(cfg))
-    resolved["output"]["dir"] = out_dir
-    with open(os.path.join(out_dir, "resolved_config.json"), "w") as f:
-        f.write(cfgmod.dump(resolved))
-    history, params = train(run, ds, splits=splits)
-    write_metrics_csv(history, os.path.join(out_dir, "metrics.csv"))
-    save_checkpoint(params, os.path.join(out_dir, "checkpoint.bin"))
-    last = history[-1] if history else None
-    if last is not None:
-        print(f"{out_dir}: epoch {last.epoch} val_loss={last.val_loss:.6f} "
-              f"test_acc={last.test_acc:.4f}")
-    else:
-        print(f"{out_dir}: no epochs run")
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     if not args.config:
         raise ConfigError("train needs --config (or use --print-config for defaults)")
     cfg = cfgmod.load_config(args.config)
     out_dir = args.output_dir or cfg["output"]["dir"]
+    points = [(cfg, out_dir)]
     if args.sweep_sigma:
         try:
             sigmas = [float(s) for s in args.sweep_sigma.split(",") if s.strip()]
@@ -110,13 +84,29 @@ def cmd_train(args: argparse.Namespace) -> int:
             sigmas = []
         if not sigmas or not all(0 <= s < np.inf for s in sigmas):
             raise ConfigError(f"--sweep-sigma wants finite numbers >= 0, got {args.sweep_sigma!r}")
+        points = []
         for sigma in sigmas:
             point = json.loads(json.dumps(cfg))
             point["augment"]["sigma"] = sigma
             tag = repr(sigma).replace(".", "p")
-            _train_once(point, os.path.join(out_dir, f"sigma_{tag}"))
-        return 0
-    _train_once(cfg, out_dir)
+            points.append((point, os.path.join(out_dir, f"sigma_{tag}")))
+    ds = _build_dataset(cfg)  # the points differ only in augment.sigma: one load serves all
+    for point, run_dir in points:
+        # a run that fails (exit 2 or 3) writes nothing
+        history, params = train(cfgmod.build_run_config(point), ds)
+        os.makedirs(run_dir, exist_ok=True)
+        resolved = json.loads(json.dumps(point))
+        resolved["output"]["dir"] = run_dir
+        with open(os.path.join(run_dir, "resolved_config.json"), "w") as f:
+            f.write(cfgmod.dump(resolved))
+        write_metrics_csv(history, os.path.join(run_dir, "metrics.csv"))
+        save_checkpoint(params, os.path.join(run_dir, "checkpoint.bin"))
+        if history:
+            last = history[-1]
+            print(f"{run_dir}: epoch {last.epoch} val_loss={last.val_loss:.6f} "
+                  f"test_acc={last.test_acc:.4f}")
+        else:
+            print(f"{run_dir}: no epochs run")
     return 0
 
 
@@ -124,6 +114,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = cfgmod.load_config(args.config)
     params = load_checkpoint(args.checkpoint)
     ds = _build_dataset(cfg)
+    if params.n_classes != ds.num_classes:
+        raise ValueError(f"the checkpoint has {params.n_classes} classes, "
+                         f"the data has {ds.num_classes}")
     tr, va, te = run_splits(cfgmod.build_run_config(cfg), ds)
     part = {"train": tr, "val": va, "test": te}[args.split]
     loss, acc = evaluate(params, part)

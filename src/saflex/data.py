@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .losses import check_labels, check_simplex_rows, one_hot
 from .rng import stream
 
 IMAGE_MAGIC = b"SFIM1"
@@ -51,10 +52,7 @@ class Batch:
             self.soft_labels = np.asarray(self.soft_labels, dtype=np.float64)
             if self.soft_labels.shape[0] != self.X.shape[0]:
                 raise ValueError("soft labels must have one row per sample")
-            if np.any(self.soft_labels < -1e-9):
-                raise ValueError("soft labels must be nonnegative")
-            if np.any(np.abs(self.soft_labels.sum(axis=1) - 1.0) > 1e-9):
-                raise ValueError("soft label rows must sum to 1")
+            check_simplex_rows(self.soft_labels, "soft labels")
 
     @property
     def size(self) -> int:
@@ -90,8 +88,7 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.X.ndim != 2 or self.labels.shape != (self.X.shape[0],):
             raise ValueError("X must be (n, d) with one label per row")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise ValueError(f"labels must lie in [0, {self.num_classes})")
+        check_labels(self.labels, self.num_classes)
         if not self.groups:
             self.groups = [
                 FeatureGroup(f"x{j}", "continuous", j, 1) for j in range(self.X.shape[1])
@@ -124,12 +121,7 @@ class Dataset:
 
 
 class RangeError(ValueError):
-    """A generator argument outside its range: `name` is the argument, `rule` the rest."""
-
-    def __init__(self, name: str, rule: str):
-        super().__init__(f"{name} {rule}")
-        self.name = name
-        self.rule = rule
+    """A generator argument outside its range; the message starts with the argument's name."""
 
 
 def gen_two_gaussians(
@@ -140,15 +132,15 @@ def gen_two_gaussians(
 ) -> Dataset:
     """Balanced binary 2-D task: class c drawn from N(mean_c, sigma^2 I)."""
     if n < 2:
-        raise RangeError("n", f"must be >= 2, got {n}")
+        raise RangeError(f"n must be >= 2, got {n}")
     if not 0 < sigma < np.inf:
-        raise RangeError("sigma", f"must be a finite number > 0, got {sigma}")
+        raise RangeError(f"sigma must be a finite number > 0, got {sigma}")
     try:
         mu = np.asarray(means, dtype=np.float64)
     except ValueError:  # ragged rows
         mu = np.empty(0)
     if mu.shape != (2, 2) or not np.isfinite(mu).all():
-        raise RangeError("means", f"must be a finite 2x2 array, got {means}")
+        raise RangeError(f"means must be a finite 2x2 array, got {means}")
     rng = stream(seed, "two_gaussians")
     n0 = n // 2
     counts = (n0, n - n0)
@@ -162,12 +154,12 @@ def gen_two_gaussians(
     return Dataset(X[order], y[order], 2)
 
 
-def gen_two_moons(n: int, noise: float = 0.1, seed: int = 0) -> Dataset:
-    """Two interleaved half circles with Gaussian noise."""
+def gen_two_moons(n: int, sigma: float = 0.1, seed: int = 0) -> Dataset:
+    """Two interleaved half circles with Gaussian noise of std sigma."""
     if n < 2:
-        raise RangeError("n", f"must be >= 2, got {n}")
-    if not 0 <= noise < np.inf:
-        raise RangeError("noise", f"must be a finite number >= 0, got {noise}")
+        raise RangeError(f"n must be >= 2, got {n}")
+    if not 0 <= sigma < np.inf:
+        raise RangeError(f"sigma must be a finite number >= 0, got {sigma}")
     rng = stream(seed, "two_moons")
     n0 = n // 2
     n1 = n - n0
@@ -175,7 +167,7 @@ def gen_two_moons(n: int, noise: float = 0.1, seed: int = 0) -> Dataset:
     t1 = np.pi * rng.random(n1)
     outer = np.stack([np.cos(t0), np.sin(t0)], axis=1)
     inner = np.stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)], axis=1)
-    X = np.concatenate([outer, inner]) + noise * rng.standard_normal((n, 2))
+    X = np.concatenate([outer, inner]) + sigma * rng.standard_normal((n, 2))
     y = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
     order = rng.permutation(n)
     return Dataset(X[order], y[order], 2)
@@ -216,11 +208,18 @@ def write_schema(schema: list[tuple[str, str, int | None]], schema_path: str) ->
             w.writerow([name, kind] if card is None else [name, kind, card])
 
 
-def load_csv(path: str, schema_path: str, standardize: bool = True) -> Dataset:
+def _codes(raw: list[str]) -> tuple[list[str], np.ndarray]:
+    """A column's sorted distinct values, and each entry's index among them."""
+    values = sorted(set(raw))
+    lut = {v: i for i, v in enumerate(values)}
+    return values, np.array([lut[v] for v in raw], dtype=np.int64)
+
+
+def load_csv(path: str, schema_path: str, standardize: bool = False) -> Dataset:
     """Load a header'd CSV against a schema.
 
-    Continuous columns are z-scored over the file (idempotent: already
-    standardized data passes through unchanged); categorical columns are
+    Continuous columns are returned raw, or with standardize=True z-scored
+    over the file by apply_train_statistics; categorical columns are
     one-hot expanded over their sorted observed values. A row whose field
     count differs from the header's, or a continuous value that is not a
     finite number, raises ValueError naming the file, line and column.
@@ -253,17 +252,12 @@ def load_csv(path: str, schema_path: str, standardize: bool = True) -> Dataset:
     n = len(rows)
     blocks: list[np.ndarray] = []
     groups: list[FeatureGroup] = []
-    labels = None
-    label_values: list[str] | None = None
     start = 0
-    for name, kind, card in schema:
+    for name, kind, card in schema:  # read_schema allows exactly one label column
         raw = cols[name]
         if kind == "label":
-            label_values = sorted(set(raw))
-            lut = {v: i for i, v in enumerate(label_values)}
-            labels = np.array([lut[v] for v in raw], dtype=np.int64)
-            continue
-        if kind == "continuous":
+            label_values, labels = _codes(raw)
+        elif kind == "continuous":
             try:
                 x = np.array([float(v) for v in raw], dtype=np.float64)
             except ValueError as exc:
@@ -274,31 +268,23 @@ def load_csv(path: str, schema_path: str, standardize: bool = True) -> Dataset:
                 raise ValueError(
                     f"{path}:{lines[i]}: non-finite value {raw[i]!r} in column {name!r}"
                 )
-            if standardize:
-                sd = x.std()
-                x = (x - x.mean()) / (sd if sd > 0 else 1.0)
             blocks.append(x[:, None])
             groups.append(FeatureGroup(name, "continuous", start, 1))
             start += 1
         else:
-            values = sorted(set(raw))
+            values, codes = _codes(raw)
             if card is not None and len(values) > card:
-                extra = [v for v in values][card:]
                 raise ValueError(
-                    f"{path}: column {name!r} has unknown category {extra[0]!r} "
+                    f"{path}: column {name!r} has unknown category {values[card]!r} "
                     f"(cardinality {card}, saw {len(values)} values)"
                 )
-            lut = {v: i for i, v in enumerate(values)}
             width = card if card is not None else len(values)
-            block = np.zeros((n, width))
-            block[np.arange(n), [lut[v] for v in raw]] = 1.0
-            blocks.append(block)
+            blocks.append(one_hot(codes, width))
             groups.append(FeatureGroup(name, "categorical", start, width, values))
             start += width
-    if labels is None or label_values is None:
-        raise ValueError(f"{schema_path}: no label column")
     X = np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
-    return Dataset(X, labels, len(label_values), groups, label_values)
+    ds = Dataset(X, labels, len(label_values), groups, label_values)
+    return apply_train_statistics(ds)[0] if standardize else ds
 
 
 def save_csv(ds: Dataset, path: str, schema_path: str) -> None:
@@ -353,6 +339,8 @@ def load_images_raw(path: str) -> Dataset:
     if len(blob) < off + 16:
         raise ValueError(f"truncated image file header in {path!r}")
     n, h, w, k = struct.unpack_from("<IIII", blob, off)
+    if not 1 <= k <= 256:  # uint8 labels name at most 256 classes; more only inflate the model
+        raise ValueError(f"image file {path!r} declares {k} classes; uint8 labels allow 1 to 256")
     off += 16
     expected = off + n * h * w + n
     if len(blob) != expected:

@@ -33,7 +33,8 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def _check_simplex_rows(y: np.ndarray, name: str, tol: float = 1e-9) -> None:
+def check_simplex_rows(y: np.ndarray, name: str, tol: float = 1e-9) -> None:
+    """ValueError unless every row of y is nonnegative and sums to 1, within tol."""
     if np.any(y < -tol):
         raise ValueError(f"{name} has negative entries")
     if np.any(np.abs(y.sum(axis=1) - 1.0) > tol):
@@ -123,12 +124,12 @@ def ce_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
 
     Equals hard_ce(softmax(logits), labels) but cannot underflow when a
     row is saturated. Non-finite logits yield nan rather than raising, so
-    divergence guards can observe the failure.
+    divergence guards can observe the failure; labels out of range raise.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ValueError("logits must be 2-D")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = check_labels(labels, logits.shape[1])
     if labels.shape != (logits.shape[0],):
         raise ValueError("labels shape mismatch")
     # the label entries of log_softmax(logits), without the full matrix;
@@ -187,7 +188,7 @@ class ContrastiveBatch:
             self.proxy_labels = check_matrix(self.proxy_labels, "proxy_labels")
             if self.proxy_labels.shape != (b, b):
                 raise ValueError("proxy_labels must be (B, B)")
-            _check_simplex_rows(self.proxy_labels, "proxy_labels")
+            check_simplex_rows(self.proxy_labels, "proxy_labels")
 
     @property
     def size(self) -> int:

@@ -173,16 +173,14 @@ def train(
     run: RunConfig,
     data: Dataset,
     observer: Observer | None = None,
-    splits: tuple[Dataset, Dataset, Dataset] | None = None,
 ) -> tuple[list[MetricsRow], ModelParams]:
     """Train per the config; returns (per-epoch metrics, final parameters).
 
     The observer, when given, sees every iteration's base minibatch,
     augmented minibatch (None in mode "none"), and assignment output
-    (None outside mode "saflex"). `splits`, when given, is what
-    run_splits(run, data) returned, so a caller can check it first.
+    (None outside mode "saflex").
     """
-    train_ds, val_ds, test_ds = run_splits(run, data) if splits is None else splits
+    train_ds, val_ds, test_ds = run_splits(run, data)
     k = data.num_classes
     params = init_mlp([data.dim, *run.hidden, k], seed=run.seed)
     # each split's evaluation forward writes into the same arrays every epoch

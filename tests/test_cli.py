@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from saflex import core
+from saflex import cli, core
 from saflex.cli import main
 from saflex.config import DEFAULTS, resolve, ConfigError
 from saflex.data import load_csv
@@ -75,10 +75,14 @@ def test_gen_data_rejects_zero_n(tmp_path):
 
 @pytest.mark.parametrize("sweep", [[], ["--sweep-sigma", "0.5,1.0"]])
 def test_failed_config_leaves_no_output_dir(tmp_path, capsys, sweep):
-    cfg = _cfg(tmp_path, data={"kind": "two_moons", "sigma": -1})
-    assert main(["train", "-c", cfg, *sweep]) == 2
-    assert "data.sigma" in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()  # checked before anything is written
+    cases = [
+        ({"data": {"kind": "two_moons", "sigma": -1}}, "data.sigma"),  # fails before training
+        ({"augment": {"kind": "crop_flip"}}, "crop_flip needs"),  # fails in the first step
+    ]
+    for overrides, message in cases:
+        assert main(["train", "-c", _cfg(tmp_path, **overrides), *sweep]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()  # a run writes only after it succeeds
 
 
 def _empty_train_split_cfg(tmp_path):
@@ -135,6 +139,11 @@ def test_missing_required_key_named(tmp_path, capsys):
     assert "data.path" in capsys.readouterr().err
 
 
+def _stable_metrics(path):
+    with open(path) as f:
+        return [line.rsplit(",", 1)[0] for line in f.read().splitlines()]  # no wall clock
+
+
 def test_train_writes_outputs_and_is_reproducible(tmp_path):
     cfg = _cfg(tmp_path)
     assert main(["train", "-c", cfg]) == 0
@@ -145,12 +154,8 @@ def test_train_writes_outputs_and_is_reproducible(tmp_path):
     resolved = os.path.join(run_dir, "resolved_config.json")
     out2 = str(tmp_path / "run2")
     assert main(["train", "-c", resolved, "--output-dir", out2]) == 0
-
-    def stable(path):
-        lines = open(path).read().splitlines()
-        return [",".join(ln.split(",")[:-1]) for ln in lines]  # drop wall-clock column
-
-    assert stable(os.path.join(run_dir, "metrics.csv")) == stable(os.path.join(out2, "metrics.csv"))
+    assert (_stable_metrics(os.path.join(run_dir, "metrics.csv"))
+            == _stable_metrics(os.path.join(out2, "metrics.csv")))
     a = open(os.path.join(run_dir, "checkpoint.bin"), "rb").read()
     b = open(os.path.join(out2, "checkpoint.bin"), "rb").read()
     assert a == b
@@ -240,6 +245,35 @@ def test_sweep_emits_one_run_per_sigma(tmp_path):
         assert resolved["augment"]["sigma"] in (0.5, 1.0)
 
 
+def test_sweep_loads_its_input_once_and_each_point_equals_a_single_run(tmp_path, monkeypatch):
+    calls, build = [], cli._build_dataset
+
+    def counted(cfg):
+        calls.append(cfg["data"])
+        return build(cfg)
+
+    monkeypatch.setattr(cli, "_build_dataset", counted)
+    cfg = _cfg(tmp_path)
+    assert main(["train", "-c", cfg, "--sweep-sigma", "0.25,0.5,1.0"]) == 0
+    assert len(calls) == 1
+    for sigma, tag in ((0.25, "0p25"), (0.5, "0p5"), (1.0, "1p0")):
+        single = _cfg(tmp_path, f"single_{tag}.json", augment={"sigma": sigma},
+                      output={"dir": str(tmp_path / f"single_{tag}")})
+        assert main(["train", "-c", single]) == 0
+        point, ref = tmp_path / "run" / f"sigma_{tag}", tmp_path / f"single_{tag}"
+        assert _stable_metrics(point / "metrics.csv") == _stable_metrics(ref / "metrics.csv")
+        assert (point / "checkpoint.bin").read_bytes() == (ref / "checkpoint.bin").read_bytes()
+
+
+def test_eval_rejects_a_checkpoint_of_another_class_count(tmp_path, capsys):
+    rows = "".join(f"{i / 7!r},{'uv'[i % 2]},{i % 3}\n" for i in range(30))
+    cfg = _csv_cfg(tmp_path, "a,c,label\n" + rows)  # 3 columns after one-hot, 3 classes
+    ckpt = str(tmp_path / "two_class.bin")
+    save_checkpoint(init_mlp([3, 8, 2]), ckpt)
+    assert main(["eval", "-c", cfg, "--checkpoint", ckpt]) == 2
+    assert capsys.readouterr().err == "error: the checkpoint has 2 classes, the data has 3\n"
+
+
 def test_oracle_check_small(capsys):
     rc = main(["oracle-check", "--n", "25", "--seed", "3", "--b", "4", "--k", "3"])
     out = capsys.readouterr().out
@@ -267,6 +301,7 @@ def test_divergent_run_exits_three(tmp_path, capsys, mode):
     cfg = _cfg(tmp_path, optimizer={"lr": 1e305}, train={"mode": mode, "epochs": 1})
     assert main(["train", "-c", cfg]) == 3
     assert re.search(r"epoch 0, iteration \d+", capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
 
 
 def test_truncated_checkpoint_header_exits_two(tmp_path, capsys):

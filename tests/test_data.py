@@ -58,7 +58,7 @@ def test_two_gaussians_bayes_accuracy_monte_carlo():
 
 
 def test_two_moons_shapes():
-    ds = gen_two_moons(300, noise=0.05, seed=3)
+    ds = gen_two_moons(300, sigma=0.05, seed=3)
     assert ds.size == 300 and ds.dim == 2 and ds.num_classes == 2
     assert abs(int((ds.labels == 0).sum()) - 150) <= 1
 
@@ -71,7 +71,7 @@ def _write(p, text):
 def test_csv_zscore_two_values(tmp_path):
     data = _write(tmp_path / "d.csv", "a,label\n0,x\n2,y\n")
     schema = _write(tmp_path / "s.csv", "a,continuous\nlabel,label\n")
-    ds = load_csv(data, schema)
+    ds = load_csv(data, schema, standardize=True)
     np.testing.assert_allclose(sorted(ds.X[:, 0]), [-1.0, 1.0], atol=1e-12)
     assert ds.num_classes == 2
 
@@ -118,6 +118,14 @@ def test_csv_missing_column(tmp_path):
     schema = _write(tmp_path / "s.csv", "a,continuous\nb,continuous\nlabel,label\n")
     with pytest.raises(ValueError, match="missing columns"):
         load_csv(data, schema)
+
+
+@pytest.mark.parametrize("k", [0, 257, 2**31 + 2])
+def test_image_class_count_must_fit_a_uint8_label(tmp_path, k):
+    path = str(tmp_path / "imgs.bin")
+    save_images_raw(np.zeros((2, 2, 2), dtype=np.uint8), np.zeros(2, dtype=np.uint8), k, path)
+    with pytest.raises(ValueError, match=f"declares {k} classes"):
+        load_images_raw(path)
 
 
 def test_images_roundtrip_and_scaling(tmp_path):
@@ -239,9 +247,9 @@ def test_two_gaussians_input_checks(kw, match):
 
 @pytest.mark.parametrize("noise", [np.nan, np.inf, -0.1])
 def test_two_moons_noise_must_be_finite_and_nonnegative(noise):
-    with pytest.raises(ValueError, match="noise must be a finite number >= 0"):
-        gen_two_moons(50, noise=noise)
-    assert gen_two_moons(50, noise=0.0).size == 50
+    with pytest.raises(ValueError, match="sigma must be a finite number >= 0"):
+        gen_two_moons(50, sigma=noise)
+    assert gen_two_moons(50, sigma=0.0).size == 50
 
 
 def test_split_and_a_training_iteration_leave_numpy_ma_unimported():

@@ -125,6 +125,12 @@ def test_ce_from_logits_bitwise_equals_mean_of_log_softmax(rng):
         assert got == float((-lsm[np.arange(n), y]).mean())
 
 
+@pytest.mark.parametrize("labels", [[0, 2], [-1, 0]])
+def test_ce_from_logits_rejects_labels_out_of_range(labels):
+    with pytest.raises(ValueError, match=r"labels out of range \[0, 2\)"):
+        ce_from_logits(np.zeros((2, 2)), np.array(labels))
+
+
 def test_infonce_single_pair_is_zero(rng):
     cb = _random_cb(rng, b=1)
     assert infonce_loss(cb) == pytest.approx(0.0, abs=1e-12)
