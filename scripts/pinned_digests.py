@@ -26,7 +26,11 @@ Pinned runs:
   run, drawn by the CLI's own `oracle_instance`: a last-bit change in a
   score that flips no decision still shows;
 * the features and labels of both CSVs loaded with `standardize=True`
-  (z-scored over the file), and of one `gen_two_moons` dataset.
+  (z-scored over the file), and of one `gen_two_moons` dataset;
+* `cutmix_tabular` on the first 64 rows of the K = 3 CSV, with its own
+  column groups and with a group list that shares a column, at
+  p_replace 0.2 and 1.0 over 200 streams: the output bytes, the labels
+  and each stream's next draw.
 
 Takes a few seconds. Exits 0 when every run completes.
 """
@@ -43,7 +47,7 @@ import tempfile
 import numpy as np
 
 from saflex import cli
-from saflex.augment import AugmenterSpec
+from saflex.augment import AugmenterSpec, cutmix_tabular
 from saflex.core import SaflexConfig, pi_scores
 from saflex.data import Dataset, SplitSpec, gen_two_gaussians, gen_two_moons, load_csv
 from saflex.oracle import pi_scores_reverse
@@ -141,6 +145,20 @@ def score_table_digest(n: int = 200) -> str:
     return sha256(*chunks)
 
 
+def cutmix_digest(ds: Dataset, n: int = 200) -> str:
+    """cutmix_tabular's outputs, and where each stream stands after the call."""
+    batch = ds.batch(np.arange(64))
+    shared = [np.array([0, 1]), np.array([1]), np.array([2, 3, 4]), np.array([4, 0])]
+    chunks = []
+    for groups in (ds.group_slices(), shared):
+        for p in (0.2, 1.0):
+            for s in range(n):
+                rng = stream(s, "pinned_digests", "cutmix")
+                out = cutmix_tabular(batch, p, rng, groups)
+                chunks += [out.X.tobytes(), out.hard_labels.tobytes(), rng.random(1).tobytes()]
+    return sha256(*chunks)
+
+
 def cli_digests(tmp: str) -> list[tuple[str, str]]:
     cfg = dict(CRITERION_8, output={"dir": os.path.join(tmp, "criterion8")})
     path = os.path.join(tmp, "config.json")
@@ -225,6 +243,8 @@ def main() -> int:
         lines.append((f"load_csv {name} csv standardize=True", dataset_digest(ds)))
     # positional, so the line reads the same whatever the spread parameter is named
     lines.append(("gen_two_moons 400 0.2 seed 7", dataset_digest(gen_two_moons(400, 0.2, 7))))
+    lines.append(("cutmix_tabular csv k3 and shared-column groups, p 0.2 and 1.0, 200 streams",
+                  cutmix_digest(tabular)))
     for name, digest in lines:
         print(f"{digest}  {name}")
     return 0

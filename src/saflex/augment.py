@@ -61,24 +61,34 @@ def cutmix_tabular(
 
     Replacement is per source feature; a one-hot categorical group moves
     as a unit so every output row stays a valid encoding. The base row's
-    label is kept.
+    label is kept. `groups` holds integer column-index arrays, one per
+    source feature (default: one per column); a column in several groups
+    ends with the donor of the last group that replaced it.
+
+    Each group draws which rows it replaces and each row's donor; those
+    draws only record, per column and row, how far past the base row the
+    donor lies. The output is then one gather from `batch.X`.
     """
     if not 0.0 <= p_replace <= 1.0:
         raise ValueError("p_replace must lie in [0, 1]")
-    b = batch.size
+    b, d = batch.X.shape
     if b < 2 or p_replace == 0.0:
         return Batch(batch.X.copy(), batch.hard_labels.copy(), image_hw=batch.image_hw)
     if groups is None:
-        groups = [np.array([j]) for j in range(batch.X.shape[1])]
-    X = batch.X.copy()
+        groups = np.arange(d).reshape(d, 1)
+    shift = np.zeros((d, b), dtype=np.int64)  # column x row; 0 keeps the base row
     for cols in groups:
         take = rng.random(b) < p_replace
         # donors distinct from the base row
-        donors = (np.arange(b) + rng.integers(1, b, size=b)) % b
-        rows = np.flatnonzero(take)
-        if rows.size:
-            X[np.ix_(rows, cols)] = batch.X[np.ix_(donors[rows], cols)]
-    return Batch(X, batch.hard_labels.copy(), image_hw=batch.image_hw)
+        offsets = rng.integers(1, b, size=b)
+        shift[cols[:, None], take] = offsets[take]
+    # flat index into batch.X of each output entry. A gather takes its index's
+    # layout, and the matmuls downstream need X C-contiguous to keep their bits.
+    src = np.add(shift.T, np.arange(b)[:, None], order="C")
+    src %= b
+    src *= d
+    src += np.arange(d)
+    return Batch(batch.X.ravel()[src], batch.hard_labels.copy(), image_hw=batch.image_hw)
 
 
 def mixup(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,10 +177,19 @@ def gen_two_moons(n: int, sigma: float = 0.1, seed: int = 0) -> Dataset:
 # ---------------------------------------------------------------------------
 # CSV + schema
 
+@contextmanager
+def _decoding(path: str):
+    """Turn a text file's decode error into a ValueError that names the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+
+
 def read_schema(schema_path: str) -> list[tuple[str, str, int | None]]:
     """Schema file: one `name,kind[,cardinality]` line per column."""
     out = []
-    with open(schema_path, newline="") as f:
+    with _decoding(schema_path), open(schema_path, newline="") as f:
         for ln, row in enumerate(csv.reader(f), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -222,11 +232,12 @@ def load_csv(path: str, schema_path: str, standardize: bool = False) -> Dataset:
     over the file by apply_train_statistics; categorical columns are
     one-hot expanded over their sorted observed values. A row whose field
     count differs from the header's, or a continuous value that is not a
-    finite number, raises ValueError naming the file, line and column.
+    finite number, raises ValueError naming the file, line and column; a
+    file that does not decode raises ValueError naming the file.
     """
     schema = read_schema(schema_path)
     expected = [name for name, _, _ in schema]
-    with open(path, newline="") as f:
+    with _decoding(path), open(path, newline="") as f:
         reader = csv.reader(f)
         try:
             header = [h.strip() for h in next(reader)]
@@ -344,9 +355,13 @@ def load_images_raw(path: str) -> Dataset:
     off += 16
     expected = off + n * h * w + n
     if len(blob) != expected:
-        raise ValueError(f"truncated image file: expected {expected} bytes, got {len(blob)}")
+        raise ValueError(
+            f"truncated image file {path!r}: expected {expected} bytes, got {len(blob)}"
+        )
     pixels = np.frombuffer(blob, dtype=np.uint8, count=n * h * w, offset=off)
     labels = np.frombuffer(blob, dtype=np.uint8, count=n, offset=off + n * h * w)
+    if n and labels.max() >= k:
+        raise ValueError(f"image file {path!r} has label {labels.max()} outside [0, {k})")
     X = pixels.reshape(n, h * w).astype(np.float64) / 255.0
     return Dataset(X, labels.astype(np.int64), k, image_hw=(h, w))
 

@@ -81,6 +81,105 @@ def test_cutmix_group_closure(rng):
     assert set(hot.ravel()) <= {0.0, 1.0}
 
 
+def _cutmix_reference(batch, p_replace, rng, groups=None):
+    """The per-group loop cutmix_tabular replaced: draws and fancy writes interleaved."""
+    b = batch.size
+    if b < 2 or p_replace == 0.0:
+        return Batch(batch.X.copy(), batch.hard_labels.copy(), image_hw=batch.image_hw)
+    if groups is None:
+        groups = [np.array([j]) for j in range(batch.X.shape[1])]
+    X = batch.X.copy()
+    for cols in groups:
+        take = rng.random(b) < p_replace
+        donors = (np.arange(b) + rng.integers(1, b, size=b)) % b
+        rows = np.flatnonzero(take)
+        if rows.size:
+            X[np.ix_(rows, cols)] = batch.X[np.ix_(donors[rows], cols)]
+    return Batch(X, batch.hard_labels.copy(), image_hw=batch.image_hw)
+
+
+_GROUP_SHAPES = ("none", "empty", "partition", "partial", "shared", "repeated")
+
+
+def _groups(meta, d, shape):
+    if shape == "none":
+        return None
+    if shape == "empty":
+        return []
+    if shape == "partition":  # contiguous blocks covering every column once
+        cuts = np.sort(meta.choice(np.arange(1, d), size=int(meta.integers(0, d)), replace=False))
+        return np.split(np.arange(d), cuts)
+    if shape == "partial":  # some columns in no group
+        cols = meta.permutation(d)[: int(meta.integers(1, d + 1))]
+        return np.array_split(cols, int(meta.integers(1, cols.size + 1)))
+    if shape == "shared":  # column j in the first group and in the last
+        j = int(meta.integers(0, d))
+        first = np.unique(np.r_[j, meta.integers(0, d, size=2)])
+        second = np.unique(np.r_[meta.integers(0, d, size=2), j])
+        return [first, np.array([int(meta.integers(0, d))]), second]
+    # a column repeated within a group
+    return [meta.integers(0, d, size=int(meta.integers(2, 6))) for _ in range(int(meta.integers(1, 5)))]
+
+
+def test_cutmix_matches_the_per_group_loop_bit_for_bit():
+    meta = stream(0, "test", "cutmix reference")
+    for case in range(2400):
+        b, d = int(meta.integers(1, 71)), int(meta.integers(1, 21))
+        X = meta.standard_normal((b, d))
+        X[meta.random((b, d)) < 0.15] = -0.0
+        p = (0.0, 0.2, 0.5, 1.0, float(meta.random()))[case % 5]
+        shape = _GROUP_SHAPES[(case // 5) % len(_GROUP_SHAPES)]
+        groups = _groups(meta, d, shape)
+        batch = Batch(X, meta.integers(0, 4, size=b))
+        snapshot = batch.X.tobytes()
+        seed = int(meta.integers(2**31))
+        want_rng, got_rng = stream(seed, "cm"), stream(seed, "cm")
+        want = _cutmix_reference(batch, p, want_rng, groups)
+        got = cutmix_tabular(batch, p, got_rng, groups)
+        where = f"case {case}: b={b} d={d} p={p} groups={shape}"
+        assert got.X.tobytes() == want.X.tobytes(), where
+        assert got.X.flags.c_contiguous and got.X.shape == (b, d), where
+        np.testing.assert_array_equal(got.hard_labels, want.hard_labels)
+        assert batch.X.tobytes() == snapshot, where
+        assert got_rng.random() == want_rng.random(), where
+
+
+@pytest.mark.parametrize("b", [2, 3, 64])
+def test_cutmix_donors_are_never_the_base_row(b):
+    d = 6
+    # every entry names its row and column
+    X = np.arange(b)[:, None] + 1000.0 * np.arange(d)
+    batch = Batch(X, np.zeros(b, dtype=np.int64))
+    groups = [np.array([0]), np.array([1, 2]), np.array([3]), np.array([4, 5])]
+    for seed in range(4):
+        out = cutmix_tabular(batch, 1.0, stream(seed, "cm"), groups)
+        donor = out.X - 1000.0 * np.arange(d)
+        assert np.all((donor >= 0) & (donor < b) & (donor == np.round(donor)))
+        assert np.all(donor != np.arange(b)[:, None])
+        for cols in groups:  # a group moves as a unit
+            assert np.all(donor[:, cols] == donor[:, cols[:1]])
+
+
+def test_mixup_half_keeps_the_base_rows_hard_labels():
+    batch = Batch(np.arange(10.0)[:, None], np.arange(10))
+    out = mixup(batch, 1.0, stream(1, "mix"), num_classes=10, lam=0.5)
+    assert np.any(out.X != batch.X)  # the partners are other rows
+    np.testing.assert_array_equal(out.hard_labels, batch.hard_labels)
+
+
+def test_apply_augmenter_stacks_label_noise_on_the_cutmix_stream():
+    rng = stream(0, "test", "data")
+    batch = Batch(rng.standard_normal((400, 5)), rng.integers(0, 3, size=400))
+    groups = [np.array([0]), np.array([1, 2]), np.array([3, 4])]
+    spec = AugmenterSpec(kind="cutmix_tabular", p_replace=0.3, flip_rate=0.3)
+    out = apply_augmenter(spec, batch, stream(2, "aug"), 3, groups)
+    want_rng = stream(2, "aug")
+    want = label_noise(cutmix_tabular(batch, 0.3, want_rng, groups), 0.3, want_rng, 3)
+    assert out.X.tobytes() == want.X.tobytes()
+    np.testing.assert_array_equal(out.hard_labels, want.hard_labels)
+    assert abs((out.hard_labels != batch.hard_labels).mean() - 0.3) < 0.07
+
+
 def test_mixup_lambda_one_is_identity(rng):
     batch = _batch(rng, k=3)
     out = mixup(batch, 1.0, rng, num_classes=3, lam=1.0)

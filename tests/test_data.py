@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saflex.cli import main
 from saflex.data import (
     Dataset,
     FeatureGroup,
@@ -161,6 +163,38 @@ def test_images_every_strict_prefix_rejected(tmp_path):
         path.write_bytes(blob[:n])
         with pytest.raises(ValueError):
             load_images_raw(str(path))
+
+
+def _bad_input(tmp_path, case):
+    """Write one malformed input; return its data config and the file to name."""
+    if case == "images":
+        path = tmp_path / "imgs.bin"
+        save_images_raw(np.zeros((3, 2, 2), dtype=np.uint8), np.array([0, 2, 1], dtype=np.uint8),
+                        2, str(path))
+        return {"kind": "images", "path": str(path)}, str(path)
+    if case == "truncated images":
+        path = tmp_path / "imgs.bin"
+        save_images_raw(np.zeros((3, 2, 2), dtype=np.uint8), np.zeros(3, dtype=np.uint8), 2,
+                        str(path))
+        path.write_bytes(path.read_bytes()[:-1])
+        return {"kind": "images", "path": str(path)}, str(path)
+    data = _write(tmp_path / "d.csv", "x,label\n1.0,a\n2.0,b\n")
+    schema = _write(tmp_path / "s.csv", "x,continuous\nlabel,label\n")
+    bad = data if case == "csv" else schema
+    with open(bad, "ab") as f:
+        f.write(b"\xe3(,x\n")  # not UTF-8
+    return {"kind": "csv", "path": data, "schema": schema}, bad
+
+
+@pytest.mark.parametrize("case", ["csv", "schema", "images", "truncated images"])
+def test_loader_errors_name_the_file_and_exit_two(tmp_path, capsys, case):
+    data, bad = _bad_input(tmp_path, case)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": data, "train": {"epochs": 1},
+                               "output": {"dir": str(tmp_path / "run")}}))
+    assert main(["train", "-c", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad in err
 
 
 def test_images_bad_magic(tmp_path):
