@@ -31,6 +31,10 @@ Pinned runs:
   column groups and with a group list that shares a column, at
   p_replace 0.2 and 1.0 over 200 streams: the output bytes, the labels
   and each stream's next draw.
+* train() in each mode with gaussian_jitter and label noise on two
+  Gaussians, split 0.1/0.7/0.2 as in acceptance criterion 7: val is the
+  largest split, so the train and test evaluation forwards write the
+  leading rows of a workspace sized for val.
 
 Takes a few seconds. Exits 0 when every run completes.
 """
@@ -245,6 +249,17 @@ def main() -> int:
     lines.append(("gen_two_moons 400 0.2 seed 7", dataset_digest(gen_two_moons(400, 0.2, 7))))
     lines.append(("cutmix_tabular csv k3 and shared-column groups, p 0.2 and 1.0, 200 streams",
                   cutmix_digest(tabular)))
+    for mode in MODES:
+        # val is the largest split, so the train and test forwards write the
+        # leading rows of a val-sized evaluation workspace
+        run = RunConfig(
+            hidden=(16, 8), lr=0.2, epochs=2, batch_size=16, mode=mode, val_batch_size=64,
+            augment=AugmenterSpec(kind="gaussian_jitter", sigma=0.5, flip_rate=0.3),
+            saflex=SaflexConfig(beta=0.5, gumbel_enabled=False),
+            split=SplitSpec(0.1, 0.7, 0.2, seed=5), seed=5,
+        )
+        lines.append((f"train {mode} sgd jitter flip 0.3 split 0.1/0.7/0.2",
+                      train_digest(run, gaussians)))
     for name, digest in lines:
         print(f"{digest}  {name}")
     return 0

@@ -354,10 +354,13 @@ def load_images_raw(path: str) -> Dataset:
         raise ValueError(f"image file {path!r} declares {k} classes; uint8 labels allow 1 to 256")
     off += 16
     expected = off + n * h * w + n
-    if len(blob) != expected:
+    if len(blob) < expected:
         raise ValueError(
             f"truncated image file {path!r}: expected {expected} bytes, got {len(blob)}"
         )
+    if len(blob) > expected:
+        raise ValueError(f"image file {path!r} has {len(blob) - expected} trailing bytes "
+                         f"past the {expected} its header declares")
     pixels = np.frombuffer(blob, dtype=np.uint8, count=n * h * w, offset=off)
     labels = np.frombuffer(blob, dtype=np.uint8, count=n, offset=off + n * h * w)
     if n and labels.max() >= k:

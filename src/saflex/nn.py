@@ -214,30 +214,15 @@ class ForwardCache:
         return self.masks
 
     @classmethod
-    def empty(cls, params: "ModelParams", X: np.ndarray) -> "ForwardCache":
-        """Unset arrays for mlp_forward(params, X, reuse=...) to write into.
+    def empty(cls, params: "ModelParams", rows: int) -> "ForwardCache":
+        """A workspace for mlp_forward(params, X, reuse=...) with X of up to `rows` rows.
 
-        np.empty reserves the memory; the first forward pass writes it.
+        np.empty reserves the memory; the first forward pass writes it. A
+        workspace holds outputs only, so its inputs has no rows.
         """
-        n = X.shape[0]
-        pre = [np.empty((n, fo)) for _, fo in params.shapes]
-        return cls(X, pre, [np.empty(p.shape) for p in pre[:-1]], pre[-1], np.empty(pre[-1].shape))
-
-    def fits(self, params: "ModelParams", X: np.ndarray) -> bool:
-        """Whether mlp_forward(params, X) can write into this cache's arrays.
-
-        It can when each array has the shape that call makes, and none
-        overlaps X or the parameters.
-        """
-        n = X.shape[0]
-        shapes = [(n, fo) for _, fo in params.shapes]
-        if (self.probs is None or self.probs.shape != shapes[-1]
-                or [p.shape for p in self.pre_activations] != shapes
-                or [a.shape for a in self.activations] != shapes[:-1]):
-            return False
-        arrays = [*self.pre_activations, *self.activations, self.probs]
-        return not any(np.may_share_memory(a, X) or np.may_share_memory(a, params.flat)
-                       for a in arrays)
+        pre = [np.empty((rows, fo)) for _, fo in params.shapes]
+        act = [np.empty(p.shape) for p in pre[:-1]]
+        return cls(np.empty((0, params.input_dim)), pre, act, pre[-1], np.empty(pre[-1].shape))
 
 
 def row_max(x: np.ndarray) -> np.ndarray:
@@ -285,32 +270,33 @@ def mlp_forward(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Evaluate the network on a batch; returns (probabilities, cache).
 
-    When `reuse` fits (ForwardCache.fits), every layer writes into its
-    arrays instead of fresh ones: the same matmuls on the same shapes, so
-    the values are bitwise those of a fresh call, without the page faults
-    of fresh memory. The returned cache then holds those arrays and no
-    masks; `reuse` must not be read again. A cache that does not fit is
-    left untouched.
+    With `reuse`, a workspace of at least X.shape[0] rows made for these
+    layer widths (ForwardCache.empty), every layer writes into the leading
+    X.shape[0] rows of its arrays instead of fresh ones. Those views are
+    C-contiguous, so each matmul is the call a fresh forward makes and the
+    values are bitwise equal, without the page faults of fresh memory.
+    The returned cache holds the views and no masks. A workspace with too
+    few rows or other widths raises numpy's ValueError; one that overlaps
+    X or the parameters gives wrong values.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
     if X.shape[1] != params.input_dim:
         raise ValueError(f"input dim {X.shape[1]} != model input dim {params.input_dim}")
-    if reuse is not None and not reuse.fits(params, X):
-        reuse = None
+    n = X.shape[0]
     cache = ForwardCache(inputs=X)
     a = X
     last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        pre = np.matmul(a, w, out=None if reuse is None else reuse.pre_activations[i])
+        pre = np.matmul(a, w, out=None if reuse is None else reuse.pre_activations[i][:n])
         pre += b
         cache.pre_activations.append(pre)
         if i < last:
-            a = np.maximum(pre, 0.0, out=None if reuse is None else reuse.activations[i])
+            a = np.maximum(pre, 0.0, out=None if reuse is None else reuse.activations[i][:n])
             cache.activations.append(a)
     cache.logits = pre
-    cache.probs = softmax(pre, out=None if reuse is None else reuse.probs)
+    cache.probs = softmax(pre, out=None if reuse is None else reuse.probs[:n])
     return cache.probs, cache
 
 
@@ -409,7 +395,10 @@ def load_checkpoint(path: str) -> ModelParams:
     shapes = tuple(zip(dims[::2], dims[1::2]))
     off += 8 * n_layers
     expected = off + sum(8 * (fi * fo + fo) for fi, fo in shapes)
-    if len(blob) != expected:
+    if len(blob) < expected:
         raise ValueError(f"truncated checkpoint: expected {expected} bytes, got {len(blob)}")
+    if len(blob) > expected:
+        raise ValueError(f"checkpoint {path!r} has {len(blob) - expected} trailing bytes "
+                         f"past the {expected} its header declares")
     flat = np.frombuffer(blob, dtype="<f8", offset=off).astype(np.float64)
     return ModelParams.from_flat(flat, shapes)

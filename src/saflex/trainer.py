@@ -88,7 +88,8 @@ def evaluate(
 ) -> tuple[float, float]:
     """Mean cross-entropy and top-1 accuracy over a dataset.
 
-    The forward pass writes into `reuse` when it fits (nn.mlp_forward).
+    The forward pass writes into the leading rows of the workspace `reuse`
+    when one is given (nn.mlp_forward).
     """
     if ds.size == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -183,9 +184,8 @@ def train(
     train_ds, val_ds, test_ds = run_splits(run, data)
     k = data.num_classes
     params = init_mlp([data.dim, *run.hidden, k], seed=run.seed)
-    # each split's evaluation forward writes into the same arrays every epoch
-    train_ws, val_ws, test_ws = (ForwardCache.empty(params, ds.X)
-                                 for ds in (train_ds, val_ds, test_ds))
+    # every split's evaluation forward writes into the leading rows of one workspace
+    ws = ForwardCache.empty(params, max(train_ds.size, val_ds.size, test_ds.size))
     optimizer = _Optimizer(run, params)
     cycler = _ValCycler(val_ds, run.effective_val_batch(), run.seed)
     groups = data.group_slices()
@@ -230,9 +230,9 @@ def train(
             params = optimizer.apply(params, grad)
             if observer is not None:
                 observer(epoch, i, base, aug, out)
-        train_loss, _ = evaluate(params, train_ds, train_ws)
-        val_loss, _ = evaluate(params, val_ds, val_ws)
-        _, test_acc = evaluate(params, test_ds, test_ws)
+        train_loss, _ = evaluate(params, train_ds, ws)
+        val_loss, _ = evaluate(params, val_ds, ws)
+        _, test_acc = evaluate(params, test_ds, ws)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise DivergenceError(f"non-finite loss at epoch {epoch}: "
                                   f"train={train_loss}, val={val_loss}")

@@ -10,7 +10,7 @@ import pytest
 from saflex import cli, core
 from saflex.cli import main
 from saflex.config import DEFAULTS, resolve, ConfigError
-from saflex.data import load_csv
+from saflex.data import load_csv, save_images_raw
 from saflex.nn import init_mlp, load_checkpoint, save_checkpoint
 
 
@@ -318,6 +318,26 @@ def test_truncated_image_header_exits_two(tmp_path, capsys):
     cfg = _cfg(tmp_path, data={"kind": "images", "path": str(img)})
     assert main(["train", "-c", cfg]) == 2
     assert "truncated image file header" in capsys.readouterr().err
+
+
+def test_a_checkpoint_with_a_byte_appended_exits_two_naming_the_trailing_byte(tmp_path, capsys):
+    ck = tmp_path / "ck.bin"
+    save_checkpoint(init_mlp([2, 8, 8, 2]), str(ck))
+    expected = len(ck.read_bytes())
+    ck.write_bytes(ck.read_bytes() + b"\x00")
+    assert main(["eval", "-c", _cfg(tmp_path), "--checkpoint", str(ck)]) == 2
+    assert capsys.readouterr().err == (f"error: checkpoint {str(ck)!r} has 1 trailing bytes "
+                                       f"past the {expected} its header declares\n")
+
+
+def test_an_image_file_with_a_byte_appended_exits_two_naming_the_trailing_byte(tmp_path, capsys):
+    img = tmp_path / "imgs.bin"
+    save_images_raw(np.zeros((3, 2, 2), dtype=np.uint8), np.zeros(3, dtype=np.uint8), 2, str(img))
+    expected = len(img.read_bytes())
+    img.write_bytes(img.read_bytes() + b"\x00")
+    assert main(["train", "-c", _cfg(tmp_path, data={"kind": "images", "path": str(img)})]) == 2
+    assert capsys.readouterr().err == (f"error: image file {str(img)!r} has 1 trailing bytes "
+                                       f"past the {expected} its header declares\n")
 
 
 def test_saflex_threads_validated(tmp_path, monkeypatch, capsys):

@@ -184,5 +184,11 @@ def test_float_leaves_store_integers_as_floats_when_they_fit():
         resolve({"optimizer": {"lr": 10**400}})
 
 
+def test_a_float_leaf_takes_the_largest_finite_float():
+    biggest = 1.7976931348623157e308
+    assert resolve({"optimizer": {"lr": biggest}})["optimizer"]["lr"] == biggest
+    assert resolve({"saflex": {"tau": -biggest}})["saflex"]["tau"] == -biggest
+
+
 def test_an_empty_list_leaf_is_kept():
     assert resolve({"model": {"hidden": []}})["model"]["hidden"] == []

@@ -258,6 +258,17 @@ def test_train_statistics_from_train_only():
     np.testing.assert_allclose(va2.X, expected, atol=1e-12)
 
 
+def test_a_column_constant_on_train_is_shifted_by_its_mean_and_left_unscaled():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((30, 2))
+    X[:10, 1] = 2.5  # constant on the train rows only
+    tr, va, te = (Dataset(X[i : i + 10], np.arange(10) % 2, 2) for i in (0, 10, 20))
+    tr2, va2, te2 = apply_train_statistics(tr, va, te)
+    assert np.all(tr2.X[:, 1] == 0.0)
+    for raw, out in ((va, va2), (te, te2)):
+        assert out.X[:, 1].tobytes() == (raw.X[:, 1] - 2.5).tobytes()
+
+
 def test_split_spec_validation():
     with pytest.raises(ValueError):
         SplitSpec(0.5, 0.4, 0.2)

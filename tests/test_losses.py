@@ -7,6 +7,7 @@ from saflex.losses import (
     ContrastiveBatch,
     ce_from_logits,
     ce_grad_logits,
+    check_simplex_rows,
     hard_ce,
     infonce_loss,
     mean_ce_grad_logits,
@@ -232,3 +233,11 @@ def test_in_place_cotangents_equal_the_one_hot_formulas_bitwise(rng):
         assert buf[:n].tobytes() == want.tobytes()
         assert buf[n : 2 * n].tobytes() == want_soft.tobytes()
         assert np.isnan(buf[2 * n]).all() and p.tobytes() == p_before
+
+
+def test_simplex_rows_are_checked_to_the_default_tolerance():
+    check_simplex_rows(np.array([[0.5, 0.5 + 1e-10], [0.0, 1.0]]), "y")
+    with pytest.raises(ValueError, match="y rows must sum to 1"):
+        check_simplex_rows(np.array([[0.5, 0.5 + 1e-8]]), "y")
+    with pytest.raises(ValueError, match="y has negative entries"):
+        check_simplex_rows(np.array([[-1e-8, 1.0 + 1e-8]]), "y")

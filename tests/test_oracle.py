@@ -74,6 +74,12 @@ def test_reverse_scores_are_bitwise_one_backward_per_sample_and_class(k):
         assert got.tobytes() == _reverse_scores_reference(params, X, g_val).tobytes()
 
 
+@pytest.mark.parametrize("b_max", [1, 3, ENUM_MAX_B])
+def test_oracle_instances_take_every_batch_size_up_to_b_max(b_max):
+    sizes = {oracle_instance(0, i, b_max, 3)[1].shape[0] for i in range(200)}
+    assert sizes == set(range(1, b_max + 1))
+
+
 def test_reverse_scores_take_a_1d_sample_as_one_row(rng):
     params = small_mlp(dims=(3, 9, 7, 4), seed=13)
     x = rng.standard_normal(3)

@@ -14,6 +14,7 @@ from saflex.trainer import (
     MetricsRow,
     RunConfig,
     evaluate,
+    run_splits,
     train,
     write_metrics_csv,
     METRICS_COLUMNS,
@@ -249,7 +250,7 @@ def test_evaluate_builds_no_relu_masks(monkeypatch):
 def test_evaluate_with_reuse_returns_what_a_fresh_evaluate_does(rng):
     ds = gen_two_gaussians(500, seed=6)
     params = init_mlp([2, 16, 16, 2], seed=3)
-    reuse = ForwardCache.empty(params, ds.X)
+    reuse = ForwardCache.empty(params, 700)
     for _ in range(4):
         assert evaluate(params, ds, reuse) == evaluate(params, ds)
         grad = ParamGrad([rng.standard_normal(w.shape) for w in params.weights],
@@ -257,23 +258,30 @@ def test_evaluate_with_reuse_returns_what_a_fresh_evaluate_does(rng):
         params = sgd_step(params, grad, 0.5)
 
 
-def test_train_reuses_each_splits_evaluation_arrays_and_numbers_do_not_move(monkeypatch):
-    """Every epoch's evaluation forward of a split writes into the same
-    arrays, and the metrics and parameters equal those of fresh forwards."""
+@pytest.mark.parametrize("split", [SplitSpec(0.6, 0.2, 0.2, seed=0),
+                                   SplitSpec(0.1, 0.7, 0.2, seed=0)],
+                         ids=["train-largest", "val-largest"])
+def test_train_evaluates_every_split_in_one_workspace_and_numbers_do_not_move(monkeypatch, split):
+    """Every evaluation forward of every epoch writes into the leading rows
+    of one array set, sized for the largest split, and the metrics and
+    parameters equal those of fresh forwards."""
     ds = gen_two_gaussians(300, seed=0)
-    run = _run(mode="naive", epochs=3)
-    written = []
+    run = _run(mode="naive", epochs=3, split=split)
+    written, sizes = [], set()
 
     def recording_forward(params, X, reuse=None):
         probs, cache = mlp_forward(params, X, reuse)
         if reuse is not None:
-            written.append(tuple(id(a) for a in cache.pre_activations + cache.activations))
+            arrays = cache.pre_activations + cache.activations + [cache.probs]
+            assert all(a.shape[0] == X.shape[0] for a in arrays)
+            written.append(tuple(id(a.base) for a in arrays))
+            sizes.add(reuse.probs.shape[0])
         return probs, cache
 
     monkeypatch.setattr(trainer_mod, "mlp_forward", recording_forward)
     history, params = train(run, ds)
-    assert len(written) == 9 and len(set(written)) == 3
-    assert written[:3] == written[3:6] == written[6:]
+    assert len(written) == 9 and len(set(written)) == 1
+    assert sizes == {max(s.size for s in run_splits(run, ds))}
 
     real_evaluate = trainer_mod.evaluate
     monkeypatch.setattr(trainer_mod, "evaluate", lambda p, split, reuse=None: real_evaluate(p, split))
@@ -283,13 +291,15 @@ def test_train_reuses_each_splits_evaluation_arrays_and_numbers_do_not_move(monk
 
 
 def test_val_cycler_batches_are_slices_of_each_shuffled_pass():
-    val = gen_two_gaussians(50, seed=2)
-    cycler = _ValCycler(val, 16, seed=3)
-    # 3 batches per pass; the 2 rows left over at the end of each pass are skipped
-    for cycle in range(3):
-        order = stream(3, "val_order", cycle).permutation(val.size)
-        for j in range(3):
-            want = val.batch(order[16 * j : 16 * (j + 1)])
-            got = cycler.next_batch()
-            assert got.X.tobytes() == want.X.tobytes()
-            assert got.hard_labels.tobytes() == want.hard_labels.tobytes()
+    # 3 batches per pass: of 50 rows, the 2 left over at the end of each
+    # pass are skipped; 48 rows end on a batch boundary, and all are served
+    for n in (50, 48):
+        val = gen_two_gaussians(n, seed=2)
+        cycler = _ValCycler(val, 16, seed=3)
+        for cycle in range(3):
+            order = stream(3, "val_order", cycle).permutation(val.size)
+            for j in range(3):
+                want = val.batch(order[16 * j : 16 * (j + 1)])
+                got = cycler.next_batch()
+                assert got.X.tobytes() == want.X.tobytes()
+                assert got.hard_labels.tobytes() == want.hard_labels.tobytes()
