@@ -1,9 +1,11 @@
-"""Over-augmentation sweep on the two-Gaussians task.
+"""Over-augmentation sweep on the two-Gaussians task (acceptance criterion 6).
 
 Trains the no-augmentation baseline, naive jitter augmentation, and the
-assignment-based pipeline over a grid of jitter strengths, averaged over
-seeds. Writes one metrics CSV per (mode, sigma) and prints the accuracy
-table. The default settings match the acceptance experiment.
+assignment-based pipeline over the jitter strengths `SIGMAS`, averaged over
+`SEEDS`. These are the frozen runs of criterion 6: `run_point` is the one
+definition of them, and tests/test_acceptance.py imports it. Writes one
+metrics CSV per (mode, sigma, seed) into `--out`, the only flag, and prints
+the accuracy table.
 
     python3 scripts/jitter_sweep.py --out runs/sweep
 """
@@ -18,48 +20,44 @@ from saflex.core import SaflexConfig
 from saflex.data import SplitSpec, gen_two_gaussians
 from saflex.trainer import RunConfig, train, write_metrics_csv
 
+SIGMAS = (0.25, 0.5, 1.0, 2.0, 4.0)
+SEEDS = range(5)
 
-def run_point(mode, sigma, seed, args):
-    ds = gen_two_gaussians(args.n, sigma=1.0, seed=100 + seed)
+
+def run_point(mode, sigma, seed):
+    """The history of one frozen sweep run."""
+    ds = gen_two_gaussians(2000, sigma=1.0, seed=100 + seed)
     run = RunConfig(
-        hidden=tuple(args.hidden), lr=args.lr, epochs=args.epochs,
-        batch_size=args.batch_size, mode=mode,
+        hidden=(32, 32), lr=0.25, epochs=15, batch_size=64, mode=mode,
         augment=AugmenterSpec(kind="gaussian_jitter", sigma=sigma),
         saflex=SaflexConfig(beta=0.0, tau=0.01, gumbel_enabled=True),
         split=SplitSpec(0.6, 0.2, 0.2, seed=seed), seed=seed,
     )
-    return train(run, ds)
+    history, _ = train(run, ds)
+    return history
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sigmas", default="0.25,0.5,1.0,2.0,4.0")
-    ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--n", type=int, default=2000)
-    ap.add_argument("--epochs", type=int, default=15)
-    ap.add_argument("--lr", type=float, default=0.25)
-    ap.add_argument("--batch-size", type=int, default=64)
-    ap.add_argument("--hidden", type=int, nargs="+", default=[32, 32])
     ap.add_argument("--out", default="runs/jitter_sweep")
-    args = ap.parse_args()
-    sigmas = [float(s) for s in args.sigmas.split(",")]
+    args = ap.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
 
     baseline = []
-    for seed in range(args.seeds):
-        history, _ = run_point("none", 0.0, seed, args)
+    for seed in SEEDS:
+        history = run_point("none", 0.0, seed)
         write_metrics_csv(history, os.path.join(args.out, f"none_seed{seed}.csv"))
         baseline.append(history[-1].test_acc)
     print(f"no augmentation: {np.mean(baseline):.4f} +- {np.std(baseline):.4f}")
 
     header = f"{'sigma':>6} {'naive':>16} {'saflex':>16}"
     print(header)
-    for sigma in sigmas:
+    for sigma in SIGMAS:
         row = {}
         for mode in ("naive", "saflex"):
             accs = []
-            for seed in range(args.seeds):
-                history, _ = run_point(mode, sigma, seed, args)
+            for seed in SEEDS:
+                history = run_point(mode, sigma, seed)
                 tag = f"{mode}_sigma{sigma}_seed{seed}".replace(".", "p")
                 write_metrics_csv(history, os.path.join(args.out, f"{tag}.csv"))
                 accs.append(history[-1].test_acc)

@@ -200,7 +200,7 @@ def read_schema(schema_path: str) -> list[tuple[str, str, int | None]]:
                 raise ValueError(f"{schema_path}:{ln}: unknown kind {kind!r}")
             card = row[2].strip() if len(row) == 3 else None
             if card is not None:
-                if not card.isdigit() or int(card) < 1:
+                if not card.isdecimal() or int(card) < 1:
                     raise ValueError(
                         f"{schema_path}:{ln}: cardinality must be a positive integer, got {card!r}"
                     )

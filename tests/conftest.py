@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,16 @@ def random_grad(params: ModelParams, rng: np.random.Generator, scale: float = 1.
 
 def small_mlp(dims=(3, 8, 6, 4), seed=0) -> ModelParams:
     return init_mlp(list(dims), seed=seed)
+
+
+def load_script(name):
+    """scripts/<name>.py as a module, loaded without touching sys.path."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

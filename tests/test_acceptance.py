@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import load_script
 from saflex.augment import AugmenterSpec
 from saflex.core import (
     SaflexConfig,
@@ -308,33 +309,25 @@ def test_criterion_5_assignment_properties():
 
 
 # ---------------------------------------------------------------------------
-# 6/7. behavioral reproductions (shared frozen run machinery)
+# 6/7. behavioral reproductions: the frozen runs are defined once, in the
+# experiment scripts, and loaded from there
 
-SIGMAS = (0.25, 0.5, 1.0, 2.0, 4.0)
-
-
-def _sweep_run(mode, sigma, seed):
-    ds = gen_two_gaussians(2000, sigma=1.0, seed=100 + seed)
-    run = RunConfig(
-        hidden=(32, 32), lr=0.25, epochs=15, batch_size=64, mode=mode,
-        augment=AugmenterSpec(kind="gaussian_jitter", sigma=sigma),
-        saflex=SaflexConfig(beta=0.0, tau=0.01, gumbel_enabled=True),
-        split=SplitSpec(0.6, 0.2, 0.2, seed=seed), seed=seed,
-    )
-    history, _ = train(run, ds)
-    return history[-1].test_acc
+sweep_script = load_script("jitter_sweep")
+label_noise_script = load_script("label_noise_exp")
+SIGMAS = sweep_script.SIGMAS
 
 
 @pytest.fixture(scope="module")
 def jitter_sweep():
+    def mean_acc(mode, sigma):
+        return float(np.mean([sweep_script.run_point(mode, sigma, s)[-1].test_acc
+                              for s in sweep_script.SEEDS]))
+
     tic = time.perf_counter()
-    seeds = range(5)
     result = {
-        "none": float(np.mean([_sweep_run("none", 0.0, s) for s in seeds])),
-        "naive": {sg: float(np.mean([_sweep_run("naive", sg, s) for s in seeds]))
-                  for sg in SIGMAS},
-        "saflex": {sg: float(np.mean([_sweep_run("saflex", sg, s) for s in seeds]))
-                   for sg in SIGMAS},
+        "none": mean_acc("none", 0.0),
+        "naive": {sg: mean_acc("naive", sg) for sg in SIGMAS},
+        "saflex": {sg: mean_acc("saflex", sg) for sg in SIGMAS},
         "runtime": 0.0,
     }
     result["runtime"] = time.perf_counter() - tic
@@ -366,43 +359,13 @@ def test_criterion_6_over_augmentation_sweep(jitter_sweep):
     assert r["runtime"] < 300.0
 
 
-def _label_noise_run(mode, seed):
-    ds = gen_two_gaussians(2000, sigma=1.0, seed=100 + seed)
-    counts = dict(hit=0, miss=0, changed=0, total=0)
-
-    def observer(epoch, it, base, aug, out):
-        if out is None or epoch == 0:
-            return
-        corrupted = aug.hard_labels != base.hard_labels
-        changed = out.soft_labels.argmax(axis=1) != aug.hard_labels
-        counts["hit"] += int((changed & corrupted).sum())
-        counts["miss"] += int((changed & ~corrupted).sum())
-        counts["changed"] += int(changed.sum())
-        counts["total"] += aug.size
-
-    run = RunConfig(
-        hidden=(32, 32), lr=0.25, epochs=30, batch_size=32, mode=mode,
-        val_batch_size=512,
-        augment=AugmenterSpec(kind="gaussian_jitter", sigma=0.5, flip_rate=0.3),
-        saflex=SaflexConfig(beta=0.5, tau=0.01, gumbel_enabled=False),
-        split=SplitSpec(0.1, 0.7, 0.2, seed=seed), seed=seed,
-    )
-    history, _ = train(run, ds, observer=observer if mode == "saflex" else None)
-    return history[-1].test_acc, counts
-
-
 def test_criterion_7_label_noise_correction():
-    seeds = range(5)
-    naive = [_label_noise_run("naive", s)[0] for s in seeds]
-    runs = [_label_noise_run("saflex", s) for s in seeds]
+    seeds = label_noise_script.SEEDS
+    naive = [label_noise_script.run_mode("naive", s)[0] for s in seeds]
+    runs = [label_noise_script.run_mode("saflex", s) for s in seeds]
     saflex = [acc for acc, _ in runs]
-    hit = sum(c["hit"] for _, c in runs)
-    miss = sum(c["miss"] for _, c in runs)
-    changed = sum(c["changed"] for _, c in runs)
-    total = sum(c["total"] for _, c in runs)
+    frac_changed, precision = label_noise_script.relabel_rates([c for _, c in runs])
     gain = float(np.mean(saflex) - np.mean(naive))
-    precision = hit / max(1, hit + miss)
-    frac_changed = changed / total
     ok = gain >= 0.02 and precision >= 0.7 and frac_changed > 0
     _report(7, "label-noise correction",
             ok, f"naive {np.mean(naive):.3f}, saflex {np.mean(saflex):.3f} "

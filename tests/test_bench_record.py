@@ -1,17 +1,13 @@
 """The summary step of scripts/bench_record.py, on canned benchmark output."""
 
-import importlib.util
 import json
-import os
 import subprocess
 
 import pytest
 
-_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "scripts", "bench_record.py")
-_spec = importlib.util.spec_from_file_location("bench_record", _PATH)
-bench_record = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_record)
+from conftest import load_script
+
+bench_record = load_script("bench_record")
 
 
 def _canned(seed, none_rate, ratio, failed=0):

@@ -282,6 +282,18 @@ def test_oracle_check_small(capsys):
     assert "score-sum rule" in out
 
 
+def test_oracle_check_score_sum_rule_keeps_a_row_that_sums_to_zero(monkeypatch, capsys):
+    def scores(params, X, g_val):
+        return np.tile([1.0, -1.0, 0.0], (X.shape[0], 1))
+
+    monkeypatch.setattr(cli, "pi_scores", scores)
+    monkeypatch.setattr(cli, "pi_scores_reverse", scores)
+    assert main(["oracle-check", "--n", "5", "--seed", "1", "--k", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "keep rate (score-sum rule):      1.0000\n" in out
+    assert "per-sample rule disagreement:    0.0000\n" in out
+
+
 @pytest.mark.parametrize("flag", [["--b", "9"], ["--k", "7"]], ids=["b9", "k7"])
 def test_oracle_check_guard_bounds_exit_two(capsys, flag):
     assert main(["oracle-check", "--n", "1", *flag]) == 2

@@ -107,7 +107,7 @@ def test_csv_unknown_category_names_column_and_value(tmp_path):
     assert "'c'" in str(exc.value) and "unknown category" in str(exc.value)
 
 
-@pytest.mark.parametrize("card", ["x", "0", "-2"])
+@pytest.mark.parametrize("card", ["x", "0", "-2", "²"])
 def test_schema_cardinality_must_be_a_positive_integer(tmp_path, card):
     data = _write(tmp_path / "d.csv", "c,label\na,0\nb,1\n")
     schema = _write(tmp_path / "s.csv", f"c,categorical,{card}\nlabel,label\n")
