@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Batch
+from .data import Batch, RangeError
 from .losses import one_hot
 
 KINDS = ("gaussian_jitter", "crop_flip", "mixup", "cutmix_tabular", "label_noise")
@@ -35,12 +35,16 @@ class AugmenterSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ValueError(f"unknown augmenter kind {self.kind!r}")
-        if not (self.sigma >= 0 and self.pad >= 0 and self.mixup_alpha > 0):
-            raise ValueError("invalid strength parameters")
-        for p in (self.p_replace, self.flip_rate):
+            raise RangeError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if not self.sigma >= 0:
+            raise RangeError(f"sigma must be >= 0, got {self.sigma}")
+        if not self.pad >= 0:
+            raise RangeError(f"pad must be >= 0, got {self.pad}")
+        if not self.mixup_alpha > 0:
+            raise RangeError(f"mixup_alpha must be > 0, got {self.mixup_alpha}")
+        for name, p in (("p_replace", self.p_replace), ("flip_rate", self.flip_rate)):
             if not 0.0 <= p <= 1.0:
-                raise ValueError("probabilities must lie in [0, 1]")
+                raise RangeError(f"{name} must lie in [0, 1], got {p}")
 
 
 def gaussian_jitter(batch: Batch, sigma: float, rng: np.random.Generator) -> Batch:
@@ -48,7 +52,7 @@ def gaussian_jitter(batch: Batch, sigma: float, rng: np.random.Generator) -> Bat
     if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
     noise = sigma * rng.standard_normal(batch.X.shape) if sigma > 0 else 0.0
-    return Batch(batch.X + noise, batch.hard_labels.copy(), image_hw=batch.image_hw)
+    return Batch(batch.X + noise, batch.hard_labels.copy())
 
 
 def cutmix_tabular(
@@ -73,7 +77,7 @@ def cutmix_tabular(
         raise ValueError("p_replace must lie in [0, 1]")
     b, d = batch.X.shape
     if b < 2 or p_replace == 0.0:
-        return Batch(batch.X.copy(), batch.hard_labels.copy(), image_hw=batch.image_hw)
+        return Batch(batch.X.copy(), batch.hard_labels.copy())
     if groups is None:
         groups = np.arange(d).reshape(d, 1)
     shift = np.zeros((d, b), dtype=np.int64)  # column x row; 0 keeps the base row
@@ -88,7 +92,7 @@ def cutmix_tabular(
     src %= b
     src *= d
     src += np.arange(d)
-    return Batch(batch.X.ravel()[src], batch.hard_labels.copy(), image_hw=batch.image_hw)
+    return Batch(batch.X.ravel()[src], batch.hard_labels.copy())
 
 
 def mixup(
@@ -107,19 +111,20 @@ def mixup(
     soft = (lam_val * one_hot(batch.hard_labels, num_classes)
             + (1.0 - lam_val) * one_hot(batch.hard_labels[perm], num_classes))
     hard = np.where(lam_val >= 0.5, batch.hard_labels, batch.hard_labels[perm])
-    return Batch(X, hard, soft_labels=soft, image_hw=batch.image_hw)
+    return Batch(X, hard, soft_labels=soft)
 
 
 def crop_flip(
     batch: Batch,
     pad: int,
     rng: np.random.Generator,
+    image_hw: tuple[int, int] | None,
     flip: bool = True,
 ) -> Batch:
     """Zero-pad, re-crop at a random offset, and flip horizontally at 0.5."""
-    if batch.image_hw is None:
+    if image_hw is None:
         raise ValueError("crop_flip needs a batch with image_hw metadata")
-    h, w = batch.image_hw
+    h, w = image_hw
     if h != w:
         raise ValueError(f"crop_flip requires square images, got {h}x{w}")
     b = batch.size
@@ -133,9 +138,7 @@ def crop_flip(
     cols = offsets[:, 1, None] + np.arange(w)
     out = padded[np.arange(b)[:, None, None], rows[:, :, None], cols[:, None, :]]
     out[do_flip] = out[do_flip, :, ::-1]
-    return Batch(
-        out.reshape(b, h * w), batch.hard_labels.copy(), image_hw=batch.image_hw
-    )
+    return Batch(out.reshape(b, h * w), batch.hard_labels.copy())
 
 
 def label_noise(
@@ -155,7 +158,7 @@ def label_noise(
         # uniform over the K-1 other classes
         shift = rng.integers(1, num_classes, size=batch.size)
         labels[hit] = (labels[hit] + shift[hit]) % num_classes
-    return Batch(batch.X.copy(), labels, image_hw=batch.image_hw)
+    return Batch(batch.X.copy(), labels)
 
 
 def apply_augmenter(
@@ -164,12 +167,13 @@ def apply_augmenter(
     rng: np.random.Generator,
     num_classes: int,
     groups: list[np.ndarray] | None = None,
+    image_hw: tuple[int, int] | None = None,
 ) -> Batch:
     """Run the configured pipeline: base kind, then optional label noise."""
     if spec.kind == "gaussian_jitter":
         out = gaussian_jitter(batch, spec.sigma, rng)
     elif spec.kind == "crop_flip":
-        out = crop_flip(batch, spec.pad, rng)
+        out = crop_flip(batch, spec.pad, rng, image_hw)
     elif spec.kind == "mixup":
         out = mixup(batch, spec.mixup_alpha, rng, num_classes)
     elif spec.kind == "cutmix_tabular":

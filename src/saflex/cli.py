@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, eval, oracle-check. Exit codes: 0 success,
-2 configuration/usage error, 3 numerical failure. SAFLEX_THREADS caps
-worker parallelism; numeric output never depends on it.
+2 configuration/usage error, 3 numerical failure. SAFLEX_THREADS is
+validated here; nothing reads it yet, as no code path starts workers.
 """
 
 from __future__ import annotations
@@ -72,6 +72,10 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if args.print_config:
+        cfg = cfgmod.load_config(args.config) if args.config else cfgmod.resolve({})
+        sys.stdout.write(cfgmod.dump(cfg))
+        return 0
     if not args.config:
         raise ConfigError("train needs --config (or use --print-config for defaults)")
     cfg = cfgmod.load_config(args.config)
@@ -206,10 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-data", help="generate a dataset + schema")
     g.add_argument("--kind", choices=["two_gaussians", "two_moons", "csv_passthrough"],
                    default="two_gaussians")
-    g.add_argument("--n", type=int, default=2000)
-    g.add_argument("--sigma", type=float, default=1.0,
+    g.add_argument("--n", type=int, default=cfgmod.DEFAULTS["data"]["n"])
+    g.add_argument("--sigma", type=float, default=cfgmod.DEFAULTS["data"]["sigma"],
                    help="class spread (two_gaussians) or noise (two_moons)")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=cfgmod.DEFAULTS["data"]["seed"])
     g.add_argument("--input", default="", help="source csv for csv_passthrough")
     g.add_argument("--input-schema", default="", help="source schema for csv_passthrough")
     g.add_argument("--out", required=True, help="output directory")
@@ -234,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle-check", help="certify the assignment against enumeration")
     o.add_argument("--n", type=int, default=1000)
     o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--b", type=int, default=8, help="max augmented batch size")
-    o.add_argument("--k", type=int, default=6, help="class count")
-    o.add_argument("--tau", type=float, default=0.01)
+    o.add_argument("--b", type=int, default=ENUM_MAX_B, help="max augmented batch size")
+    o.add_argument("--k", type=int, default=ENUM_MAX_K, help="class count")
+    o.add_argument("--tau", type=float, default=SaflexConfig.tau)
     o.set_defaults(func=cmd_oracle_check)
     return parser
 
@@ -246,10 +250,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         thread_cap()  # validate SAFLEX_THREADS early
-        if getattr(args, "print_config", False):
-            cfg = cfgmod.load_config(args.config) if args.config else cfgmod.resolve({})
-            sys.stdout.write(cfgmod.dump(cfg))
-            return 0
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

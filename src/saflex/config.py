@@ -13,17 +13,19 @@ import copy
 import json
 import sys
 from dataclasses import asdict
-from typing import Any
+from typing import Any, Callable
 
 from .augment import AugmenterSpec
 from .core import SaflexConfig
-from .data import SplitSpec
+from .data import RangeError, SplitSpec, decoding
 from .trainer import RunConfig
 
 
 class ConfigError(ValueError):
     """Configuration problem; carries a human-readable key path."""
 
+
+_RUN = RunConfig()  # the model, optimizer, train and saflex defaults
 
 DEFAULTS: dict[str, Any] = {
     "data": {
@@ -36,17 +38,18 @@ DEFAULTS: dict[str, Any] = {
         "seed": 0,
     },
     "split": asdict(SplitSpec()),
-    "model": {"hidden": [32, 32]},
-    "optimizer": {"kind": "sgd", "lr": 0.1, "momentum": 0.0},
+    "model": {"hidden": list(_RUN.hidden)},
+    "optimizer": {"kind": _RUN.optimizer, "lr": _RUN.lr, "momentum": _RUN.momentum},
     "train": {
-        "mode": "saflex",  # none | naive | saflex
-        "epochs": 20,
-        "batch_size": 64,
+        "mode": _RUN.mode,  # none | naive | saflex
+        "epochs": _RUN.epochs,
+        "batch_size": _RUN.batch_size,
         "val_batch_size": 0,  # 0 means: use batch_size
-        "seed": 0,
+        "seed": _RUN.seed,
     },
     "augment": asdict(AugmenterSpec()),  # its "seed" is accepted but not read
-    "saflex": {"beta": 0.0, "tau": 0.01, "gumbel": True, "seed": 0},
+    "saflex": {"beta": _RUN.saflex.beta, "tau": _RUN.saflex.tau,
+               "gumbel": _RUN.saflex.gumbel_enabled, "seed": _RUN.saflex.seed},
     "output": {"dir": "runs/out"},
 }
 
@@ -96,7 +99,7 @@ def resolve(user: dict | None) -> dict:
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as f:
+        with decoding(path), open(path) as f:
             raw = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
@@ -112,29 +115,45 @@ def require(cfg: dict, section: str, key: str) -> Any:
     return value
 
 
+# the config key of each RunConfig field that a RangeError can name
+_RUN_KEYS = {
+    "hidden": "model.hidden", "optimizer": "optimizer.kind", "lr": "optimizer.lr",
+    "momentum": "optimizer.momentum", "mode": "train.mode", "epochs": "train.epochs",
+    "batch_size": "train.batch_size", "val_batch_size": "train.val_batch_size",
+}
+
+
+def _built(key: Callable[[str], str], make: Callable[..., Any], **fields: Any) -> Any:
+    """`make(**fields)`; a RangeError's leading field name becomes `key(field)`."""
+    try:
+        return make(**fields)
+    except RangeError as exc:
+        field, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{key(field)} {rest}") from exc
+    except ValueError as exc:  # a rule across fields: the split fractions' sum
+        raise ConfigError(str(exc)) from exc
+
+
 def build_run_config(cfg: dict) -> RunConfig:
     """The run a resolved config describes; its leaves are already typed."""
     opt, tr, sf = cfg["optimizer"], cfg["train"], cfg["saflex"]
-    try:
-        return RunConfig(
-            hidden=tuple(cfg["model"]["hidden"]),
-            lr=opt["lr"],
-            momentum=opt["momentum"],
-            optimizer=opt["kind"],
-            epochs=tr["epochs"],
-            batch_size=tr["batch_size"],
-            val_batch_size=tr["val_batch_size"] or None,
-            mode=tr["mode"],
-            augment=AugmenterSpec(**cfg["augment"]),
-            saflex=SaflexConfig(
-                beta=sf["beta"], tau=sf["tau"], gumbel_enabled=sf["gumbel"], seed=sf["seed"]
-            ),
-            split=SplitSpec(**cfg["split"]),
-            standardize=cfg["data"]["kind"] == "csv",
-            seed=tr["seed"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _built(
+        _RUN_KEYS.__getitem__, RunConfig,
+        hidden=tuple(cfg["model"]["hidden"]),
+        lr=opt["lr"],
+        momentum=opt["momentum"],
+        optimizer=opt["kind"],
+        epochs=tr["epochs"],
+        batch_size=tr["batch_size"],
+        val_batch_size=tr["val_batch_size"] or None,
+        mode=tr["mode"],
+        augment=_built("augment.{}".format, AugmenterSpec, **cfg["augment"]),
+        saflex=_built("saflex.{}".format, SaflexConfig,
+                      beta=sf["beta"], tau=sf["tau"], gumbel_enabled=sf["gumbel"], seed=sf["seed"]),
+        split=_built("split.{}".format, SplitSpec, **cfg["split"]),
+        standardize=cfg["data"]["kind"] == "csv",
+        seed=tr["seed"],
+    )
 
 
 def dump(cfg: dict) -> str:

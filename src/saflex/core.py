@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Batch
+from .data import Batch, RangeError
 from .losses import ce_grad_logits, check_labels, mean_ce_grad_logits, one_hot
 # not called here; perfbench/tracing.py wraps core.ce_from_logits, so the name stays
 from .losses import ce_from_logits  # noqa: F401
@@ -47,9 +47,9 @@ class SaflexConfig:
 
     def __post_init__(self) -> None:
         if not 0 < self.tau < np.inf:
-            raise ValueError(f"tau must be a finite number > 0, got {self.tau}")
+            raise RangeError(f"tau must be a finite number > 0, got {self.tau}")
         if not self.beta >= 0:
-            raise ValueError("beta must be >= 0")
+            raise RangeError(f"beta must be >= 0, got {self.beta}")
 
 
 @dataclass

@@ -42,7 +42,6 @@ class Batch:
     X: np.ndarray
     hard_labels: np.ndarray
     soft_labels: np.ndarray | None = None
-    image_hw: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -60,6 +59,10 @@ class Batch:
         return self.X.shape[0]
 
 
+class RangeError(ValueError):
+    """A value outside its range; the message starts with its argument's or field's name."""
+
+
 @dataclass
 class SplitSpec:
     train: float = 0.6
@@ -69,8 +72,9 @@ class SplitSpec:
 
     def __post_init__(self) -> None:
         fracs = (self.train, self.val, self.test)
-        if not all(f >= 0 for f in fracs) or all(f == 0 for f in fracs):
-            raise ValueError("split fractions must be nonnegative, not all zero")
+        for name, f in zip(("train", "val", "test"), fracs):
+            if not f >= 0:
+                raise RangeError(f"{name} must be >= 0, got {f}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {sum(fracs)}")
 
@@ -107,7 +111,7 @@ class Dataset:
 
     def batch(self, indices: np.ndarray) -> Batch:
         idx = np.asarray(indices, dtype=np.int64)
-        return Batch(self.X[idx], self.labels[idx], image_hw=self.image_hw)
+        return Batch(self.X[idx], self.labels[idx])
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
@@ -119,10 +123,6 @@ class Dataset:
     def group_slices(self) -> list[np.ndarray]:
         """Column indices of each source feature, for group-wise transforms."""
         return [np.arange(g.start, g.start + g.width) for g in self.groups]
-
-
-class RangeError(ValueError):
-    """A generator argument outside its range; the message starts with the argument's name."""
 
 
 def gen_two_gaussians(
@@ -178,7 +178,7 @@ def gen_two_moons(n: int, sigma: float = 0.1, seed: int = 0) -> Dataset:
 # CSV + schema
 
 @contextmanager
-def _decoding(path: str):
+def decoding(path: str):
     """Turn a text file's decode error into a ValueError that names the file."""
     try:
         yield
@@ -189,7 +189,7 @@ def _decoding(path: str):
 def read_schema(schema_path: str) -> list[tuple[str, str, int | None]]:
     """Schema file: one `name,kind[,cardinality]` line per column."""
     out = []
-    with _decoding(schema_path), open(schema_path, newline="") as f:
+    with decoding(schema_path), open(schema_path, newline="") as f:
         for ln, row in enumerate(csv.reader(f), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -237,7 +237,7 @@ def load_csv(path: str, schema_path: str, standardize: bool = False) -> Dataset:
     """
     schema = read_schema(schema_path)
     expected = [name for name, _, _ in schema]
-    with _decoding(path), open(path, newline="") as f:
+    with decoding(path), open(path, newline="") as f:
         reader = csv.reader(f)
         try:
             header = [h.strip() for h in next(reader)]

@@ -19,12 +19,13 @@ import numpy as np
 
 from .augment import AugmenterSpec, apply_augmenter
 from .core import SaflexConfig, SaflexOutput, saflex_gradient
-from .data import Batch, Dataset, SplitSpec, apply_train_statistics, split
+from .data import Batch, Dataset, RangeError, SplitSpec, apply_train_statistics, split
 from .losses import ce_from_logits, mean_ce_grad_logits, one_hot
 from .nn import ForwardCache, ModelParams, ParamGrad, init_mlp, mlp_backward, mlp_forward
 from .rng import stream
 
 MODES = ("none", "naive", "saflex")
+OPTIMIZERS = ("sgd", "adam")
 
 
 class DivergenceError(RuntimeError):
@@ -49,15 +50,21 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if not self.lr > 0 or self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("invalid run configuration")
+            raise RangeError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise RangeError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+        if not self.lr > 0:
+            raise RangeError(f"lr must be > 0, got {self.lr}")
+        if not self.momentum >= 0:
+            raise RangeError(f"momentum must be >= 0, got {self.momentum}")
+        if self.epochs < 0:
+            raise RangeError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise RangeError(f"batch_size must be >= 1, got {self.batch_size}")
         if any(h < 1 for h in self.hidden):
-            raise ValueError(f"hidden layer widths must be >= 1, got {list(self.hidden)}")
+            raise RangeError(f"hidden layer widths must be >= 1, got {list(self.hidden)}")
         if self.val_batch_size is not None and self.val_batch_size < 1:
-            raise ValueError(f"val_batch_size must be >= 1, got {self.val_batch_size}")
+            raise RangeError(f"val_batch_size must be >= 1, got {self.val_batch_size}")
 
     def effective_val_batch(self) -> int:
         if self.val_batch_size is not None:
@@ -122,8 +129,7 @@ class _ValCycler:
             self.pos = 0
         rows = slice(self.pos, self.pos + self.batch_size)
         self.pos += self.batch_size
-        s = self.shuffled
-        return Batch(s.X[rows], s.hard_labels[rows], image_hw=s.image_hw)
+        return Batch(self.shuffled.X[rows], self.shuffled.hard_labels[rows])
 
 
 class _Optimizer:
@@ -188,7 +194,7 @@ def train(
     ws = ForwardCache.empty(params, max(train_ds.size, val_ds.size, test_ds.size))
     optimizer = _Optimizer(run, params)
     cycler = _ValCycler(val_ds, run.effective_val_batch(), run.seed)
-    groups = data.group_slices()
+    groups, image_hw = data.group_slices(), data.image_hw
     history: list[MetricsRow] = []
     for epoch in range(run.epochs):
         tic = time.perf_counter()
@@ -201,7 +207,7 @@ def train(
             out: SaflexOutput | None = None
             if run.mode != "none":
                 aug_rng = stream(run.seed, "augment", epoch, it)
-                aug = apply_augmenter(run.augment, base, aug_rng, k, groups)
+                aug = apply_augmenter(run.augment, base, aug_rng, k, groups, image_hw)
                 n_aug += 1
             if run.mode == "saflex":
                 val_batch = cycler.next_batch()

@@ -85,7 +85,7 @@ def _cutmix_reference(batch, p_replace, rng, groups=None):
     """The per-group loop cutmix_tabular replaced: draws and fancy writes interleaved."""
     b = batch.size
     if b < 2 or p_replace == 0.0:
-        return Batch(batch.X.copy(), batch.hard_labels.copy(), image_hw=batch.image_hw)
+        return Batch(batch.X.copy(), batch.hard_labels.copy())
     if groups is None:
         groups = [np.array([j]) for j in range(batch.X.shape[1])]
     X = batch.X.copy()
@@ -95,7 +95,7 @@ def _cutmix_reference(batch, p_replace, rng, groups=None):
         rows = np.flatnonzero(take)
         if rows.size:
             X[np.ix_(rows, cols)] = batch.X[np.ix_(donors[rows], cols)]
-    return Batch(X, batch.hard_labels.copy(), image_hw=batch.image_hw)
+    return Batch(X, batch.hard_labels.copy())
 
 
 _GROUP_SHAPES = ("none", "empty", "partition", "partial", "shared", "repeated")
@@ -205,19 +205,19 @@ def test_mixup_soft_labels_in_simplex(rng):
 
 def _image_batch(rng, b=5, hw=8):
     X = rng.random((b, hw * hw))
-    return Batch(X, rng.integers(0, 2, size=b), image_hw=(hw, hw))
+    return Batch(X, rng.integers(0, 2, size=b))
 
 
 def test_crop_flip_identity(rng):
     batch = _image_batch(rng)
-    out = crop_flip(batch, 0, rng, flip=False)
+    out = crop_flip(batch, 0, rng, (8, 8), flip=False)
     np.testing.assert_array_equal(out.X, batch.X)
 
 
 def test_crop_flip_offsets_cover_grid():
     rng = stream(2, "crop")
     batch = _image_batch(stream(0, "imgs"), b=400, hw=8)
-    out = crop_flip(batch, 2, rng, flip=False)
+    out = crop_flip(batch, 2, rng, (8, 8), flip=False)
     # each output must be some shifted crop of the padded original
     seen = set()
     for i in range(batch.size):
@@ -235,16 +235,24 @@ def test_crop_flip_offsets_cover_grid():
 
 
 def test_crop_flip_requires_square(rng):
-    batch = Batch(rng.random((2, 6)), np.zeros(2, dtype=np.int64), image_hw=(2, 3))
+    batch = Batch(rng.random((2, 6)), np.zeros(2, dtype=np.int64))
     with pytest.raises(ValueError, match="square"):
-        crop_flip(batch, 1, rng)
+        crop_flip(batch, 1, rng, (2, 3))
 
 
 def test_crop_flip_deterministic(rng):
     batch = _image_batch(rng)
-    a = crop_flip(batch, 2, stream(4, "crop"))
-    b = crop_flip(batch, 2, stream(4, "crop"))
+    a = crop_flip(batch, 2, stream(4, "crop"), (8, 8))
+    b = crop_flip(batch, 2, stream(4, "crop"), (8, 8))
     np.testing.assert_array_equal(a.X, b.X)
+
+
+def test_apply_augmenter_hands_the_image_shape_to_crop_flip(rng):
+    spec, batch = AugmenterSpec(kind="crop_flip", pad=1), _image_batch(rng, hw=4)
+    out = apply_augmenter(spec, batch, stream(5, "aug"), 2, image_hw=(4, 4))
+    np.testing.assert_array_equal(out.X, crop_flip(batch, 1, stream(5, "aug"), (4, 4)).X)
+    with pytest.raises(ValueError, match=r"^crop_flip needs a batch with image_hw metadata$"):
+        apply_augmenter(spec, batch, rng, 2)
 
 
 def test_label_noise_identity_at_zero(rng):
@@ -287,9 +295,9 @@ def test_spec_validation():
         AugmenterSpec(sigma=-1.0)
     with pytest.raises(ValueError):
         AugmenterSpec(p_replace=1.5)
-    for bad in ({"sigma": np.nan}, {"mixup_alpha": np.nan}, {"pad": -1}):
-        with pytest.raises(ValueError, match="strength"):
-            AugmenterSpec(**bad)
+    for name, value in (("sigma", np.nan), ("mixup_alpha", np.nan), ("pad", -1)):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            AugmenterSpec(**{name: value})
 
 
 def test_jitter_and_mixup_reject_nan_strengths(rng):

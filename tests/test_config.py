@@ -143,12 +143,53 @@ def test_a_bad_flag_value_exits_two_naming_the_flag(case, data):
     ('{"data": {"sigma": 0}}', "config error: data.sigma must be a finite number > 0, got 0.0"),
     ('{"data": {"kind": "two_moons", "sigma": -1}}',
      "config error: data.sigma must be a finite number >= 0, got -1.0"),
+    # every range-checked leaf of the run dataclasses
+    ('{"model": {"hidden": [8, 0]}}',
+     "config error: model.hidden layer widths must be >= 1, got [8, 0]"),
+    ('{"optimizer": {"kind": "rmsprop"}}',
+     "config error: optimizer.kind must be one of ('sgd', 'adam'), got 'rmsprop'"),
+    ('{"optimizer": {"lr": -1}}', "config error: optimizer.lr must be > 0, got -1.0"),
+    ('{"optimizer": {"lr": 0}}', "config error: optimizer.lr must be > 0, got 0.0"),
+    ('{"optimizer": {"momentum": -0.5}}',
+     "config error: optimizer.momentum must be >= 0, got -0.5"),
+    ('{"train": {"mode": "bogus"}}',
+     "config error: train.mode must be one of ('none', 'naive', 'saflex'), got 'bogus'"),
+    ('{"train": {"epochs": -1}}', "config error: train.epochs must be >= 0, got -1"),
+    ('{"train": {"batch_size": 0}}', "config error: train.batch_size must be >= 1, got 0"),
+    ('{"train": {"val_batch_size": -5}}',
+     "config error: train.val_batch_size must be >= 1, got -5"),
+    ('{"augment": {"kind": "foo"}}',
+     "config error: augment.kind must be one of ('gaussian_jitter', 'crop_flip', 'mixup', "
+     "'cutmix_tabular', 'label_noise'), got 'foo'"),
+    ('{"augment": {"sigma": -1}}', "config error: augment.sigma must be >= 0, got -1.0"),
+    ('{"augment": {"pad": -1}}', "config error: augment.pad must be >= 0, got -1"),
+    ('{"augment": {"mixup_alpha": 0}}',
+     "config error: augment.mixup_alpha must be > 0, got 0.0"),
+    ('{"augment": {"p_replace": 1.5}}',
+     "config error: augment.p_replace must lie in [0, 1], got 1.5"),
+    ('{"augment": {"flip_rate": -0.1}}',
+     "config error: augment.flip_rate must lie in [0, 1], got -0.1"),
+    ('{"saflex": {"tau": 0}}', "config error: saflex.tau must be a finite number > 0, got 0.0"),
+    ('{"saflex": {"beta": -1}}', "config error: saflex.beta must be >= 0, got -1.0"),
+    ('{"split": {"train": -0.5}}', "config error: split.train must be >= 0, got -0.5"),
+    ('{"split": {"val": -0.2}}', "config error: split.val must be >= 0, got -0.2"),
+    ('{"split": {"test": -0.2}}', "config error: split.test must be >= 0, got -0.2"),
+    ('{"split": {"train": 0, "val": 0, "test": 0}}',
+     "config error: split fractions must sum to 1, got 0.0"),
 ])
 def test_config_value_errors_are_one_line_naming_the_key(tmp_path, monkeypatch, text, line):
     monkeypatch.chdir(tmp_path)  # a run that gets as far as the data writes to output.dir
     path = tmp_path / "config.json"
     path.write_text(text)
     assert _run(["train", "-c", str(path)]) == (2, "", line + "\n")
+
+
+def test_a_config_that_is_not_utf8_text_exits_two_naming_the_file(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe{}")
+    rc, out, err = _run(["train", "-c", str(path)])
+    assert (rc, out) == (2, "") and err.count("\n") == 1, err
+    assert err.startswith(f"error: {path}: not "), err
 
 
 @pytest.mark.parametrize("argv,line", [

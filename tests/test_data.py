@@ -272,7 +272,7 @@ def test_a_column_constant_on_train_is_shifted_by_its_mean_and_left_unscaled():
 def test_split_spec_validation():
     with pytest.raises(ValueError):
         SplitSpec(0.5, 0.4, 0.2)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^train must be >= 0, got nan$"):
         SplitSpec(np.nan, 0.5, 0.5)
 
 

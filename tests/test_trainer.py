@@ -220,7 +220,7 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         _run(mode="bogus")
     for lr in (-0.1, 0.0, np.nan):
-        with pytest.raises(ValueError, match="invalid run configuration"):
+        with pytest.raises(ValueError, match="lr must be > 0"):
             _run(lr=lr)
     for hidden in [(-3,), (0,), (8, 0)]:
         with pytest.raises(ValueError, match="hidden layer widths"):
