@@ -250,7 +250,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         thread_cap()  # validate SAFLEX_THREADS early
-        return args.func(args)
+        # a diverging run overflows before its guard raises; the exit-3 line says so
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

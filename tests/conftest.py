@@ -14,6 +14,16 @@ def random_grad(params: ModelParams, rng: np.random.Generator, scale: float = 1.
     )
 
 
+def pre_activations(params: ModelParams, cache) -> list[np.ndarray]:
+    """Each hidden layer's x @ W + b, recomputed from its cached input.
+
+    The calls take the forward pass's shapes, so the values are bitwise
+    those the forward pass ReLU'd in place.
+    """
+    inputs = [cache.inputs, *cache.activations]
+    return [a @ w + b for a, w, b in zip(inputs, params.weights[:-1], params.biases[:-1])]
+
+
 def small_mlp(dims=(3, 8, 6, 4), seed=0) -> ModelParams:
     return init_mlp(list(dims), seed=seed)
 

@@ -307,12 +307,25 @@ def test_oracle_check_rejects_single_class(capsys):
     assert "single-class" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("mode", ["none", "naive", "saflex"])
 def test_divergent_run_exits_three(tmp_path, capsys, mode):
     cfg = _cfg(tmp_path, optimizer={"lr": 1e305}, train={"mode": mode, "epochs": 1})
     assert main(["train", "-c", cfg]) == 3
     assert re.search(r"epoch 0, iteration \d+", capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("overrides", [{"optimizer": {"lr": 1e300}}, {"saflex": {"beta": 1e308}}],
+                         ids=["lr", "beta"])
+def test_numerical_failure_prints_one_line_and_no_warning(tmp_path, capsys, overrides):
+    """Overflow in a diverging run reaches the user only as the exit-3 line."""
+    cfg = _cfg(tmp_path, data={"n": 50}, train={"epochs": 1}, **overrides)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        assert main(["train", "-c", cfg]) == 3
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in shown] == [] and err.count("\n") == 1, err
+    assert err.startswith("numerical failure: ")
     assert not (tmp_path / "run").exists()
 
 
@@ -397,7 +410,6 @@ def test_bad_hidden_widths_and_val_batch_size_exit_two(tmp_path, capsys, section
     assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("block", [0, 1, 2], ids=["train", "aug", "val"])
 def test_nan_probabilities_exit_three_in_saflex_mode(tmp_path, capsys, monkeypatch, block):
     forward = core.mlp_forward

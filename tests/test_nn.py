@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import struct
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_grad, small_mlp
+from conftest import pre_activations, random_grad, small_mlp
 from saflex.nn import (
     CHECKPOINT_MAGIC,
     ForwardCache,
@@ -286,9 +288,11 @@ def test_forward_backward_jvp_mutate_no_input_or_cache(rng, rows):
     params_before = params.flat.copy()
     probs, cache = mlp_forward(params, X)
     assert probs is cache.probs
-    for pre, act in zip(cache.pre_activations, cache.activations):
-        assert pre is not act and not np.shares_memory(pre, act)
-    cached = [cache.inputs, *cache.pre_activations, *cache.activations, cache.logits, cache.probs]
+    for pre, act in zip(pre_activations(params, cache), cache.activations):
+        assert act.tobytes() == np.maximum(pre, 0.0).tobytes()
+    for a, b in itertools.combinations([*cache.activations, cache.logits, cache.probs], 2):
+        assert not np.shares_memory(a, b)
+    cached = [cache.inputs, *cache.activations, cache.logits, cache.probs]
     cached_before = _snapshot(*cached)
     n = len(range(*rows.indices(9)))
     d = rng.standard_normal((n, 4))
@@ -445,6 +449,7 @@ def test_row_sum_bitwise_equals_sum_and_falls_back_from_8_entries(rng):
 
 
 def _backward_with_boolean_masks(params, cache, d, rows):
+    pre = pre_activations(params, cache)
     grad = ParamGrad.zeros_like(params)
     delta = d
     for i in range(params.n_layers - 1, -1, -1):
@@ -453,15 +458,16 @@ def _backward_with_boolean_masks(params, cache, d, rows):
         np.add.reduce(delta, axis=0, out=grad.biases[i])
         if i > 0:
             delta = delta @ params.weights[i].T
-            delta *= cache.pre_activations[i - 1][rows] > 0.0
+            delta *= pre[i - 1][rows] > 0.0
     return grad
 
 
 def _jvp_with_boolean_masks(params, tangent, cache, rows):
+    pre = pre_activations(params, cache)
     t = cache.inputs[rows] @ tangent.weights[0]
     t += tangent.biases[0]
     for i in range(1, params.n_layers):
-        t *= cache.pre_activations[i - 1][rows] > 0.0
+        t *= pre[i - 1][rows] > 0.0
         t_in = t
         t = cache.activations[i - 1][rows] @ tangent.weights[i]
         t += tangent.biases[i]
@@ -472,10 +478,14 @@ def _jvp_with_boolean_masks(params, tangent, cache, rows):
 @pytest.mark.parametrize("rows", [slice(None), slice(2, 7)])
 def test_cached_relu_masks_match_boolean_masks_bitwise(rng, rows):
     params = small_mlp(dims=(3, 8, 6, 4), seed=5)
-    _, cache = mlp_forward(params, rng.standard_normal((9, 3)))
-    # -0.0, +0.0 and NaN are not > 0 and mask to 0.0; the smallest subnormal is
-    for pre in cache.pre_activations[:-1]:
-        pre[2:7, :4] = [-0.0, np.nan, 0.0, 5e-324]
+    X = rng.standard_normal((9, 3))
+    # zero input rows leave the first layer's bias: +0.0 is not > 0 and masks
+    # to 0.0, the smallest subnormal is; NaN and -0.0 have their own mask test
+    X[2:7] = 0.0
+    params.biases[0][:4] = [0.0, 0.0, 5e-324, -5e-324]
+    _, cache = mlp_forward(params, X)
+    pre = pre_activations(params, cache)[0][2:7, :4]
+    assert (pre == [0.0, 0.0, 5e-324, -5e-324]).all()
     assert cache.masks is None  # a forward pass builds none
     n = len(range(*rows.indices(9)))
     tangent = random_grad(params, rng)
@@ -489,6 +499,59 @@ def test_cached_relu_masks_match_boolean_masks_bitwise(rng, rows):
     assert cache.masks is masks and len(masks) == 2  # built once, shared by every pass
 
 
+def test_relu_masks_are_the_recomputed_pre_activations_above_zero():
+    """The masks come from the ReLU'd activations, and equal pre > 0.0 bitwise
+    where the pre-activation is +-0.0, NaN, +-inf or subnormal."""
+    params = init_mlp([1, 6, 6, 3], seed=2)
+    params.weights[0][0] = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
+    params.biases[0][:] = -0.0
+    params.biases[1][:] = [0.5, -0.5, 0.0, 5e-324, -0.25, 1.0]
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.0, -3.0]
+    with np.errstate(invalid="ignore"):  # inf - inf in the second layer
+        _, cache = mlp_forward(params, np.array(specials)[:, None])
+        pre = pre_activations(params, cache)
+    first = pre[0].ravel()
+    # BLAS sums from +0.0, so an input of -0.0 reaches the first layer as +0.0
+    assert (first == 0.0).any() and np.isnan(first).any()
+    assert {np.inf, -np.inf, 5e-324, -5e-324} <= set(first.tolist())
+    masks = cache.relu_masks()
+    assert [m.tobytes() for m in masks] == [(p > 0.0).astype(np.float64).tobytes() for p in pre]
+    assert masks[0].tobytes() != masks[1].tobytes()  # a mask of the wrong layer differs
+
+    # -0.0 itself, through the forward pass's in-place ReLU
+    p = np.array([specials])
+    act = p.copy()
+    np.maximum(act, 0.0, out=act)
+    by_hand = ForwardCache(inputs=np.empty((1, 1)), activations=[act])
+    assert by_hand.relu_masks()[0].tobytes() == (p > 0.0).astype(np.float64).tobytes()
+
+
+def test_a_workspace_holds_one_array_per_layer_and_a_reused_forward_writes_only_into_it(rng):
+    def held(cache):
+        arrays = {}
+        for f in dataclasses.fields(cache):
+            value = getattr(cache, f.name)
+            for a in value if isinstance(value, list) else [value]:
+                if isinstance(a, np.ndarray):
+                    arrays[id(a)] = a
+        return list(arrays.values())
+
+    for dims in [(3, 8, 6, 4), (2, 16, 16, 2), (13, 100, 3)]:
+        params = small_mlp(dims=dims, seed=1)
+        ws = ForwardCache.empty(params, 40)
+        workspace = held(ws)
+        # rows x (sum of hidden widths + 2K) floats: activations, logits, probs
+        assert sum(a.nbytes for a in workspace) == 8 * 40 * (sum(dims[1:-1]) + 2 * dims[-1])
+        for a, b in itertools.combinations(workspace, 2):
+            assert not np.shares_memory(a, b)
+        for n in (40, 7):
+            X = rng.standard_normal((n, dims[0]))
+            _, cache = mlp_forward(params, X, ws)
+            outputs = [a for a in held(cache) if a is not X]
+            assert len(outputs) == len(workspace) - 1  # every array but the row-less inputs
+            assert all(any(np.shares_memory(a, w) for w in workspace) for a in outputs)
+
+
 def test_init_mlp_draws_up_to_the_glorot_limit():
     W = init_mlp([200, 200], seed=0).weights[0]
     limit = np.sqrt(6.0 / (200 + 200))
@@ -496,12 +559,12 @@ def test_init_mlp_draws_up_to_the_glorot_limit():
 
 
 def _forward_arrays(cache):
-    return [*cache.pre_activations, *cache.activations, cache.logits, cache.probs]
+    return [*cache.activations, cache.logits, cache.probs]
 
 
 def _assert_bitwise_equal_forwards(got, want):
     probs, cache = got
-    assert probs is cache.probs and cache.logits is cache.pre_activations[-1]
+    assert probs is cache.probs
     assert _snapshot(*_forward_arrays(cache)) == _snapshot(*_forward_arrays(want[1]))
 
 

@@ -272,7 +272,7 @@ def test_train_evaluates_every_split_in_one_workspace_and_numbers_do_not_move(mo
     def recording_forward(params, X, reuse=None):
         probs, cache = mlp_forward(params, X, reuse)
         if reuse is not None:
-            arrays = cache.pre_activations + cache.activations + [cache.probs]
+            arrays = cache.activations + [cache.logits, cache.probs]
             assert all(a.shape[0] == X.shape[0] for a in arrays)
             written.append(tuple(id(a.base) for a in arrays))
             sizes.add(reuse.probs.shape[0])
