@@ -35,6 +35,9 @@ Pinned runs:
   Gaussians, split 0.1/0.7/0.2 as in acceptance criterion 7: val is the
   largest split, so the train and test evaluation forwards write the
   leading rows of a workspace sized for val.
+* the features and labels of each split `trainer.run_splits` returns,
+  with standardize off and on, for the blob images and both raw-loaded
+  CSVs: a last-bit change in set-up shows without a training run.
 
 Takes a few seconds. Exits 0 when every run completes.
 """
@@ -56,7 +59,7 @@ from saflex.core import SaflexConfig, pi_scores
 from saflex.data import Dataset, SplitSpec, gen_two_gaussians, gen_two_moons, load_csv
 from saflex.oracle import pi_scores_reverse
 from saflex.rng import stream
-from saflex.trainer import MODES, RunConfig, train
+from saflex.trainer import MODES, RunConfig, run_splits, train
 
 CRITERION_8 = {
     "data": {"kind": "two_gaussians", "n": 400, "seed": 5},
@@ -260,6 +263,13 @@ def main() -> int:
         )
         lines.append((f"train {mode} sgd jitter flip 0.3 split 0.1/0.7/0.2",
                       train_digest(run, gaussians)))
+    for name, ds, seed in (("blob images", images, 3), ("tabular csv", tabular, 1),
+                           ("gapped csv", gapped, 4)):
+        for standardize in (False, True):
+            run = RunConfig(split=SplitSpec(0.6, 0.2, 0.2, seed=seed), standardize=standardize)
+            for part, split_ds in zip(("train", "val", "test"), run_splits(run, ds)):
+                lines.append((f"run_splits {name} seed {seed} standardize={standardize} {part}",
+                              dataset_digest(split_ds)))
     for name, digest in lines:
         print(f"{digest}  {name}")
     return 0

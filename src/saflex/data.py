@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import struct
 import warnings
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -189,6 +190,7 @@ def decoding(path: str):
 def read_schema(schema_path: str) -> list[tuple[str, str, int | None]]:
     """Schema file: one `name,kind[,cardinality]` line per column."""
     out = []
+    names: set[str] = set()
     with decoding(schema_path), open(schema_path, newline="") as f:
         for ln, row in enumerate(csv.reader(f), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -196,6 +198,9 @@ def read_schema(schema_path: str) -> list[tuple[str, str, int | None]]:
             if len(row) not in (2, 3):
                 raise ValueError(f"{schema_path}:{ln}: expected name,kind[,cardinality]")
             name, kind = row[0].strip(), row[1].strip()
+            if name in names:
+                raise ValueError(f"{schema_path}:{ln}: duplicate column name {name!r}")
+            names.add(name)
             if kind not in _KINDS:
                 raise ValueError(f"{schema_path}:{ln}: unknown kind {kind!r}")
             card = row[2].strip() if len(row) == 3 else None
@@ -295,7 +300,7 @@ def load_csv(path: str, schema_path: str, standardize: bool = False) -> Dataset:
             start += width
     X = np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
     ds = Dataset(X, labels, len(label_values), groups, label_values)
-    return apply_train_statistics(ds)[0] if standardize else ds
+    return apply_train_statistics(ds, (np.arange(n),))[0] if standardize else ds
 
 
 def save_csv(ds: Dataset, path: str, schema_path: str) -> None:
@@ -365,15 +370,20 @@ def load_images_raw(path: str) -> Dataset:
     labels = np.frombuffer(blob, dtype=np.uint8, count=n, offset=off + n * h * w)
     if n and labels.max() >= k:
         raise ValueError(f"image file {path!r} has label {labels.max()} outside [0, {k})")
-    X = pixels.reshape(n, h * w).astype(np.float64) / 255.0
+    X = pixels.reshape(n, h * w).astype(np.float64)
+    X /= 255.0
     return Dataset(X, labels.astype(np.int64), k, image_hw=(h, w))
 
 
 # ---------------------------------------------------------------------------
 # Splitting + normalization
 
-def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
-    """Disjoint, exhaustive, seed-deterministic, label-stratified partition."""
+def split(ds: Dataset, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Disjoint, exhaustive, seed-deterministic, label-stratified partition.
+
+    Returns the sorted int64 row indices of the train, val and test parts;
+    `ds.subset` or `apply_train_statistics` gathers the rows.
+    """
     rng = stream(spec.seed, "split")
     fracs = np.array([spec.train, spec.val, spec.test])
     chunks: list[list[np.ndarray]] = [[], [], []]
@@ -398,46 +408,60 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
             buckets[donor] = buckets[donor][:-1]
     parts = []
     for s in range(3):
-        part = ds.subset(np.sort(buckets[s]))
-        if fracs[s] > 0 and part.size:
+        rows = np.sort(buckets[s])
+        if fracs[s] > 0 and rows.size:
             # np.unique would import numpy.ma on its first call
-            present = np.count_nonzero(np.bincount(part.labels, minlength=ds.num_classes))
+            present = np.count_nonzero(np.bincount(ds.labels[rows], minlength=ds.num_classes))
             if present < ds.num_classes:
                 warnings.warn(
                     f"split {('train', 'val', 'test')[s]} is missing "
                     f"{ds.num_classes - present} class(es)",
                     stacklevel=2,
                 )
-        parts.append(part)
+        parts.append(rows)
     return parts[0], parts[1], parts[2]
 
 
-def apply_train_statistics(train: Dataset, *others: Dataset) -> tuple[Dataset, ...]:
-    """Re-standardize continuous columns using the training split only.
+def apply_train_statistics(ds: Dataset, parts: Sequence[np.ndarray]) -> tuple[Dataset, ...]:
+    """One Dataset per part of ds's rows, continuous columns z-scored with
+    the first part's statistics.
 
-    Each output is `(X - shift) / scale`, one pass over its split: `shift`
-    and `scale` hold the train mean and std on continuous columns and 0
-    and 1 elsewhere, which leave a value bitwise as it is. The statistics
-    come from one copy of the continuous columns. That copy is
-    Fortran-ordered, so `np.add.reduce(dev, 0)` sums each column pairwise
-    in the order `X[:, cont].mean(axis=0)` and `.std(axis=0)` use, and
-    gives their values bit for bit.
+    Each part's rows are gathered once, `ds.X[rows]`, and that fresh array
+    is z-scored in place: `X -= shift; X /= scale`, where `shift` and
+    `scale` hold the first part's mean and std on continuous columns and 0
+    and 1 elsewhere, which leave a value bitwise as it is. Without
+    continuous columns each output is `ds.subset(rows)`, bitwise.
     """
-    cont = [g.start for g in train.groups if g.kind == "continuous"]
-    if not cont:
-        return (train, *others)
-    dev = train.X[:, cont]
-    mean = np.add.reduce(dev, 0) / train.size
+    cont = [g.start for g in ds.groups if g.kind == "continuous"]
+    out = []
+    for i, rows in enumerate(parts):
+        X = ds.X[rows]
+        if cont:
+            if i == 0:
+                shift, scale = _column_statistics(X, cont)
+            X -= shift
+            X /= scale
+        out.append(Dataset(X, ds.labels[rows], ds.num_classes, ds.groups, ds.label_values,
+                           ds.image_hw))
+    return tuple(out)
+
+
+def _column_statistics(X: np.ndarray, cont: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Full-width shift and scale: X's mean and std on the continuous
+    columns (a zero std scales by 1), and 0 and 1 on the others.
+
+    The statistics come from one copy of those columns, dropped on return.
+    It is Fortran-ordered, so `np.add.reduce(dev, 0)` sums each column
+    pairwise in the order `X[:, cont].mean(axis=0)` and `.std(axis=0)`
+    use, and gives their values bit for bit.
+    """
+    dev = X[:, cont]
+    mean = np.add.reduce(dev, 0) / X.shape[0]
     dev -= mean
     dev *= dev
-    sd = np.sqrt(np.add.reduce(dev, 0) / train.size)
-    shift = np.zeros(train.dim)
+    sd = np.sqrt(np.add.reduce(dev, 0) / X.shape[0])
+    shift = np.zeros(X.shape[1])
     shift[cont] = mean
-    scale = np.ones(train.dim)
+    scale = np.ones(X.shape[1])
     scale[cont] = np.where(sd > 0, sd, 1.0)
-    out = []
-    for ds in (train, *others):
-        X = ds.X - shift
-        X /= scale
-        out.append(Dataset(X, ds.labels, ds.num_classes, ds.groups, ds.label_values, ds.image_hw))
-    return tuple(out)
+    return shift, scale

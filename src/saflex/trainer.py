@@ -162,15 +162,16 @@ class _Optimizer:
 def run_splits(run: RunConfig, data: Dataset) -> tuple[Dataset, Dataset, Dataset]:
     """The (train, val, test) splits a run trains and evaluates on.
 
-    With run.standardize, continuous columns are z-scored with the train
-    split's statistics. Every split must be nonempty.
+    `split` partitions the row indices, and each part's rows are gathered
+    once: with run.standardize, continuous columns are z-scored in place
+    with the train split's statistics. Every split must be nonempty.
     """
     parts = split(data, run.split)
     if min(p.size for p in parts) == 0:
         raise ValueError("every split must be nonempty")
     if run.standardize:
-        parts = apply_train_statistics(*parts)
-    return parts
+        return apply_train_statistics(data, parts)
+    return tuple(data.subset(p) for p in parts)
 
 
 Observer = Callable[[int, int, Batch, Batch | None, SaflexOutput | None], None]

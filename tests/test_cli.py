@@ -389,6 +389,14 @@ def test_csv_short_row_exits_two_naming_file_and_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {tmp_path / 'd.csv'}:3: 2 fields, the header has 3\n"
 
 
+def test_schema_with_a_duplicate_column_name_exits_two_naming_the_file(tmp_path, capsys):
+    cfg = _csv_cfg(tmp_path, "a,a,label\n1,2,x\n3,4,y\n")
+    (tmp_path / "s.csv").write_text("a,continuous\na,continuous\nlabel,label\n")
+    assert main(["train", "-c", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 's.csv'}:2: duplicate column name 'a'\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_csv_non_finite_value_exits_two_naming_line_and_column(tmp_path, capsys, value):
     cfg = _csv_cfg(tmp_path, f"a,c,label\n0.5,u,0\n\n{value},v,1\n-1.0,u,1\n")

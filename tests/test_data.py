@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -115,6 +117,18 @@ def test_schema_cardinality_must_be_a_positive_integer(tmp_path, card):
         load_csv(data, schema)
 
 
+@pytest.mark.parametrize("schema_text,header,line,name", [
+    ("a,continuous\na,continuous\nlabel,label\n", "a,a,label", 2, "a"),
+    ("label,label\nx,continuous\nlabel,categorical\n", "label,x,label", 3, "label"),
+])
+def test_schema_rejects_a_duplicate_column_name(tmp_path, schema_text, header, line, name):
+    # accepted, every feature of that name would hold the last such column's values
+    data = _write(tmp_path / "d.csv", f"{header}\n1,2,x\n3,4,y\n")
+    schema = _write(tmp_path / "s.csv", schema_text)
+    with pytest.raises(ValueError, match=f"^{re.escape(schema)}:{line}: duplicate column name '{name}'$"):
+        load_csv(data, schema)
+
+
 def test_csv_missing_column(tmp_path):
     data = _write(tmp_path / "d.csv", "a,label\n1,0\n")
     schema = _write(tmp_path / "s.csv", "a,continuous\nb,continuous\nlabel,label\n")
@@ -207,14 +221,12 @@ def test_images_bad_magic(tmp_path):
 def test_split_disjoint_exhaustive_deterministic():
     ds = gen_two_gaussians(503, seed=5)
     spec = SplitSpec(0.6, 0.2, 0.2, seed=11)
-    tr, va, te = split(ds, spec)
-    assert tr.size + va.size + te.size == ds.size
+    parts = split(ds, spec)
     again = split(ds, spec)
-    for a, b in zip((tr, va, te), again):
-        np.testing.assert_array_equal(a.X, b.X)
-        np.testing.assert_array_equal(a.labels, b.labels)
-    all_rows = np.concatenate([tr.X, va.X, te.X])
-    assert np.unique(all_rows, axis=0).shape[0] == ds.size
+    for a, b in zip(parts, again):
+        assert a.dtype == np.int64 and np.all(np.diff(a) > 0)  # sorted, no repeats
+        assert a.tobytes() == b.tobytes()
+    assert np.sort(np.concatenate(parts)).tolist() == list(range(ds.size))
 
 
 @given(st.integers(0, 1000))
@@ -225,7 +237,7 @@ def test_split_stratified_within_one(seed):
     for part, frac in ((tr, 0.5), (va, 0.25), (te, 0.25)):
         for c in (0, 1):
             expected = frac * (ds.labels == c).sum()
-            got = (part.labels == c).sum()
+            got = (ds.labels[part] == c).sum()
             assert abs(got - expected) <= 1
 
 
@@ -249,12 +261,12 @@ def test_train_statistics_from_train_only():
     rng = np.random.default_rng(4)
     ds = Dataset(rng.standard_normal((200, 3)) * 5 + 2, rng.integers(0, 2, 200), 2)
     tr, va, te = split(ds, SplitSpec(0.5, 0.25, 0.25, seed=0))
-    tr2, va2, te2 = apply_train_statistics(tr, va, te)
+    tr2, va2, te2 = apply_train_statistics(ds, (tr, va, te))
     np.testing.assert_allclose(tr2.X.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(tr2.X.std(axis=0), 1.0, atol=1e-12)
     # val/test reuse the train statistics, so they are near but not exactly standard
     assert np.abs(va2.X.mean(axis=0)).max() > 1e-9
-    expected = (va.X - tr.X.mean(axis=0)) / tr.X.std(axis=0)
+    expected = (ds.X[va] - ds.X[tr].mean(axis=0)) / ds.X[tr].std(axis=0)
     np.testing.assert_allclose(va2.X, expected, atol=1e-12)
 
 
@@ -262,11 +274,12 @@ def test_a_column_constant_on_train_is_shifted_by_its_mean_and_left_unscaled():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((30, 2))
     X[:10, 1] = 2.5  # constant on the train rows only
-    tr, va, te = (Dataset(X[i : i + 10], np.arange(10) % 2, 2) for i in (0, 10, 20))
-    tr2, va2, te2 = apply_train_statistics(tr, va, te)
+    ds = Dataset(X, np.arange(30) % 2, 2)
+    parts = [np.arange(i, i + 10) for i in (0, 10, 20)]
+    tr2, va2, te2 = apply_train_statistics(ds, parts)
     assert np.all(tr2.X[:, 1] == 0.0)
-    for raw, out in ((va, va2), (te, te2)):
-        assert out.X[:, 1].tobytes() == (raw.X[:, 1] - 2.5).tobytes()
+    for rows, out in zip(parts[1:], (va2, te2)):
+        assert out.X[:, 1].tobytes() == (X[rows, 1] - 2.5).tobytes()
 
 
 def test_split_spec_validation():
@@ -440,8 +453,28 @@ def test_setup_matches_the_reference_through_the_donor_path_and_the_warning():
         "split test is missing 1 class(es)", "split val is missing 1 class(es)"]
 
 
-def test_setup_without_continuous_columns_returns_its_inputs():
+def test_setup_without_continuous_columns_returns_the_gathered_rows_unchanged():
     ds = Dataset(np.eye(4)[np.arange(20) % 4], np.arange(20) % 2, 2,
                  [FeatureGroup("c", "categorical", 0, 4)])
     parts = split(ds, SplitSpec(0.5, 0.25, 0.25, seed=0))
-    assert all(a is b for a, b in zip(apply_train_statistics(*parts), parts))
+    for rows, out in zip(parts, apply_train_statistics(ds, parts), strict=True):
+        assert out.X.tobytes() == ds.X[rows].tobytes()
+        assert out.labels.tobytes() == ds.labels[rows].tobytes()
+        assert out.groups == ds.groups and not out.X.flags.writeable
+
+
+def test_standardized_setup_allocates_its_outputs_and_one_copy_of_the_train_columns():
+    # image_crop's shape: 2000 rows of 100 continuous columns
+    g = stream(3, "test_data", "peak")
+    ds = Dataset(g.random((2000, 100)), g.integers(0, 2, 2000), 2, image_hw=(10, 10))
+    run = RunConfig(split=SplitSpec(0.6, 0.2, 0.2, seed=0), standardize=True)
+    run_splits(run, ds)  # warm: first-call allocations are not the set-up's
+    tracemalloc.start()
+    try:
+        parts = run_splits(run, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(p.X.nbytes + p.labels.nbytes for p in parts)
+    train_columns = parts[0].X.nbytes
+    assert peak < outputs + train_columns + 128 * 1024, (peak, outputs, train_columns)

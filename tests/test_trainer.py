@@ -4,6 +4,7 @@ import pytest
 from saflex.augment import AugmenterSpec
 from saflex.core import SaflexConfig
 from saflex.data import Dataset, SplitSpec, gen_two_gaussians
+from saflex import data as data_mod
 from saflex import trainer as trainer_mod
 from saflex.nn import ForwardCache, ModelParams, ParamGrad, init_mlp, mlp_forward, sgd_step
 from saflex.rng import stream
@@ -303,3 +304,25 @@ def test_val_cycler_batches_are_slices_of_each_shuffled_pass():
                 got = cycler.next_batch()
                 assert got.X.tobytes() == want.X.tobytes()
                 assert got.hard_labels.tobytes() == want.hard_labels.tobytes()
+
+
+def test_train_calls_split_and_apply_train_statistics_once_each_through_trainer(monkeypatch):
+    """The benchmark's tracer times set-up by wrapping these two module
+    globals of `trainer`; each must be called once per standardized run."""
+    ds = gen_two_gaussians(300, seed=0)
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("split", "apply_train_statistics"):
+        monkeypatch.setattr(trainer_mod, name, counting(name, getattr(trainer_mod, name)))
+    for standardize, want in ((True, ["split", "apply_train_statistics"]), (False, ["split"])):
+        run = _run(mode="none", epochs=1, standardize=standardize)
+        calls.clear()
+        train(run, ds)
+        assert calls == want
+        assert data_mod.split(ds, run.split)[0].size == run_splits(run, ds)[0].size
