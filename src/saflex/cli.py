@@ -141,10 +141,12 @@ def oracle_instance(
     params = init_mlp(dims, seed=int(g.integers(0, 2**31)))
     b = int(g.integers(1, b_max + 1))
     X = g.standard_normal((b, dims[0]))
-    g_val = ParamGrad(
-        [g.standard_normal(w.shape) for w in params.weights],
-        [g.standard_normal(bb.shape) for bb in params.biases],
-    )
+    # one draw, every weight block first, then every bias, into the flat layout
+    g_val = ParamGrad.from_flat(np.empty(params.param_count), params.shapes)
+    draw, off = g.standard_normal(params.param_count), 0
+    for block in (*g_val.weights, *g_val.biases):
+        block[...] = draw[off : off + block.size].reshape(block.shape)
+        off += block.size
     return params, X, g_val
 
 

@@ -318,8 +318,12 @@ def save_csv(ds: Dataset, path: str, schema_path: str) -> None:
             schema.append((g.name, "categorical", g.width))
             hot = ds.X[:, g.start : g.start + g.width].argmax(axis=1)
             columns.append([cats[i] for i in hot])
-    names.append("label")
-    schema.append(("label", "label", None))
+    label, j = "label", 0
+    while label in names:  # the first of label, label_1, label_2, ... no feature takes
+        j += 1
+        label = f"label_{j}"
+    names.append(label)
+    schema.append((label, "label", None))
     lv = ds.label_values or [str(i) for i in range(ds.num_classes)]
     columns.append([lv[i] for i in ds.labels])
     with open(path, "w", newline="") as f:

@@ -14,9 +14,12 @@ touch only temporaries a function has just allocated itself, never its
 inputs or a parameter vector, unless the caller hands over an array to
 write: mlp_backward given `out` overwrites every block of that ParamGrad
 and returns it, and mlp_forward given `reuse` overwrites that cache's
-arrays, which then belong to the cache it returns. Two more writes keep
-what is derived on first use: relu_masks() keeps its masks on the cache,
-and ParamGrad.dot keeps its 1-D block views of `flat` on the vector.
+arrays, which then belong to the cache it returns. Given a stack of R
+logit-gradient tables, mlp_backward writes R gradients, row r of a
+stacked ParamGrad's (R, P) `flat` for table r; `out` must then be such a
+stack. Two more writes keep what is derived on first use: relu_masks()
+keeps its masks on the cache, and ParamGrad.dot keeps its 1-D block
+views of `flat` on the vector.
 """
 
 from __future__ import annotations
@@ -48,7 +51,12 @@ class _LayerVector:
     The layout is the checkpoint body: W0 (row-major), b0, W1, b1, ...
     `shapes` holds each layer's (fan_in, fan_out); `weights` and `biases`
     are views into `flat`, so writing through either side changes both.
+    A class with `_stackable` set also binds a 2-D (R, P) `flat`, one
+    vector per row, with views stacked the same way: (R, fan_in, fan_out)
+    weights and (R, fan_out) biases.
     """
+
+    _stackable = False
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]) -> None:
         if len(weights) != len(biases):
@@ -69,11 +77,17 @@ class _LayerVector:
 
     def _bind(self, flat: np.ndarray, shapes: tuple[tuple[int, int], ...]) -> None:
         spans, size = _layout(shapes)
-        if flat.shape != (size,):
-            raise ValueError(f"flat vector of shape {flat.shape} does not fit {size} parameters")
         self.flat, self.shapes = flat, shapes
-        self.weights = [flat[w:b].reshape(shape) for (w, b, _), shape in zip(spans, shapes)]
-        self.biases = [flat[b:end] for _, b, end in spans]
+        if flat.shape == (size,):
+            self.weights = [flat[w:b].reshape(shape) for (w, b, _), shape in zip(spans, shapes)]
+            self.biases = [flat[b:end] for _, b, end in spans]
+        elif self._stackable and flat.ndim == 2 and flat.shape[1] == size:
+            # splitting each row's contiguous span into (fan_in, fan_out) keeps a view
+            self.weights = [flat[:, w:b].reshape((flat.shape[0], *shape), copy=False)
+                            for (w, b, _), shape in zip(spans, shapes)]
+            self.biases = [flat[:, b:end] for _, b, end in spans]
+        else:
+            raise ValueError(f"flat vector of shape {flat.shape} does not fit {size} parameters")
 
 
 @lru_cache(maxsize=64)
@@ -123,7 +137,14 @@ class ModelParams(_LayerVector):
 
 
 class ParamGrad(_LayerVector):
-    """A vector in parameter space, laid out like some ModelParams."""
+    """A vector in parameter space, laid out like some ModelParams.
+
+    Also a stack of such vectors, one per row of a 2-D `flat`, which is
+    what a stacked mlp_backward writes. Only the per-layer views and
+    `flat` serve a stack; take one vector as from_flat(stack.flat[r], shapes).
+    """
+
+    _stackable = True
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "ParamGrad":
@@ -143,6 +164,8 @@ class ParamGrad(_LayerVector):
         over these slices runs the same ddot on the same elements.
         """
         if self._dot_blocks is None:
+            if self.flat.ndim != 1:
+                raise ValueError("a stack of vectors has no dot; take one row of it")
             spans, _ = _layout(self.shapes)
             self._dot_blocks = ([self.flat[w:b] for w, b, _ in spans]
                                 + [self.flat[b:end] for _, b, end in spans])
@@ -298,6 +321,18 @@ def mlp_forward(
     return cache.probs, cache
 
 
+def _stacked_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.dot(a, b[r], out=out[r]) for every r of the stack b, bitwise, in one call.
+
+    np.matmul gives each stack element the bits np.dot gives, but for a
+    (1, 1) @ (1, 1): np.dot multiplies, so a zero product keeps its sign,
+    where np.matmul adds the product to +0.0. np.multiply keeps it too.
+    """
+    if a.shape == (1, 1) and b.shape[-1] == 1:
+        return np.multiply(a, b, out=out)
+    return np.matmul(a, b, out=out)
+
+
 def mlp_backward(
     params: ModelParams,
     cache: ForwardCache,
@@ -311,25 +346,38 @@ def mlp_backward(
     by the batch size beforehand for a mean-reduced loss. `rows` picks
     the cache rows the logit gradient belongs to. Given `out`, laid out
     like `params`, every block of it is overwritten and it is returned.
+
+    A 3-D dloss_dlogits (R, n, K) is a stack of R tables for the same n
+    rows, and the result a stacked ParamGrad with `flat` (R, P), row r the
+    gradient of table r; `out` must hold R rows. Each product runs once per
+    stack element, as it runs for that table alone (_stacked_dot for the
+    weight gradient, `@` for delta @ W.T at either rank), so row r is
+    bitwise the gradient of table r by itself. A 2-D table keeps np.dot,
+    which costs less per call than np.matmul.
     """
     d = np.asarray(dloss_dlogits, dtype=np.float64)
-    if cache.logits is None or d.shape != cache.logits[rows].shape:
+    if cache.logits is None or d.ndim not in (2, 3) or d.shape[-2:] != cache.logits[rows].shape:
         raise ValueError(
             f"dloss_dlogits shape {d.shape} != logits shape "
             f"{None if cache.logits is None else cache.logits[rows].shape}"
         )
+    stacked = d.ndim == 3
+    flat_shape = d.shape[:-2] + params.flat.shape
     if out is None:
-        grad = ParamGrad.from_flat(np.empty(params.flat.size), params.shapes)
+        grad = ParamGrad.from_flat(np.empty(flat_shape), params.shapes)
     elif out.shapes != params.shapes:
         raise ValueError(f"out laid out for {out.shapes}, not the parameters' {params.shapes}")
+    elif out.flat.shape != flat_shape:
+        raise ValueError(f"out of flat shape {out.flat.shape} cannot hold {flat_shape}")
     else:
         grad = out
+    product, row_axis = (_stacked_dot, 1) if stacked else (np.dot, 0)
     masks = cache.relu_masks()
     delta = d
     for i in range(params.n_layers - 1, -1, -1):
         a_in = cache.activations[i - 1] if i > 0 else cache.inputs
-        np.dot(a_in[rows].T, delta, out=grad.weights[i])
-        np.add.reduce(delta, axis=0, out=grad.biases[i])
+        product(a_in[rows].T, delta, out=grad.weights[i])
+        np.add.reduce(delta, axis=row_axis, out=grad.biases[i])
         if i > 0:
             # delta is the caller's array at the top layer; rebind, then scale
             delta = delta @ params.weights[i].T

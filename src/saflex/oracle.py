@@ -67,9 +67,12 @@ def pi_scores_reverse(params: ModelParams, X: np.ndarray, g_val: ParamGrad) -> n
     For sample i and class k, backpropagate the per-class loss -log p_k
     (logit gradient p - e_k) and take the parameter-space inner product
     with g_val. Shares no code with the forward-mode fast path. A 1-D X
-    is one sample. Every backward pass writes into one gradient buffer,
-    one row and one class at a time: a multi-row product can differ from
-    the 1-row one in the last bit.
+    is one sample. Each sample takes one backward pass over a stack of
+    its K logit gradients, written into one stacked buffer; each class's
+    row is then dotted with g_val. Samples and classes never share the
+    rows of one product, since a multi-row product can differ from the
+    1-row one in the last bit; on the stack axis, each class keeps its
+    own 1-row product.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -81,15 +84,15 @@ def pi_scores_reverse(params: ModelParams, X: np.ndarray, g_val: ParamGrad) -> n
     b = X.shape[0]
     k = params.n_classes
     out = np.empty((b, k))
-    eye = np.eye(k)
-    grad = ParamGrad.zeros_like(params)
+    eye = np.eye(k)[:, None, :]
+    stack = ParamGrad.from_flat(np.empty((k, params.param_count)), params.shapes)
+    per_class = [ParamGrad.from_flat(row, params.shapes) for row in stack.flat]
     for i in range(b):
         probs_i, cache_i = mlp_forward(params, X[i : i + 1])
-        # row c is bitwise probs_i - eye[c : c + 1]
-        dlogits = probs_i - eye
+        # table c is bitwise probs_i - eye[c]
+        mlp_backward(params, cache_i, probs_i - eye, out=stack)
         for c in range(k):
-            mlp_backward(params, cache_i, dlogits[c : c + 1], out=grad)
-            out[i, c] = param_dot(grad, g_val)
+            out[i, c] = param_dot(per_class[c], g_val)
     return out
 
 

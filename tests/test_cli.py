@@ -67,6 +67,24 @@ def test_gen_data_csv_passthrough(tmp_path):
             assert a.read() == b.read()
 
 
+def test_gen_data_csv_passthrough_keeps_features_named_like_the_label(tmp_path):
+    # features `label` and `label_1` take the writer's first two label names
+    (tmp_path / "schema.csv").write_text(
+        "label,continuous\ncolor,categorical,3\nlabel_1,continuous\ny,label\n")
+    (tmp_path / "data.csv").write_text(
+        "label,color,label_1,y\n0.5,red,1,cat\n-2,blue,0.25,dog\n3e-3,red,-1,cat\n")
+    src = load_csv(str(tmp_path / "data.csv"), str(tmp_path / "schema.csv"))
+    out = str(tmp_path / "copy")
+    rc = main(["gen-data", "--kind", "csv_passthrough", "--input", str(tmp_path / "data.csv"),
+               "--input-schema", str(tmp_path / "schema.csv"), "--out", out])
+    assert rc == 0
+    ds = load_csv(os.path.join(out, "data.csv"), os.path.join(out, "schema.csv"))
+    assert ds.X.tobytes() == src.X.tobytes()
+    assert ds.labels.tolist() == src.labels.tolist() == [0, 1, 0]
+    assert ds.label_values == src.label_values == ["cat", "dog"]
+    assert [g.name for g in ds.groups] == ["label", "color", "label_1"]
+
+
 def test_gen_data_rejects_zero_n(tmp_path):
     rc = main(["gen-data", "--n", "0", "--out", str(tmp_path / "x")])
     assert rc == 2

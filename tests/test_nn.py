@@ -378,6 +378,80 @@ def test_backward_rejects_an_out_of_another_layout(rng, dims):
     assert np.isnan(buf.flat).all()
 
 
+def _nan_stack(params, r):
+    return ParamGrad.from_flat(np.full((r, params.flat.size), np.nan), params.shapes)
+
+
+def test_stacked_backward_is_bitwise_one_backward_per_table(rng):
+    # n == 1 is the oracle's case: there a folded (R * n)-row product of
+    # delta @ W.T would be a gemm where each table alone takes a gemv
+    for trial in range(120):
+        n_layers = int(rng.integers(1, 4))
+        k = int(rng.integers(2, 7))
+        dims = [int(d) for d in rng.integers(1, 48, size=n_layers)] + [k]
+        if trial % 3:
+            dims[int(rng.integers(0, n_layers))] = 1  # a 1-wide input or hidden layer
+        params = init_mlp(dims, seed=trial)
+        n = 1 if trial % 2 else int(rng.integers(1, 65))
+        r = int(rng.integers(1, 7))
+        _, cache = mlp_forward(params, rng.standard_normal((n + 3, dims[0])))
+        rows = slice(None) if trial % 4 < 2 else slice(2, n + 2)
+        n_rows = len(range(*rows.indices(n + 3)))
+        d = rng.standard_normal((r, n_rows, k))
+        buf = _nan_stack(params, r)
+        got = mlp_backward(params, cache, d, rows, out=buf)
+        assert got is buf
+        for t in range(r):
+            alone = mlp_backward(params, cache, d[t], rows)
+            assert got.flat[t].tobytes() == alone.flat.tobytes(), (trial, dims, n, t)
+        fresh = mlp_backward(params, cache, d, rows)
+        assert fresh.flat.shape == (r, params.flat.size)
+        assert fresh.flat.tobytes() == got.flat.tobytes()
+
+
+def test_stacked_vector_views_write_through_and_only_a_gradient_stacks():
+    params = small_mlp(dims=(3, 5, 2), seed=1)
+    stack = ParamGrad.from_flat(np.zeros((4, params.flat.size)), params.shapes)
+    assert stack.weights[1].shape == (4, 5, 2) and stack.biases[0].shape == (4, 5)
+    stack.weights[1][2, 4, 1] = 3.0
+    stack.biases[0][3, 2] = -1.0
+    assert stack.flat[2, 3 * 5 + 5 + 4 * 2 + 1] == 3.0 and stack.flat[3, 3 * 5 + 2] == -1.0
+    assert np.count_nonzero(stack.flat) == 2
+    for bad in (np.zeros((4, params.flat.size + 1)), np.zeros((2, 4, params.flat.size))):
+        with pytest.raises(ValueError, match="does not fit"):
+            ParamGrad.from_flat(bad, params.shapes)
+    with pytest.raises(ValueError, match="does not fit"):
+        ModelParams.from_flat(np.zeros((4, params.flat.size)), params.shapes)
+    row = ParamGrad.from_flat(stack.flat[2], params.shapes)
+    assert row.dot(row) == 9.0
+    with pytest.raises(ValueError, match="no dot"):
+        param_dot(stack, stack)
+
+
+@pytest.mark.parametrize("stack_rows, dims", [
+    (None, (3, 8, 6, 4)), (2, (3, 8, 6, 4)), (4, (3, 8, 6, 4)), (3, (3, 8, 6, 5)),
+])
+def test_stacked_backward_rejects_an_out_of_another_stack_or_layout(rng, stack_rows, dims):
+    params = small_mlp()
+    _, cache = mlp_forward(params, rng.standard_normal((2, 3)))
+    other = small_mlp(dims=dims)
+    buf = _nan_grad(other) if stack_rows is None else _nan_stack(other, stack_rows)
+    with pytest.raises(ValueError, match="out laid out|cannot hold"):
+        mlp_backward(params, cache, rng.standard_normal((3, 2, 4)), out=buf)
+    assert np.isnan(buf.flat).all()
+    # a 2-D table cannot write into a stack either
+    with pytest.raises(ValueError, match="out laid out|cannot hold"):
+        mlp_backward(params, cache, rng.standard_normal((2, 4)), out=_nan_stack(params, 1))
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 5), (3, 1, 4), (1, 3, 2, 4), (4,)])
+def test_backward_rejects_a_table_of_another_shape(rng, shape):
+    params = small_mlp()
+    _, cache = mlp_forward(params, rng.standard_normal((2, 3)))
+    with pytest.raises(ValueError, match="dloss_dlogits shape"):
+        mlp_backward(params, cache, np.zeros(shape))
+
+
 def test_dot_is_bitwise_the_sum_of_raveled_block_dots(rng):
     for _ in range(300):
         n_layers = int(rng.integers(1, 4))

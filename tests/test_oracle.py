@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_grad, small_mlp
+from saflex import oracle
 from saflex.core import closed_form_assignment, pi_scores, validation_gradient
 from saflex.data import Batch
 from saflex.losses import hard_ce, one_hot
@@ -72,6 +73,33 @@ def test_reverse_scores_are_bitwise_one_backward_per_sample_and_class(k):
         params, X, g_val = oracle_instance(9, i, ENUM_MAX_B, k)
         got = pi_scores_reverse(params, X, g_val)
         assert got.tobytes() == _reverse_scores_reference(params, X, g_val).tobytes()
+
+
+@pytest.mark.parametrize("k", [2, ENUM_MAX_K])
+def test_reverse_scores_call_backward_and_dot_through_the_oracle_module(monkeypatch, k):
+    # perfbench's tracer wraps oracle.mlp_backward and oracle.param_dot by name
+    # and counts a backward's rows from its third positional argument
+    tables, dots = [], []
+    real_backward, real_dot = oracle.mlp_backward, oracle.param_dot
+
+    def backward(*args, **kwargs):
+        tables.append(args[2].shape)
+        return real_backward(*args, **kwargs)
+
+    def dot(*args):
+        dots.append(None)
+        return real_dot(*args)
+
+    monkeypatch.setattr(oracle, "mlp_backward", backward)
+    monkeypatch.setattr(oracle, "param_dot", dot)
+    for i in range(6):
+        params, X, g_val = oracle_instance(4, i, ENUM_MAX_B, k)
+        tables.clear()
+        dots.clear()
+        pi_scores_reverse(params, X, g_val)
+        b = X.shape[0]
+        assert tables == [(k, 1, k)] * b
+        assert len(dots) == b * k
 
 
 @pytest.mark.parametrize("b_max", [1, 3, ENUM_MAX_B])
