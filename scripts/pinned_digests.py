@@ -38,6 +38,10 @@ Pinned runs:
 * the features and labels of each split `trainer.run_splits` returns,
   with standardize off and on, for the blob images and both raw-loaded
   CSVs: a last-bit change in set-up shows without a training run.
+* the raw bytes of `oracle.pi_scores_reverse` on 64 rows of the
+  training step's layer shapes (2-32-32-2, 100-32-32-2, 35-32-32-3) and
+  of a layout with a 1-wide hidden layer: the oracle-check instances
+  above reach at most 8 rows and 16-wide layers.
 
 Takes a few seconds. Exits 0 when every run completes.
 """
@@ -57,6 +61,7 @@ from saflex import cli
 from saflex.augment import AugmenterSpec, cutmix_tabular
 from saflex.core import SaflexConfig, pi_scores
 from saflex.data import Dataset, SplitSpec, gen_two_gaussians, gen_two_moons, load_csv
+from saflex.nn import ParamGrad, init_mlp
 from saflex.oracle import pi_scores_reverse
 from saflex.rng import stream
 from saflex.trainer import MODES, RunConfig, run_splits, train
@@ -150,6 +155,20 @@ def score_table_digest(n: int = 200) -> str:
         chunks += [pi_scores(params, X, g_val).tobytes(),
                    pi_scores_reverse(params, X, g_val).tobytes()]
     return sha256(*chunks)
+
+
+REVERSE_SCORE_LAYOUTS = ((2, 32, 32, 2), (100, 32, 32, 2), (35, 32, 32, 3), (6, 16, 1, 16, 4))
+
+
+def reverse_score_digest(dims: tuple[int, ...], rows: int = 64) -> str:
+    """pi_scores_reverse over `rows` samples, with drawn biases, inputs and g_val."""
+    g = stream(0, "pinned_digests", "reverse scores", *dims)
+    params = init_mlp(list(dims), seed=int(g.integers(0, 2**31)))
+    for b in params.biases:
+        b[...] = 0.1 * g.standard_normal(b.shape)
+    X = g.standard_normal((rows, dims[0]))
+    g_val = ParamGrad.from_flat(g.standard_normal(params.param_count), params.shapes)
+    return sha256(pi_scores_reverse(params, X, g_val).tobytes())
 
 
 def cutmix_digest(ds: Dataset, n: int = 200) -> str:
@@ -270,6 +289,9 @@ def main() -> int:
             for part, split_ds in zip(("train", "val", "test"), run_splits(run, ds)):
                 lines.append((f"run_splits {name} seed {seed} standardize={standardize} {part}",
                               dataset_digest(split_ds)))
+    for dims in REVERSE_SCORE_LAYOUTS:
+        lines.append((f"pi_scores_reverse 64 rows {'-'.join(map(str, dims))}",
+                       reverse_score_digest(dims)))
     for name, digest in lines:
         print(f"{digest}  {name}")
     return 0

@@ -67,12 +67,12 @@ def pi_scores_reverse(params: ModelParams, X: np.ndarray, g_val: ParamGrad) -> n
     For sample i and class k, backpropagate the per-class loss -log p_k
     (logit gradient p - e_k) and take the parameter-space inner product
     with g_val. Shares no code with the forward-mode fast path. A 1-D X
-    is one sample. Each sample takes one backward pass over a stack of
-    its K logit gradients, written into one stacked buffer; each class's
-    row is then dotted with g_val. Samples and classes never share the
-    rows of one product, since a multi-row product can differ from the
-    1-row one in the last bit; on the stack axis, each class keeps its
-    own 1-row product.
+    is one sample. One forward pass takes the b samples as a (b, 1, d)
+    stack of 1-row batches, one backward pass a (b, K, 1, K) stack of
+    their logit gradients, and one dot the (b * K)-row gradient stack.
+    Samples and classes never share the rows of one product, since a
+    multi-row product can differ from the 1-row one in the last bit; on
+    the stack axes, each keeps its own 1-row product.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -81,19 +81,11 @@ def pi_scores_reverse(params: ModelParams, X: np.ndarray, g_val: ParamGrad) -> n
         raise ValueError(f"X of shape {X.shape} is not a batch of {params.input_dim}-wide samples")
     if g_val.shapes != params.shapes:
         raise ValueError(f"g_val laid out for {g_val.shapes}, not the parameters' {params.shapes}")
-    b = X.shape[0]
     k = params.n_classes
-    out = np.empty((b, k))
-    eye = np.eye(k)[:, None, :]
-    stack = ParamGrad.from_flat(np.empty((k, params.param_count)), params.shapes)
-    per_class = [ParamGrad.from_flat(row, params.shapes) for row in stack.flat]
-    for i in range(b):
-        probs_i, cache_i = mlp_forward(params, X[i : i + 1])
-        # table c is bitwise probs_i - eye[c]
-        mlp_backward(params, cache_i, probs_i - eye, out=stack)
-        for c in range(k):
-            out[i, c] = param_dot(per_class[c], g_val)
-    return out
+    probs, cache = mlp_forward(params, X[:, None, :])
+    # table [i, c] is bitwise probs_i - eye[c]
+    grads = mlp_backward(params, cache, probs[:, None] - np.eye(k)[:, None, :])
+    return param_dot(grads, g_val).reshape(X.shape[0], k)
 
 
 def enumerate_optimum_scores(pi: np.ndarray) -> tuple[Assignment, float]:

@@ -77,29 +77,29 @@ def test_reverse_scores_are_bitwise_one_backward_per_sample_and_class(k):
 
 @pytest.mark.parametrize("k", [2, ENUM_MAX_K])
 def test_reverse_scores_call_backward_and_dot_through_the_oracle_module(monkeypatch, k):
-    # perfbench's tracer wraps oracle.mlp_backward and oracle.param_dot by name
-    # and counts a backward's rows from its third positional argument
-    tables, dots = [], []
-    real_backward, real_dot = oracle.mlp_backward, oracle.param_dot
+    # perfbench's tracer wraps oracle.mlp_forward, oracle.mlp_backward and
+    # oracle.param_dot by name, and counts rows from the second (forward)
+    # and third (backward) positional argument
+    calls = []
 
-    def backward(*args, **kwargs):
-        tables.append(args[2].shape)
-        return real_backward(*args, **kwargs)
+    def spy(name, counted):
+        real = getattr(oracle, name)
 
-    def dot(*args):
-        dots.append(None)
-        return real_dot(*args)
+        def wrapper(*args, **kwargs):
+            calls.append((name, None if counted is None else args[counted].shape))
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "mlp_backward", backward)
-    monkeypatch.setattr(oracle, "param_dot", dot)
+        return wrapper
+
+    for name, counted in (("mlp_forward", 1), ("mlp_backward", 2), ("param_dot", None)):
+        monkeypatch.setattr(oracle, name, spy(name, counted))
     for i in range(6):
         params, X, g_val = oracle_instance(4, i, ENUM_MAX_B, k)
-        tables.clear()
-        dots.clear()
+        calls.clear()
         pi_scores_reverse(params, X, g_val)
         b = X.shape[0]
-        assert tables == [(k, 1, k)] * b
-        assert len(dots) == b * k
+        assert calls == [("mlp_forward", (b, 1, X.shape[1])), ("mlp_backward", (b, k, 1, k)),
+                         ("param_dot", None)]
 
 
 @pytest.mark.parametrize("b_max", [1, 3, ENUM_MAX_B])

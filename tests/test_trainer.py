@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from saflex.augment import AugmenterSpec
-from saflex.core import SaflexConfig
-from saflex.data import Dataset, SplitSpec, gen_two_gaussians
+from saflex.core import SaflexConfig, validation_gradient
+from saflex.data import Batch, Dataset, SplitSpec, gen_two_gaussians
 from saflex import data as data_mod
 from saflex import trainer as trainer_mod
 from saflex.nn import ForwardCache, ModelParams, ParamGrad, init_mlp, mlp_forward, sgd_step
@@ -95,6 +95,27 @@ def test_evaluate_matches_loop_oracle(rng):
         total += -np.log(probs[0, labels[i]])
     assert acc == hits / 100
     assert loss == pytest.approx(total / 100, abs=1e-9)
+
+
+def test_evaluate_and_validation_gradient_reject_a_3d_x(rng):
+    # mlp_forward takes a 3-D X as a stack of batches; these entry points do not
+    params = init_mlp([3, 6, 4], seed=5)
+    X3 = rng.standard_normal((2, 5, 3))
+    labels = rng.integers(0, 4, size=2)
+    with pytest.raises(ValueError, match="X must be"):
+        Dataset(X3, labels, 4)
+    with pytest.raises(ValueError, match="batch features must be"):
+        Batch(X3, labels)
+    # a carrier whose X was swapped after its checks ran still gets no stacked result
+    ds = Dataset(rng.standard_normal((2, 3)), labels, 4)
+    ds.X = X3
+    for reuse in (None, ForwardCache.empty(params, 10)):
+        with pytest.raises(ValueError, match="2-D"):
+            evaluate(params, ds, reuse)
+    batch = Batch(rng.standard_normal((2, 3)), labels)
+    batch.X = X3
+    with pytest.raises(ValueError, match="must be 2-D"):
+        validation_gradient(params, batch)
 
 
 def test_copy_augmenter_matches_naive_within_noise():
