@@ -8,6 +8,7 @@ validated here; nothing reads it yet, as no code path starts workers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -141,13 +142,14 @@ def oracle_instance(
     params = init_mlp(dims, seed=int(g.integers(0, 2**31)))
     b = int(g.integers(1, b_max + 1))
     X = g.standard_normal((b, dims[0]))
-    # one draw, every weight block first, then every bias, into the flat layout
-    g_val = ParamGrad.from_flat(np.empty(params.param_count), params.shapes)
-    draw, off = g.standard_normal(params.param_count), 0
-    for block in (*g_val.weights, *g_val.biases):
-        block[...] = draw[off : off + block.size].reshape(block.shape)
-        off += block.size
-    return params, X, g_val
+    # one draw holds every weight block, then every bias; the flat layout
+    # takes each layer's weights, then its bias
+    draw = g.standard_normal(params.param_count)
+    parts, w_at, b_at = [], 0, sum(fan_in * fan_out for fan_in, fan_out in params.shapes)
+    for fan_in, fan_out in params.shapes:
+        parts += (draw[w_at : w_at + fan_in * fan_out], draw[b_at : b_at + fan_out])
+        w_at, b_at = w_at + fan_in * fan_out, b_at + fan_out
+    return params, X, ParamGrad.from_flat(np.concatenate(parts), params.shapes)
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
@@ -175,21 +177,23 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         out = saflex_assign(pi_fast, np.zeros(b, dtype=np.int64), cfg, rng_unused)
         ours = Assignment(out.soft_labels.argmax(axis=1), out.binary_weights.astype(np.int64))
         pi_ref = pi_scores_reverse(params, X, g_val)
+        if not np.isfinite(pi_ref).all():
+            raise FloatingPointError(f"instance {i}: the reference scores are not finite")
         best, best_obj = enumerate_optimum_scores(pi_ref)
         gap = best_obj - assignment_objective(pi_ref, ours)
         max_gap = max(max_gap, abs(gap))
         if gap != 0.0:
             value_mismatch += 1
             print(f"instance {i}: nonzero gap {gap!r}")
-        same_w = np.array_equal(best.weights, ours.weights)
+        # a sample kept by one assignment only, or kept by both under other labels
         kept = best.weights == 1
-        same_lbl = np.array_equal(best.labels[kept], ours.labels[kept])
-        if not (same_w and same_lbl):
+        differ = (best.weights != ours.weights) | ((best.labels != ours.labels) & kept)
+        if np.count_nonzero(differ):
             assign_mismatch += 1
-        keep_algorithm += int(ours.weights.sum())
-        sum_keep = pi_ref.sum(axis=1) >= 0
-        keep_sum_rule += int(sum_keep.sum())
-        rule_disagree += int((sum_keep != (ours.weights == 1)).sum())
+        keep_algorithm += np.count_nonzero(ours.weights)
+        sum_keep = np.add.reduce(pi_ref, axis=1) >= 0  # pi_ref.sum(axis=1), bitwise
+        keep_sum_rule += np.count_nonzero(sum_keep)
+        rule_disagree += np.count_nonzero(sum_keep != ours.weights)
         samples += b
     print(f"instances: {args.n}  samples: {samples}")
     print(f"max |objective gap|: {max_gap!r}")
@@ -197,9 +201,10 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     print(f"keep rate (score-at-label rule): {keep_algorithm / samples:.4f}")
     print(f"keep rate (score-sum rule):      {keep_sum_rule / samples:.4f}")
     print(f"per-sample rule disagreement:    {rule_disagree / samples:.4f}")
-    status = "PASS" if max_gap == 0.0 else "FAIL"
-    print(f"oracle-check: {status}")
-    return 0 if max_gap == 0.0 else 3
+    # a NaN gap counts as a mismatch, though max() drops it from max_gap
+    passed = value_mismatch == 0
+    print(f"oracle-check: {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,9 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process; parsing leaves a parser as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         thread_cap()  # validate SAFLEX_THREADS early
         # a diverging run overflows before its guard raises; the exit-3 line says so

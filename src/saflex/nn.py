@@ -96,14 +96,19 @@ class _LayerVector:
             raise ValueError(f"flat vector of shape {flat.shape} does not fit {size} parameters")
 
 
-@lru_cache(maxsize=64)
+# layouts each layout cache keeps: `oracle-check` draws 4 * 13 * 13 = 676
+# per class count, and each entry is a few small tuples
+_LAYOUTS_CACHED = 1024
+
+
+@lru_cache(maxsize=_LAYOUTS_CACHED)
 def _dot_spans(shapes: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     """(start, end) in the flat vector of every weight block, then every bias."""
     spans, _ = _layout(shapes)
     return tuple((w, b) for w, b, _ in spans) + tuple((b, end) for _, b, end in spans)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_LAYOUTS_CACHED)
 def _layout(shapes: tuple[tuple[int, int], ...]) -> tuple[tuple[tuple[int, int, int], ...], int]:
     """Per layer (weight start, bias start, bias end) in the flat vector, and its size.
 
@@ -222,13 +227,16 @@ def init_mlp(layer_dims: list[int] | tuple[int, ...], seed: int = 0) -> ModelPar
     """Uniform init in +-sqrt(6 / (fan_in + fan_out)); biases zero."""
     if len(layer_dims) < 2:
         raise ValueError("need at least input and output dims")
+    shapes = tuple(zip(layer_dims[:-1], layer_dims[1:]))
+    spans, size = _layout(shapes)
     rng = stream(seed, "init")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return ModelParams(weights, biases)
+    flat = np.zeros(size)
+    # a (fan_in, fan_out) draw fills its block row by row, so a 1-D draw of
+    # as many values is the same numbers in the flat layout's order
+    for (fan_in, fan_out), (w, b, _) in zip(shapes, spans):
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        flat[w:b] = rng.uniform(-limit, limit, size=b - w)
+    return ModelParams.from_flat(flat, shapes)
 
 
 @dataclass

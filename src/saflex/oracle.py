@@ -29,18 +29,32 @@ ENUM_MAX_K = 6
 
 @dataclass
 class Assignment:
-    """Per-sample hard label and binary keep-weight."""
+    """Per-sample hard label and binary keep-weight.
+
+    Both take integer (or bool) arrays only: casting a float array to
+    integers would truncate a weight of 0.5 to a binary 0, or a label of
+    0.7 to 0. Labels are range-checked against a score table where one is
+    read (assignment_objective).
+    """
 
     labels: np.ndarray  # (B,) int
     weights: np.ndarray  # (B,) in {0, 1}
 
     def __post_init__(self) -> None:
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.weights = np.asarray(self.weights, dtype=np.int64)
+        self.labels = _integers(self.labels, "labels")
+        self.weights = _integers(self.weights, "weights")
         if self.labels.shape != self.weights.shape or self.labels.ndim != 1:
             raise ValueError("labels and weights must be matching 1-D arrays")
-        if np.any((self.weights != 0) & (self.weights != 1)):
+        if np.count_nonzero(self.weights & ~1):
             raise ValueError("weights must be binary")
+
+
+def _integers(values, name: str) -> np.ndarray:
+    """values as int64 without a copy for int64 input; other dtypes than integers raise."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iub":
+        raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
+    return values.astype(np.int64, copy=False)
 
 
 def finite_diff(fn: Callable[[ModelParams], float], params: ModelParams, eps: float) -> ParamGrad:
@@ -91,35 +105,43 @@ def pi_scores_reverse(params: ModelParams, X: np.ndarray, g_val: ParamGrad) -> n
 def enumerate_optimum_scores(pi: np.ndarray) -> tuple[Assignment, float]:
     """Maximize sum_i w_i * pi[i, k_i] over per-sample vertices.
 
-    Candidates per sample are scanned as (label 0, keep), (label 0, drop),
-    (label 1, keep), ...; ties keep the earliest candidate, so equal
-    values resolve to the lowest label index and, at exactly zero score,
-    to the keep decision.
+    Each sample's 2K vertices are laid out as (label 0, keep), (label 0,
+    drop), (label 1, keep), ... in a (b, 2K) table: a keep scores
+    pi[i, c], a drop 0.0. argmax takes each row's first maximum, so equal
+    values resolve to the lowest label index, and a zero score (+0.0 or
+    -0.0) at label 0 to the keep decision; a zero at a later label loses
+    to label 0's drop. A NaN score is a row's maximum, and then the
+    objective is NaN.
     """
     pi = np.asarray(pi, dtype=np.float64)
     b, k = pi.shape
-    labels = np.zeros(b, dtype=np.int64)
-    weights = np.zeros(b, dtype=np.int64)
-    for i in range(b):
-        best_label, best_weight, best_val = 0, 1, pi[i, 0]
-        for c in range(k):
-            for w in (1, 0):
-                val = pi[i, c] if w else 0.0
-                if val > best_val:
-                    best_label, best_weight, best_val = c, w, val
-        labels[i] = best_label
-        weights[i] = best_weight
-    best = Assignment(labels, weights)
+    table = np.zeros((b, k, 2))
+    table[:, :, 0] = pi
+    pick = table.reshape(b, 2 * k).argmax(axis=1)
+    best = Assignment(pick >> 1, (pick & 1) ^ 1)
     # objective through the same reduction as assignment_objective, so equal
     # assignments score bitwise-equal
     return best, assignment_objective(pi, best)
 
 
 def assignment_objective(pi: np.ndarray, assignment: Assignment) -> float:
-    """First-order objective of an assignment under a score table."""
+    """First-order objective of an assignment under a (B, K) score table.
+
+    An assignment of another sample count, or a label outside 0..K-1,
+    raises ValueError (indexing would broadcast the one, and read a
+    negative label from the end of its row).
+    """
     pi = np.asarray(pi, dtype=np.float64)
-    picked = pi[np.arange(pi.shape[0]), assignment.labels]
-    return float((assignment.weights * picked).sum())
+    labels = assignment.labels
+    if pi.ndim != 2 or labels.shape[0] != pi.shape[0]:
+        raise ValueError(f"an assignment of {labels.shape[0]} samples does not fit "
+                         f"a score table of shape {pi.shape}")
+    # a negative int64 label reads as a uint64 past any class count
+    if np.count_nonzero(labels.view(np.uint64) >= pi.shape[1]):
+        raise ValueError(f"labels must lie in 0..{pi.shape[1] - 1}")
+    picked = pi[np.arange(pi.shape[0]), labels]
+    # np.add.reduce is the reduction ndarray.sum runs, without its per-call cost
+    return float(np.add.reduce(assignment.weights * picked))
 
 
 def iter_assignments(b: int, k: int) -> Iterator[Assignment]:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from saflex import cli, core
-from saflex.cli import main
+from saflex.cli import build_parser, main
 from saflex.config import DEFAULTS, resolve, ConfigError
 from saflex.data import load_csv, save_images_raw
 from saflex.nn import init_mlp, load_checkpoint, save_checkpoint
@@ -310,6 +310,73 @@ def test_oracle_check_score_sum_rule_keeps_a_row_that_sums_to_zero(monkeypatch, 
     out = capsys.readouterr().out
     assert "keep rate (score-sum rule):      1.0000\n" in out
     assert "per-sample rule disagreement:    0.0000\n" in out
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("column", range(3))
+def test_oracle_check_non_finite_reference_scores_exit_three(monkeypatch, capsys, value, column):
+    # a NaN in column 0 makes a NaN gap, which max() drops from max |gap|;
+    # one in another column need not reach any objective
+    real = cli.pi_scores_reverse
+
+    def scores(params, X, g_val):
+        pi = real(params, X, g_val)
+        pi[:, column] = value
+        return pi
+
+    monkeypatch.setattr(cli, "pi_scores_reverse", scores)
+    assert main(["oracle-check", "--n", "3", "--seed", "2", "--k", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: instance 0: the reference scores are not finite\n"
+    assert "PASS" not in captured.out
+
+
+def test_oracle_check_fails_on_a_nan_gap_from_finite_scores(monkeypatch, capsys):
+    # both objectives overflow to inf on a batch of two or more, and inf - inf is NaN
+    def scores(params, X, g_val):
+        return np.tile([1.5e308, 0.0, -1.0], (X.shape[0], 1))
+
+    monkeypatch.setattr(cli, "pi_scores", scores)
+    monkeypatch.setattr(cli, "pi_scores_reverse", scores)
+    assert main(["oracle-check", "--n", "6", "--seed", "1", "--k", "3", "--tau", "1e300"]) == 3
+    out = capsys.readouterr().out
+    assert "nonzero gap nan" in out and "max |objective gap|: 0.0\n" in out
+    assert out.endswith("oracle-check: FAIL\n")
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert main(["oracle-check", "--n", "1"]) == 0
+    assert main(["train", "--print-config"]) == 0
+    assert len(built) == 1
+
+
+_EVERY_SUBCOMMAND = [
+    ["gen-data", "--out", "d"],
+    ["gen-data", "--kind", "csv_passthrough", "--input", "a.csv", "--input-schema", "s.csv",
+     "--n", "7", "--sigma", "0.5", "--seed", "3", "--out", "d"],
+    ["train", "-c", "c.json", "--output-dir", "o", "--sweep-sigma", "0.5,1"],
+    ["train", "--print-config"],
+    ["eval", "-c", "c.json", "--checkpoint", "k.bin", "--split", "val"],
+    ["eval", "--config", "c.json", "--checkpoint", "k.bin"],
+    ["oracle-check"],
+    ["oracle-check", "--n", "3", "--seed", "4", "--b", "2", "--k", "5", "--tau", "0.5"],
+]
+
+
+def test_the_cached_parser_parses_every_subcommand_as_a_fresh_one():
+    cached = cli._parser()
+    # twice over, so an earlier parse could leave state behind for a later one
+    for argv in _EVERY_SUBCOMMAND + _EVERY_SUBCOMMAND:
+        assert vars(cached.parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("flag", [["--b", "9"], ["--k", "7"]], ids=["b9", "k7"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pre_activations, random_grad, small_mlp
+from saflex import nn
 from saflex.nn import (
     CHECKPOINT_MAGIC,
     ForwardCache,
@@ -26,6 +27,7 @@ from saflex.nn import (
     softmax,
 )
 from saflex.oracle import finite_diff
+from saflex.rng import stream
 from saflex.losses import hard_ce, one_hot
 
 
@@ -728,6 +730,42 @@ def test_a_workspace_holds_one_array_per_layer_and_a_reused_forward_writes_only_
             outputs = [a for a in held(cache) if a is not X]
             assert len(outputs) == len(workspace) - 1  # every array but the row-less inputs
             assert all(any(np.shares_memory(a, w) for w in workspace) for a in outputs)
+
+
+def _init_mlp_reference(layer_dims, seed):
+    """One (fan_in, fan_out) uniform draw and one zero bias per layer, then the constructor."""
+    rng = stream(seed, "init")
+    weights, biases = [], []
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    return ModelParams(weights, biases)
+
+
+def test_init_mlp_is_bitwise_the_per_layer_draws(rng):
+    for trial in range(300):
+        n_layers = int(rng.integers(1, 5))
+        dims = [int(d) for d in rng.integers(1, 40, size=n_layers + 1)]
+        if trial % 2:  # a 1-wide layer anywhere, the input and output too
+            dims[int(rng.integers(0, n_layers + 1))] = 1
+        got, want = init_mlp(dims, seed=trial), _init_mlp_reference(dims, trial)
+        assert got.shapes == want.shapes
+        assert got.flat.tobytes() == want.flat.tobytes()
+
+
+def test_layout_caches_hold_every_oracle_check_layout():
+    # oracle-check --k 6 draws inputs 2-5 wide and two hidden layers 4-16 wide
+    layouts = [((d, h1), (h1, h2), (h2, 6))
+               for d in range(2, 6) for h1 in range(4, 17) for h2 in range(4, 17)]
+    assert len(layouts) == 676
+    for cached in (nn._layout, nn._dot_spans):
+        for shapes in layouts:
+            cached(shapes)
+        misses = cached.cache_info().misses
+        for shapes in layouts:
+            cached(shapes)
+        assert cached.cache_info().misses == misses
 
 
 def test_init_mlp_draws_up_to_the_glorot_limit():

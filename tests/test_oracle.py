@@ -7,7 +7,7 @@ from saflex.core import closed_form_assignment, pi_scores, validation_gradient
 from saflex.data import Batch
 from saflex.losses import hard_ce, one_hot
 from saflex.cli import oracle_instance
-from saflex.nn import ModelParams, ParamGrad, mlp_backward, mlp_forward
+from saflex.nn import ModelParams, ParamGrad, init_mlp, mlp_backward, mlp_forward
 from saflex.oracle import (
     ENUM_MAX_B,
     ENUM_MAX_K,
@@ -21,6 +21,7 @@ from saflex.oracle import (
 )
 from saflex.core import combined_step_gradient
 from saflex.nn import param_dot
+from saflex.rng import stream
 
 
 def test_finite_diff_linear_function(rng):
@@ -136,6 +137,106 @@ def test_reverse_scores_reject_a_g_val_of_another_layout(rng, b):
         pi_scores_reverse(params, rng.standard_normal((b, 3)), g_val)
     with pytest.raises(ValueError):
         pi_scores(params, rng.standard_normal((3, 3)), g_val)
+
+
+def _enumerate_reference(pi):
+    """Scan (label 0, keep), (label 0, drop), (label 1, keep), ...; a later candidate must beat."""
+    b, k = pi.shape
+    labels, weights = np.zeros(b, dtype=np.int64), np.zeros(b, dtype=np.int64)
+    for i in range(b):
+        best_label, best_weight, best_val = 0, 1, pi[i, 0]
+        for c in range(k):
+            for w in (1, 0):
+                val = pi[i, c] if w else 0.0
+                if val > best_val:
+                    best_label, best_weight, best_val = c, w, val
+        labels[i], weights[i] = best_label, best_weight
+    picked = pi[np.arange(b), labels]
+    return labels, weights, float((weights * picked).sum())
+
+
+@pytest.mark.parametrize("k", range(2, ENUM_MAX_K + 1))
+def test_enumeration_is_bitwise_the_candidate_scan(k):
+    # few distinct values, so rows tie between labels, at +-0.0 and below zero
+    g = np.random.default_rng(k)
+    values = np.array([-1.5, -0.25, -0.0, 0.0, 0.25, 1.5])
+    for trial in range(400):
+        b = trial % (ENUM_MAX_B + 1)
+        pi = g.choice(values, size=(b, k))
+        if trial % 5 == 0:  # every row below zero
+            pi = -np.abs(pi) - 0.5
+        elif trial % 5 == 1:  # continuous scores, signed zeros here and there
+            pi = g.standard_normal((b, k)) * (g.random((b, k)) < 0.8)
+            pi[g.random((b, k)) < 0.1] = -0.0
+        best, obj = enumerate_optimum_scores(pi)
+        labels, weights, want = _enumerate_reference(pi)
+        assert best.labels.tobytes() == labels.tobytes()
+        assert best.weights.tobytes() == weights.tobytes()
+        assert np.float64(obj).tobytes() == np.float64(want).tobytes()
+
+
+def test_enumerate_keeps_a_zero_score_at_label_0_and_drops_a_later_one():
+    # the drop of label 0 comes before the keep of label 1
+    for zero in (0.0, -0.0):
+        best, obj = enumerate_optimum_scores(np.array([[zero, -1.0], [-1.0, zero]]))
+        assert best.labels.tolist() == [0, 0] and best.weights.tolist() == [1, 0]
+        assert obj == 0.0
+
+
+def _oracle_instance_reference(seed, i, b_max, k):
+    """oracle_instance with g_val's draw copied into the layout one block at a time."""
+    g = stream(seed, "oracle_instance", i)
+    dims = [int(g.integers(2, 6)), int(g.integers(4, 17)), int(g.integers(4, 17)), k]
+    params = init_mlp(dims, seed=int(g.integers(0, 2**31)))
+    X = g.standard_normal((int(g.integers(1, b_max + 1)), dims[0]))
+    g_val = ParamGrad.from_flat(np.empty(params.param_count), params.shapes)
+    draw, off = g.standard_normal(params.param_count), 0
+    for block in (*g_val.weights, *g_val.biases):
+        block[...] = draw[off : off + block.size].reshape(block.shape)
+        off += block.size
+    return params, X, g_val
+
+
+def test_oracle_instances_are_bitwise_the_block_copies():
+    for i in range(200):
+        k = 2 + i % (ENUM_MAX_K - 1)
+        got = oracle_instance(5, i, ENUM_MAX_B, k)
+        want = _oracle_instance_reference(5, i, ENUM_MAX_B, k)
+        assert got[0].shapes == want[0].shapes == got[2].shapes
+        for a, b in zip((got[0].flat, got[1], got[2].flat), (want[0].flat, want[1], want[2].flat)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("labels, weights", [([0, 1], [1.0, 0.5]), ([0.7, 1], [1, 1]),
+                                             ([0.0, 1.0], [1, 1]), ([0, 1], [1, 2]),
+                                             ([0, 1], [1, -1])],
+                         ids=["half_weight", "fractional_label", "float_label", "weight_2",
+                              "weight_minus_1"])
+def test_assignment_rejects_non_integer_or_non_binary_input(labels, weights):
+    with pytest.raises(ValueError, match="integers|binary"):
+        Assignment(np.array(labels), np.array(weights))
+
+
+def test_assignment_takes_bool_weights_and_keeps_int64_without_a_copy():
+    labels = np.array([2, 0, 1])
+    a = Assignment(labels, np.array([True, False, True]))
+    assert a.labels is labels and a.weights.dtype == np.int64
+    assert a.weights.tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("label", [-1, -3, 3, 2**62], ids=["minus_1", "minus_3", "k", "huge"])
+def test_objective_rejects_a_label_outside_the_table(label):
+    pi = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    with pytest.raises(ValueError, match="labels must lie in 0..2"):
+        assignment_objective(pi, Assignment(np.array([0, label]), np.array([1, 1])))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3])
+def test_objective_rejects_an_assignment_of_another_sample_count(rows):
+    pi = np.array([[1.0, 2.0], [0.5, 0.25]])
+    a = Assignment(np.zeros(rows, dtype=np.int64), np.ones(rows, dtype=np.int64))
+    with pytest.raises(ValueError, match=f"an assignment of {rows} samples does not fit"):
+        assignment_objective(pi, a)
 
 
 def test_enumerate_all_negative_drops_everything():
