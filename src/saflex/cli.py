@@ -174,6 +174,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         params, X, g_val = oracle_instance(args.seed, i, args.b, args.k)
         b = X.shape[0]
         pi_fast = pi_scores(params, X, g_val)
+        if not np.isfinite(pi_fast).all():
+            raise FloatingPointError(f"instance {i}: the fast scores are not finite")
         out = saflex_assign(pi_fast, np.zeros(b, dtype=np.int64), cfg, rng_unused)
         ours = Assignment(out.soft_labels.argmax(axis=1), out.binary_weights.astype(np.int64))
         pi_ref = pi_scores_reverse(params, X, g_val)

@@ -67,13 +67,6 @@ class SaflexOutput:
     frac_label_changed: float  # share whose soft-label argmax is not the original label
 
 
-def _forward_batch(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """mlp_forward of one 2-D batch; mlp_forward itself takes a 3-D X as a stack of batches."""
-    if X.ndim != 2:
-        raise ValueError(f"X must be 2-D, got shape {X.shape}")
-    return mlp_forward(params, X)
-
-
 # Row formulas shared by the composed functions below and the fused
 # saflex_gradient; `rows` selects a batch's rows in a forward cache.
 # Labels reaching them have been range-checked by the public entry point.
@@ -113,7 +106,7 @@ def validation_gradient(params: ModelParams, val_batch: Batch) -> ParamGrad:
     if val_batch.size == 0:
         raise ValueError("empty validation batch")
     labels = check_labels(val_batch.hard_labels, params.n_classes)
-    _, cache = _forward_batch(params, val_batch.X)
+    _, cache = mlp_forward(params, val_batch.X)
     return _val_gradient(params, cache, slice(None), labels)
 
 
@@ -127,7 +120,7 @@ def pi_scores(params: ModelParams, x_aug: np.ndarray, g_val: ParamGrad) -> np.nd
     x_aug = np.asarray(x_aug, dtype=np.float64)
     if x_aug.ndim == 1:
         x_aug = x_aug[None, :]
-    _, cache = _forward_batch(params, x_aug)
+    _, cache = mlp_forward(params, x_aug)
     return _pi(params, cache, slice(None), g_val)
 
 

@@ -9,14 +9,6 @@ Conventions used throughout the package:
 * parameters and gradients live in one flat float64 vector, W0, b0, W1,
   b1, ... (the checkpoint body), with per-layer views into it.
 
-Stacks put independent problems on leading axes, where np.matmul runs
-each element's product as that problem alone runs it, bit for bit:
-mlp_forward takes a stack of batches (S, batch, features), mlp_backward
-a stack of logit-gradient tables, one or R per batch, and writes one
-gradient per table into the rows of a stacked ParamGrad's 2-D `flat`,
-and ParamGrad.dot dots each row of such a stack with one vector. The
-reverse oracle scores a whole instance this way in three calls.
-
 Everything here is a pure function of its inputs. In-place operations
 touch only temporaries a function has just allocated itself, never its
 inputs or a parameter vector, unless the caller hands over an array to
@@ -57,12 +49,7 @@ class _LayerVector:
     The layout is the checkpoint body: W0 (row-major), b0, W1, b1, ...
     `shapes` holds each layer's (fan_in, fan_out); `weights` and `biases`
     are views into `flat`, so writing through either side changes both.
-    A class with `_stackable` set also binds a 2-D (R, P) `flat`, one
-    vector per row, with views stacked the same way: (R, fan_in, fan_out)
-    weights and (R, fan_out) biases.
     """
-
-    _stackable = False
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]) -> None:
         if len(weights) != len(biases):
@@ -83,17 +70,11 @@ class _LayerVector:
 
     def _bind(self, flat: np.ndarray, shapes: tuple[tuple[int, int], ...]) -> None:
         spans, size = _layout(shapes)
-        self.flat, self.shapes = flat, shapes
-        if flat.shape == (size,):
-            self.weights = [flat[w:b].reshape(shape) for (w, b, _), shape in zip(spans, shapes)]
-            self.biases = [flat[b:end] for _, b, end in spans]
-        elif self._stackable and flat.ndim == 2 and flat.shape[1] == size:
-            # splitting each row's contiguous span into (fan_in, fan_out) keeps a view
-            self.weights = [flat[:, w:b].reshape((flat.shape[0], *shape))
-                            for (w, b, _), shape in zip(spans, shapes)]
-            self.biases = [flat[:, b:end] for _, b, end in spans]
-        else:
+        if flat.shape != (size,):
             raise ValueError(f"flat vector of shape {flat.shape} does not fit {size} parameters")
+        self.flat, self.shapes = flat, shapes
+        self.weights = [flat[w:b].reshape(shape) for (w, b, _), shape in zip(spans, shapes)]
+        self.biases = [flat[b:end] for _, b, end in spans]
 
 
 # layouts each layout cache keeps: `oracle-check` draws 4 * 13 * 13 = 676
@@ -102,7 +83,7 @@ _LAYOUTS_CACHED = 1024
 
 
 @lru_cache(maxsize=_LAYOUTS_CACHED)
-def _dot_spans(shapes: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+def block_spans(shapes: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     """(start, end) in the flat vector of every weight block, then every bias."""
     spans, _ = _layout(shapes)
     return tuple((w, b) for w, b, _ in spans) + tuple((b, end) for _, b, end in spans)
@@ -155,15 +136,7 @@ class ModelParams(_LayerVector):
 
 
 class ParamGrad(_LayerVector):
-    """A vector in parameter space, laid out like some ModelParams.
-
-    Also a stack of such vectors, one per row of a 2-D `flat`, which is
-    what a stacked mlp_backward writes. Only the per-layer views, `flat`
-    and a dot with one vector serve a stack; take one vector as
-    from_flat(stack.flat[r], shapes).
-    """
-
-    _stackable = True
+    """A vector in parameter space, laid out like some ModelParams."""
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "ParamGrad":
@@ -183,28 +156,13 @@ class ParamGrad(_LayerVector):
         over these slices runs the same ddot on the same elements.
         """
         if self._dot_blocks is None:
-            if self.flat.ndim != 1:
-                raise ValueError("a stack of vectors has no dot; take one row of it")
-            self._dot_blocks = [self.flat[lo:hi] for lo, hi in _dot_spans(self.shapes)]
+            self._dot_blocks = [self.flat[lo:hi] for lo, hi in block_spans(self.shapes)]
         return self._dot_blocks
 
-    def dot(self, other: "ParamGrad") -> float | np.ndarray:
-        """Sum of per-block dots, all weight blocks first, then all biases.
-
-        A stack dotted with one vector gives one float per row, bitwise
-        that row's own dot: each block of the stack is an (R, 1, len)
-        view, and np.matmul runs each stack element's (1, len) @ (len,)
-        as the ddot a 1-D dot runs. The block dots add up from +0.0 in
-        the same order, as Python's sum does. np.einsum sums in another
-        order, so it is not used here.
-        """
+    def dot(self, other: "ParamGrad") -> float:
+        """Sum of per-block dots, all weight blocks first, then all biases."""
         self._check_same_shape(other)
-        if self.flat.ndim == 1:
-            return sum(float(a.dot(b)) for a, b in zip(self._blocks(), other._blocks()))
-        total = np.zeros(self.flat.shape[0])
-        for (lo, hi), v in zip(_dot_spans(self.shapes), other._blocks()):
-            total += np.matmul(self.flat[:, None, lo:hi], v)[:, 0]
-        return total
+        return sum(float(a.dot(b)) for a, b in zip(self._blocks(), other._blocks()))
 
     def add_scaled(self, other: "ParamGrad", scale: float) -> "ParamGrad":
         """Return self + scale * other."""
@@ -218,8 +176,8 @@ class ParamGrad(_LayerVector):
         return float(np.linalg.norm(self.flat))
 
 
-def param_dot(a: ParamGrad, b: ParamGrad) -> float | np.ndarray:
-    """Euclidean inner product over all parameters; one per row of a stacked `a`."""
+def param_dot(a: ParamGrad, b: ParamGrad) -> float:
+    """Euclidean inner product over all parameters."""
     return a.dot(b)
 
 
@@ -324,13 +282,7 @@ def mlp_forward(
     X: np.ndarray,
     reuse: ForwardCache | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Evaluate the network on a batch; returns (probabilities, cache).
-
-    A 3-D X (S, n, d) is a stack of S batches, and every array of the
-    cache gets the same leading stack axis. Each matmul runs once per
-    stack element, as it runs for that batch alone, and the softmax takes
-    the logits' (S * n, K) view, whose rows it treats one by one: so
-    batch s of the stack is bitwise a lone forward of X[s].
+    """Evaluate the network on a 2-D batch; returns (probabilities, cache).
 
     With `reuse`, a workspace of at least X.shape[0] rows made for these
     layer widths (ForwardCache.empty), every layer writes into the leading
@@ -339,15 +291,13 @@ def mlp_forward(
     values are bitwise equal, without the page faults of fresh memory.
     The returned cache holds the views and no masks. A workspace with too
     few rows or other widths raises numpy's ValueError; one that overlaps
-    X or the parameters gives wrong values. A stacked X takes no workspace.
+    X or the parameters gives wrong values.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim not in (2, 3):
-        raise ValueError(f"X must be 2-D, or a 3-D stack of batches, got shape {X.shape}")
-    if X.shape[-1] != params.input_dim:
-        raise ValueError(f"input dim {X.shape[-1]} != model input dim {params.input_dim}")
-    if reuse is not None and X.ndim != 2:
-        raise ValueError(f"a workspace takes a 2-D X, got shape {X.shape}")
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    if X.shape[1] != params.input_dim:
+        raise ValueError(f"input dim {X.shape[1]} != model input dim {params.input_dim}")
     n = X.shape[0]
     cache = ForwardCache(inputs=X)
     a = X
@@ -358,23 +308,8 @@ def mlp_forward(
         a = np.matmul(a, w, out=None if outs is None else outs[i][:n])
         a += b
     cache.logits = a
-    if a.ndim == 2:
-        cache.probs = softmax(a, out=None if reuse is None else reuse.probs[:n])
-    else:  # a fresh matmul's output is C-contiguous, so both reshapes are views
-        cache.probs = softmax(a.reshape(-1, a.shape[-1])).reshape(a.shape)
+    cache.probs = softmax(a, out=None if reuse is None else reuse.probs[:n])
     return cache.probs, cache
-
-
-def _stacked_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.dot of each matrix pair of the stacks a and b, bitwise, in one call.
-
-    np.matmul gives each stack element the bits np.dot gives, but for a
-    (1, 1) @ (1, 1): np.dot multiplies, so a zero product keeps its sign,
-    where np.matmul adds the product to +0.0. np.multiply keeps it too.
-    """
-    if a.shape[-2:] == (1, 1) and b.shape[-1] == 1:
-        return np.multiply(a, b, out=out)
-    return np.matmul(a, b, out=out)
 
 
 def mlp_backward(
@@ -388,55 +323,30 @@ def mlp_backward(
 
     The returned gradient is summed over the batch; divide dloss_dlogits
     by the batch size beforehand for a mean-reduced loss. `rows` picks
-    the cache rows the logit gradient belongs to. Given `out`, laid out
-    like `params`, every block of it is overwritten and it is returned.
-
-    For a cache of a 2-D batch, a 2-D table (n, K) gives one gradient. Any
-    other table is a stack (*S, R, n, K): the cache's stack axes S, each
-    batch with R tables for its n rows (R may be left out for one table
-    per batch). The result is then a stacked ParamGrad whose `flat` is
-    (prod(S) * R, P), row-major over (*S, R); `out` must have as many rows.
-    Each product runs once per stack element, as it runs for that table
-    alone (_stacked_dot for the weight gradient, `@` for delta @ W.T), so
-    each row is bitwise the gradient of its table by itself. A 2-D table
-    keeps np.dot, which costs less per call than np.matmul.
+    the cache rows the (rows, K) logit gradient belongs to. Given `out`,
+    laid out like `params`, every block of it is overwritten and it is
+    returned.
     """
     d = np.asarray(dloss_dlogits, dtype=np.float64)
-    stacked, got = d.ndim > 2, d.shape
-    # a stack takes `rows` on the row axis, and its tables a class axis R before it
-    at = (..., None, rows, slice(None)) if stacked else rows
-    want = None if cache.logits is None else cache.logits[at].shape
-    if stacked and want is not None and d.ndim == len(want) - 1:
-        d = d[..., None, :, :]  # one table per batch
-    if want is None or d.shape != (want[:-3] + d.shape[-3:-2] + want[-2:] if stacked else want):
-        raise ValueError(f"dloss_dlogits shape {got} does not fit logits shape "
-                         f"{None if want is None else cache.logits[..., rows, :].shape}")
-    stack = d.shape[:-2]
-    flat_shape = (math.prod(stack), params.param_count) if stacked else params.flat.shape
+    want = None if cache.logits is None else cache.logits[rows].shape
+    if d.shape != want:
+        raise ValueError(f"dloss_dlogits shape {d.shape} does not fit logits shape {want}")
     if out is None:
-        grad = ParamGrad.from_flat(np.empty(flat_shape), params.shapes)
+        grad = ParamGrad.from_flat(np.empty(params.flat.shape), params.shapes)
     elif out.shapes != params.shapes:
         raise ValueError(f"out laid out for {out.shapes}, not the parameters' {params.shapes}")
-    elif out.flat.shape != flat_shape:
-        raise ValueError(f"out of flat shape {out.flat.shape} cannot hold {flat_shape}")
     else:
         grad = out
-    if stacked:  # splitting a view's leading axis keeps a view
-        product, row_axis = _stacked_dot, -2
-        weights = [w.reshape(stack + w.shape[1:]) for w in grad.weights]
-        biases = [b.reshape(stack + b.shape[1:]) for b in grad.biases]
-    else:
-        product, row_axis, weights, biases = np.dot, 0, grad.weights, grad.biases
     masks = cache.relu_masks()
     delta = d
     for i in range(params.n_layers - 1, -1, -1):
-        a_in = (cache.activations[i - 1] if i > 0 else cache.inputs)[at]
-        product(a_in.swapaxes(-1, -2) if stacked else a_in.T, delta, out=weights[i])
-        np.add.reduce(delta, axis=row_axis, out=biases[i])
+        a_in = (cache.activations[i - 1] if i > 0 else cache.inputs)[rows]
+        np.dot(a_in.T, delta, out=grad.weights[i])
+        np.add.reduce(delta, axis=0, out=grad.biases[i])
         if i > 0:
             # delta is the caller's array at the top layer; rebind, then scale
             delta = delta @ params.weights[i].T
-            delta *= masks[i - 1][at]
+            delta *= masks[i - 1][rows]
     return grad
 
 

@@ -3,10 +3,10 @@
 The assignment step claims to maximize, per augmented sample, the
 first-order decrease of the validation loss over hard labels and binary
 weights. Everything here re-derives that objective by brute force:
-alignment scores via per-class reverse-mode gradients (no forward-mode
-code shared with the fast path), exhaustive vertex enumeration of the
-per-sample linear program, coordinate-wise finite differences, and exact
-(non-linearized) post-step validation losses.
+alignment scores via per-class reverse-mode gradients, on this module's
+own stacked forward pass, backward pass and dot, exhaustive vertex
+enumeration of the per-sample linear program, coordinate-wise finite
+differences, and exact (non-linearized) post-step validation losses.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import nn
 from .core import combined_step_gradient
 from .data import Batch
 from .losses import ce_from_logits, one_hot
-from .nn import ModelParams, ParamGrad, mlp_backward, mlp_forward, param_dot, sgd_step
+from .nn import ModelParams, ParamGrad, block_spans, sgd_step, softmax
 
 # largest augmented batch and class count `saflex oracle-check` accepts
 ENUM_MAX_B = 8
@@ -75,18 +76,81 @@ def finite_diff(fn: Callable[[ModelParams], float], params: ModelParams, eps: fl
     return grad
 
 
+def mlp_forward(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The network on a stack of batches X (S, n, d); returns (probs, layer inputs).
+
+    Each matmul runs once per stack element, as nn.mlp_forward runs it for
+    that batch alone, and the softmax takes the logits' (S * n, K) view,
+    whose rows it treats one by one: so batch s is bitwise a lone forward
+    of X[s]. The layer inputs are X and each hidden layer, ReLU'd in place.
+    """
+    acts, a = [X], X
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        if i:
+            acts.append(np.maximum(a, 0.0, out=a))
+        a = np.matmul(a, w)
+        a += b
+    # a fresh matmul's output is C-contiguous, so both reshapes are views
+    return softmax(a.reshape(-1, a.shape[-1])).reshape(a.shape), acts
+
+
+def mlp_backward(params: ModelParams, acts: list[np.ndarray], tables: np.ndarray) -> np.ndarray:
+    """One gradient per logit-gradient table over a stacked forward, as (S * R, P) rows.
+
+    `tables` (S, R, n, K) holds R tables for each of the S batches whose
+    layer inputs mlp_forward returned. Row s * R + r is the gradient of
+    table r of batch s in the flat parameter layout, bitwise the lone
+    backward pass of that table: each product runs once per stack
+    element, as it runs for that table alone. np.matmul gives an element
+    the bits np.dot gives, but for a (1, 1) @ (1, 1): np.dot multiplies,
+    so a zero product keeps its sign, where np.matmul adds the product to
+    +0.0. np.multiply keeps it too.
+    """
+    s, r = tables.shape[:2]
+    grads = np.empty((s * r, params.param_count))
+    spans, last = block_spans(params.shapes), params.n_layers - 1
+    delta = tables
+    for i in range(last, -1, -1):
+        a_in = acts[i][:, None].swapaxes(-1, -2)
+        product = np.multiply if a_in.shape[-2:] == (1, 1) and delta.shape[-1] == 1 else np.matmul
+        # splitting the row axis and a weight block's columns keeps a view
+        (w_lo, w_hi), (b_lo, b_hi) = spans[i], spans[last + 1 + i]
+        product(a_in, delta, out=grads[:, w_lo:w_hi].reshape(s, r, *params.shapes[i]))
+        np.add.reduce(delta, axis=-2, out=grads[:, b_lo:b_hi].reshape(s, r, -1))
+        if i > 0:
+            delta = delta @ params.weights[i].T
+            delta *= (acts[i] > 0.0).astype(np.float64)[:, None]
+    return grads
+
+
+def param_dot(grads: np.ndarray, g_val: ParamGrad) -> np.ndarray:
+    """Each row of grads (R, P) dotted with g_val, bitwise that row's own 1-D dot.
+
+    Each block of the rows is an (R, 1, len) view, and np.matmul runs each
+    stack element's (1, len) @ (len,) as the ddot a 1-D dot runs. The
+    block dots add up from +0.0 in the same order, weights first, as
+    Python's sum does. np.einsum sums in another order, so it is not used.
+    """
+    total = np.zeros(grads.shape[0])
+    g = g_val.flat
+    for lo, hi in block_spans(g_val.shapes):
+        total += np.matmul(grads[:, None, lo:hi], g[lo:hi])[:, 0]
+    return total
+
+
 def pi_scores_reverse(params: ModelParams, X: np.ndarray, g_val: ParamGrad) -> np.ndarray:
     """Alignment scores via explicit per-class backward passes.
 
     For sample i and class k, backpropagate the per-class loss -log p_k
     (logit gradient p - e_k) and take the parameter-space inner product
-    with g_val. Shares no code with the forward-mode fast path. A 1-D X
-    is one sample. One forward pass takes the b samples as a (b, 1, d)
-    stack of 1-row batches, one backward pass a (b, K, 1, K) stack of
-    their logit gradients, and one dot the (b * K)-row gradient stack.
-    Samples and classes never share the rows of one product, since a
-    multi-row product can differ from the 1-row one in the last bit; on
-    the stack axes, each keeps its own 1-row product.
+    with g_val. The forward pass, backward pass and dot are this module's
+    own; from the fast path's nn it takes only the parameter layout and
+    the row softmax. A 1-D X is one sample. One forward pass takes the b
+    samples as a (b, 1, d) stack of 1-row batches, one backward pass a
+    (b, K, 1, K) stack of their logit gradients, and one dot the
+    (b * K)-row gradient stack. Samples and classes never share the rows
+    of one product, since a multi-row product can differ from the 1-row
+    one in the last bit; on the stack axes, each keeps its own 1-row product.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -96,9 +160,9 @@ def pi_scores_reverse(params: ModelParams, X: np.ndarray, g_val: ParamGrad) -> n
     if g_val.shapes != params.shapes:
         raise ValueError(f"g_val laid out for {g_val.shapes}, not the parameters' {params.shapes}")
     k = params.n_classes
-    probs, cache = mlp_forward(params, X[:, None, :])
+    probs, acts = mlp_forward(params, X[:, None, :])
     # table [i, c] is bitwise probs_i - eye[c]
-    grads = mlp_backward(params, cache, probs[:, None] - np.eye(k)[:, None, :])
+    grads = mlp_backward(params, acts, probs[:, None] - np.eye(k)[:, None, :])
     return param_dot(grads, g_val).reshape(X.shape[0], k)
 
 
@@ -173,5 +237,5 @@ def post_step_val_loss(
         params, train_batch, aug_batch.X, assignment.weights.astype(np.float64), soft
     )
     stepped = sgd_step(params, grad, alpha)
-    _, cache = mlp_forward(stepped, val_set.X)
+    _, cache = nn.mlp_forward(stepped, val_set.X)
     return ce_from_logits(cache.logits, val_set.hard_labels)

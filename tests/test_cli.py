@@ -331,6 +331,23 @@ def test_oracle_check_non_finite_reference_scores_exit_three(monkeypatch, capsys
     assert "PASS" not in captured.out
 
 
+def test_oracle_check_non_finite_fast_scores_exit_three_naming_the_instance(monkeypatch, capsys):
+    real, calls = cli.pi_scores, []
+
+    def scores(params, X, g_val):
+        calls.append(None)
+        pi = real(params, X, g_val)
+        if len(calls) == 3:
+            pi[-1, 0] = np.nan
+        return pi
+
+    monkeypatch.setattr(cli, "pi_scores", scores)
+    assert main(["oracle-check", "--n", "5", "--seed", "2", "--k", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: instance 2: the fast scores are not finite\n"
+    assert "PASS" not in captured.out
+
+
 def test_oracle_check_fails_on_a_nan_gap_from_finite_scores(monkeypatch, capsys):
     # both objectives overflow to inf on a batch of two or more, and inf - inf is NaN
     def scores(params, X, g_val):

@@ -380,72 +380,6 @@ def test_backward_rejects_an_out_of_another_layout(rng, dims):
     assert np.isnan(buf.flat).all()
 
 
-def _nan_stack(params, r):
-    return ParamGrad.from_flat(np.full((r, params.flat.size), np.nan), params.shapes)
-
-
-def test_stacked_backward_is_bitwise_one_backward_per_table(rng):
-    # n == 1 is the oracle's case: there a folded (R * n)-row product of
-    # delta @ W.T would be a gemm where each table alone takes a gemv
-    for trial in range(120):
-        n_layers = int(rng.integers(1, 4))
-        k = int(rng.integers(2, 7))
-        dims = [int(d) for d in rng.integers(1, 48, size=n_layers)] + [k]
-        if trial % 3:
-            dims[int(rng.integers(0, n_layers))] = 1  # a 1-wide input or hidden layer
-        params = init_mlp(dims, seed=trial)
-        n = 1 if trial % 2 else int(rng.integers(1, 65))
-        r = int(rng.integers(1, 7))
-        _, cache = mlp_forward(params, rng.standard_normal((n + 3, dims[0])))
-        rows = slice(None) if trial % 4 < 2 else slice(2, n + 2)
-        n_rows = len(range(*rows.indices(n + 3)))
-        d = rng.standard_normal((r, n_rows, k))
-        buf = _nan_stack(params, r)
-        got = mlp_backward(params, cache, d, rows, out=buf)
-        assert got is buf
-        for t in range(r):
-            alone = mlp_backward(params, cache, d[t], rows)
-            assert got.flat[t].tobytes() == alone.flat.tobytes(), (trial, dims, n, t)
-        fresh = mlp_backward(params, cache, d, rows)
-        assert fresh.flat.shape == (r, params.flat.size)
-        assert fresh.flat.tobytes() == got.flat.tobytes()
-
-
-def test_stacked_vector_views_write_through_and_only_a_gradient_stacks():
-    params = small_mlp(dims=(3, 5, 2), seed=1)
-    stack = ParamGrad.from_flat(np.zeros((4, params.flat.size)), params.shapes)
-    assert stack.weights[1].shape == (4, 5, 2) and stack.biases[0].shape == (4, 5)
-    stack.weights[1][2, 4, 1] = 3.0
-    stack.biases[0][3, 2] = -1.0
-    assert stack.flat[2, 3 * 5 + 5 + 4 * 2 + 1] == 3.0 and stack.flat[3, 3 * 5 + 2] == -1.0
-    assert np.count_nonzero(stack.flat) == 2
-    for bad in (np.zeros((4, params.flat.size + 1)), np.zeros((2, 4, params.flat.size))):
-        with pytest.raises(ValueError, match="does not fit"):
-            ParamGrad.from_flat(bad, params.shapes)
-    with pytest.raises(ValueError, match="does not fit"):
-        ModelParams.from_flat(np.zeros((4, params.flat.size)), params.shapes)
-    row = ParamGrad.from_flat(stack.flat[2], params.shapes)
-    assert row.dot(row) == 9.0
-    with pytest.raises(ValueError, match="no dot"):
-        param_dot(stack, stack)
-
-
-@pytest.mark.parametrize("stack_rows, dims", [
-    (None, (3, 8, 6, 4)), (2, (3, 8, 6, 4)), (4, (3, 8, 6, 4)), (3, (3, 8, 6, 5)),
-])
-def test_stacked_backward_rejects_an_out_of_another_stack_or_layout(rng, stack_rows, dims):
-    params = small_mlp()
-    _, cache = mlp_forward(params, rng.standard_normal((2, 3)))
-    other = small_mlp(dims=dims)
-    buf = _nan_grad(other) if stack_rows is None else _nan_stack(other, stack_rows)
-    with pytest.raises(ValueError, match="out laid out|cannot hold"):
-        mlp_backward(params, cache, rng.standard_normal((3, 2, 4)), out=buf)
-    assert np.isnan(buf.flat).all()
-    # a 2-D table cannot write into a stack either
-    with pytest.raises(ValueError, match="out laid out|cannot hold"):
-        mlp_backward(params, cache, rng.standard_normal((2, 4)), out=_nan_stack(params, 1))
-
-
 @pytest.mark.parametrize("shape", [(3, 2, 5), (3, 1, 4), (1, 3, 2, 4), (4,)])
 def test_backward_rejects_a_table_of_another_shape(rng, shape):
     params = small_mlp()
@@ -454,108 +388,33 @@ def test_backward_rejects_a_table_of_another_shape(rng, shape):
         mlp_backward(params, cache, np.zeros(shape))
 
 
-def _random_layout(rng, trial):
-    """init_mlp over 1-3 layers and K in 2..6; two trials in three get a 1-wide layer below K."""
-    n_layers = int(rng.integers(1, 4))
-    dims = [int(d) for d in rng.integers(1, 48, size=n_layers)] + [int(rng.integers(2, 7))]
-    if trial % 3:
-        dims[int(rng.integers(0, n_layers))] = 1
-    return init_mlp(dims, seed=trial)
-
-
-def test_stacked_forward_is_bitwise_one_forward_per_batch(rng):
-    # S batches of n rows each: a forward that folds them into one (S * n)-row
-    # product differs from the S n-row products in the last bit
-    for trial in range(120):
-        params = _random_layout(rng, trial)
-        if trial % 4 == 3:  # saturated logits
-            params = ModelParams.from_flat(1e3 * params.flat, params.shapes)
-        s, n = int(rng.integers(1, 9)), int(rng.integers(1, 5))
-        X = rng.standard_normal((s, n, params.input_dim))
-        X_before = X.copy()
-        probs, cache = mlp_forward(params, X)
-        assert probs is cache.probs and cache.inputs is X
-        for b in range(s):
-            alone = mlp_forward(params, X[b])[1]
-            for got, want in zip(_forward_arrays(cache), _forward_arrays(alone), strict=True):
-                assert got.shape == (s, *want.shape)
-                assert got[b].tobytes() == want.tobytes(), (trial, params.dims, s, n, b)
-        assert X.tobytes() == X_before.tobytes()
-
-
-def test_backward_over_a_stacked_cache_is_bitwise_one_class_stack_per_batch(rng):
-    # the reference is each batch's (R, n, K) class stack over its own 2-D cache,
-    # which test_stacked_backward_is_bitwise_one_backward_per_table holds bitwise
-    # to R lone backward passes
-    for trial in range(120):
-        params = _random_layout(rng, trial)
-        k = params.n_classes
-        s, n, r = int(rng.integers(1, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 7))
-        X = rng.standard_normal((s, n + 2, params.input_dim))
-        rows = slice(None) if trial % 2 else slice(1, n + 1)
-        n_rows = len(range(*rows.indices(n + 2)))
-        _, cache = mlp_forward(params, X)
-        d = rng.standard_normal((s, r, n_rows, k))
-        buf = _nan_stack(params, s * r)
-        got = mlp_backward(params, cache, d, rows, out=buf)
-        assert got is buf
-        # the class axis left out: one table per batch
-        per_batch = mlp_backward(params, cache, d[:, 0], rows)
-        assert per_batch.flat.shape == (s, params.flat.size)
-        for b in range(s):
-            _, alone = mlp_forward(params, X[b])
-            want = mlp_backward(params, alone, d[b], rows)
-            assert got.flat[b * r : (b + 1) * r].tobytes() == want.flat.tobytes(), (trial, b)
-            assert per_batch.flat[b].tobytes() == want.flat[0].tobytes(), (trial, b)
-        assert mlp_backward(params, cache, d, rows).flat.tobytes() == got.flat.tobytes()
-
-
-@pytest.mark.parametrize("shape", [(3, 4), (3, 3, 4), (2, 3, 5), (2, 2, 2, 4), (2, 1, 4, 4),
-                                   (1, 2, 1, 3, 4), (3, 1, 3, 4)])
-def test_backward_over_a_stacked_cache_rejects_a_table_of_another_shape(rng, shape):
+@pytest.mark.parametrize("shape", [(2, 1, 3), (2, 4, 3), (1, 2, 4, 3)])
+def test_forward_rejects_a_stack_of_batches(rng, shape):
+    # the reverse oracle runs its own stacked forward (oracle.mlp_forward)
     params = small_mlp()
-    _, cache = mlp_forward(params, rng.standard_normal((2, 3, 3)))
-    with pytest.raises(ValueError, match="dloss_dlogits shape"):
-        mlp_backward(params, cache, np.zeros(shape))
+    for reuse in (None, ForwardCache.empty(params, 8)):
+        with pytest.raises(ValueError, match="X must be 2-D"):
+            mlp_forward(params, rng.standard_normal(shape), reuse)
 
 
-@pytest.mark.parametrize("stack_rows", [None, 2, 3, 8])
-def test_backward_over_a_stacked_cache_rejects_an_out_of_another_stack(rng, stack_rows):
+@pytest.mark.parametrize("shape", [(3, 2, 4), (2, 1, 2, 4), (2, 4, 1, 4)])
+def test_backward_rejects_a_stack_of_tables(rng, shape):
     params = small_mlp()
-    _, cache = mlp_forward(params, rng.standard_normal((2, 1, 3)))
-    buf = _nan_grad(params) if stack_rows is None else _nan_stack(params, stack_rows)
-    with pytest.raises(ValueError, match="cannot hold"):
-        mlp_backward(params, cache, rng.standard_normal((2, 3, 1, 4)), out=buf)
+    _, cache = mlp_forward(params, rng.standard_normal((2, 3)))
+    buf = _nan_grad(params)
+    for out in (None, buf):
+        with pytest.raises(ValueError, match="dloss_dlogits shape"):
+            mlp_backward(params, cache, rng.standard_normal(shape), out=out)
     assert np.isnan(buf.flat).all()
 
 
-def test_a_stacked_forward_takes_no_workspace_and_only_a_3d_stack(rng):
-    params = small_mlp()
-    ws = ForwardCache.empty(params, 8)
-    with pytest.raises(ValueError, match="workspace takes a 2-D X"):
-        mlp_forward(params, rng.standard_normal((2, 3, 3)), ws)
-    for shape in [(3,), (2, 2, 3, 3)]:
-        with pytest.raises(ValueError, match="must be 2-D"):
-            mlp_forward(params, np.zeros(shape))
-    with pytest.raises(ValueError, match="input dim"):
-        mlp_forward(params, np.zeros((2, 3, 4)))
-
-
-def test_stacked_dot_is_bitwise_each_rows_dot(rng):
-    # blocks up to 47 x 47 long: np.einsum's sum order differs from ddot's there
-    for trial in range(300):
-        params = _random_layout(rng, trial)
-        r = int(rng.integers(1, 9))
-        stack = ParamGrad.from_flat(rng.standard_normal((r, params.flat.size)), params.shapes)
-        stack.flat[0, : int(rng.integers(0, params.flat.size + 1))] = -0.0
-        v = random_grad(params, rng, scale=1e3)
-        got = param_dot(stack, v)
-        assert got.shape == (r,)
-        for t in range(r):
-            row = ParamGrad.from_flat(stack.flat[t], params.shapes)
-            assert np.float64(got[t]).tobytes() == np.float64(row.dot(v)).tobytes(), (trial, t)
-    with pytest.raises(ValueError, match="no dot"):
-        param_dot(v, stack)
+@pytest.mark.parametrize("cls", [ModelParams, ParamGrad])
+def test_from_flat_rejects_a_stack_of_vectors(cls):
+    params = small_mlp(dims=(3, 5, 2), seed=1)
+    size = params.flat.size
+    for bad in (np.zeros((4, size)), np.zeros((1, size)), np.zeros(size + 1)):
+        with pytest.raises(ValueError, match="does not fit"):
+            cls.from_flat(bad, params.shapes)
 
 
 def test_dot_is_bitwise_the_sum_of_raveled_block_dots(rng):
@@ -759,7 +618,7 @@ def test_layout_caches_hold_every_oracle_check_layout():
     layouts = [((d, h1), (h1, h2), (h2, 6))
                for d in range(2, 6) for h1 in range(4, 17) for h2 in range(4, 17)]
     assert len(layouts) == 676
-    for cached in (nn._layout, nn._dot_spans):
+    for cached in (nn._layout, nn.block_spans):
         for shapes in layouts:
             cached(shapes)
         misses = cached.cache_info().misses

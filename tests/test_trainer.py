@@ -98,7 +98,7 @@ def test_evaluate_matches_loop_oracle(rng):
 
 
 def test_evaluate_and_validation_gradient_reject_a_3d_x(rng):
-    # mlp_forward takes a 3-D X as a stack of batches; these entry points do not
+    # only the reverse oracle runs stacks of batches; the training entry points refuse them
     params = init_mlp([3, 6, 4], seed=5)
     X3 = rng.standard_normal((2, 5, 3))
     labels = rng.integers(0, 4, size=2)
