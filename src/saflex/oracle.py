@@ -83,7 +83,11 @@ def mlp_forward(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, list[np
     that batch alone, and the softmax takes the logits' (S * n, K) view,
     whose rows it treats one by one: so batch s is bitwise a lone forward
     of X[s]. The layer inputs are X and each hidden layer, ReLU'd in place.
+    It takes no workspace, and an X of another rank or width raises ValueError.
     """
+    if X.ndim != 3 or X.shape[2] != params.input_dim:
+        raise ValueError(f"X of shape {X.shape} is not a stack of batches "
+                         f"of {params.input_dim}-wide rows")
     acts, a = [X], X
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         if i:
@@ -104,9 +108,15 @@ def mlp_backward(params: ModelParams, acts: list[np.ndarray], tables: np.ndarray
     element, as it runs for that table alone. np.matmul gives an element
     the bits np.dot gives, but for a (1, 1) @ (1, 1): np.dot multiplies,
     so a zero product keeps its sign, where np.matmul adds the product to
-    +0.0. np.multiply keeps it too.
+    +0.0. np.multiply keeps it too. Tables of another shape than (S, R, n,
+    K) over the forward's S batches of n rows raise ValueError: numpy would
+    broadcast a one-batch forward across tables of several batches.
     """
-    s, r = tables.shape[:2]
+    s, n = acts[0].shape[:2]
+    if tables.ndim != 4 or (tables.shape[0], *tables.shape[2:]) != (s, n, params.n_classes):
+        raise ValueError(f"tables of shape {tables.shape} do not fit {s} batches "
+                         f"of {n} rows and {params.n_classes} classes")
+    r = tables.shape[1]
     grads = np.empty((s * r, params.param_count))
     spans, last = block_spans(params.shapes), params.n_layers - 1
     delta = tables

@@ -28,6 +28,22 @@ def small_mlp(dims=(3, 8, 6, 4), seed=0) -> ModelParams:
     return init_mlp(list(dims), seed=seed)
 
 
+def random_layout(rng: np.random.Generator, trial: int, k: int) -> ModelParams:
+    """init_mlp over 1-3 layers with k classes.
+
+    Two trials in three get a 1-wide layer below the output, and one in
+    three a 1-wide input feeding a 1-wide hidden layer: a (1, 1) weight
+    block, whose gradient np.matmul would take from +0.0 and so lose a -0.0.
+    """
+    n_layers = int(rng.integers(1, 4))
+    dims = [int(d) for d in rng.integers(1, 48, size=n_layers)] + [k]
+    if trial % 3 == 1:
+        dims[int(rng.integers(0, n_layers))] = 1
+    elif trial % 3 == 2:
+        dims[: min(2, n_layers)] = [1] * min(2, n_layers)
+    return init_mlp(dims, seed=trial)
+
+
 def load_script(name):
     """scripts/<name>.py as a module, loaded without touching sys.path."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pre_activations, random_grad, small_mlp
-from saflex import nn
+from conftest import pre_activations, random_grad, random_layout, small_mlp
+from saflex import nn, oracle
 from saflex.nn import (
     CHECKPOINT_MAGIC,
     ForwardCache,
@@ -388,24 +388,101 @@ def test_backward_rejects_a_table_of_another_shape(rng, shape):
         mlp_backward(params, cache, np.zeros(shape))
 
 
-@pytest.mark.parametrize("shape", [(2, 1, 3), (2, 4, 3), (1, 2, 4, 3)])
-def test_forward_rejects_a_stack_of_batches(rng, shape):
-    # the reverse oracle runs its own stacked forward (oracle.mlp_forward)
+def test_a_stacked_forward_takes_no_workspace_and_only_a_3d_stack(rng):
+    # the stacked forward is the reverse oracle's own, and takes no workspace;
+    # nn's forward takes a 2-D X, with a workspace or without
     params = small_mlp()
-    for reuse in (None, ForwardCache.empty(params, 8)):
-        with pytest.raises(ValueError, match="X must be 2-D"):
-            mlp_forward(params, rng.standard_normal(shape), reuse)
+    for shape in [(2, 1, 3), (2, 4, 3), (1, 2, 4, 3)]:
+        for reuse in (None, ForwardCache.empty(params, 8)):
+            with pytest.raises(ValueError, match="X must be 2-D"):
+                mlp_forward(params, rng.standard_normal(shape), reuse)
+    with pytest.raises(TypeError):
+        oracle.mlp_forward(params, np.zeros((2, 1, 3)), ForwardCache.empty(params, 8))
+    for shape in [(3,), (2, 3), (2, 2, 3, 3), (2, 3, 4)]:
+        with pytest.raises(ValueError, match="not a stack of batches of 3-wide rows"):
+            oracle.mlp_forward(params, np.zeros(shape))
 
 
-@pytest.mark.parametrize("shape", [(3, 2, 4), (2, 1, 2, 4), (2, 4, 1, 4)])
-def test_backward_rejects_a_stack_of_tables(rng, shape):
+@pytest.mark.parametrize("stack_rows, dims", [
+    (None, (3, 8, 6, 4)), (2, (3, 8, 6, 4)), (4, (3, 8, 6, 4)), (3, (3, 8, 6, 5)),
+])
+def test_stacked_backward_rejects_an_out_of_another_stack_or_layout(rng, stack_rows, dims):
+    # nn's backward writes one gradient: a stack of tables is refused before
+    # an out of this or another layout is touched, and no out of stacked rows
+    # can be built
     params = small_mlp()
     _, cache = mlp_forward(params, rng.standard_normal((2, 3)))
-    buf = _nan_grad(params)
-    for out in (None, buf):
-        with pytest.raises(ValueError, match="dloss_dlogits shape"):
-            mlp_backward(params, cache, rng.standard_normal(shape), out=out)
+    buf = _nan_grad(small_mlp(dims=dims))
+    for shape in [(3, 2, 4), (2, 1, 2, 4), (2, 4, 1, 4)]:
+        for out in (None, buf):
+            with pytest.raises(ValueError, match="dloss_dlogits shape"):
+                mlp_backward(params, cache, rng.standard_normal(shape), out=out)
     assert np.isnan(buf.flat).all()
+    if stack_rows is not None:
+        with pytest.raises(ValueError, match="does not fit"):
+            ParamGrad.from_flat(np.full((stack_rows, buf.flat.size), np.nan), buf.shapes)
+
+
+# The reverse oracle's stacked backward (saflex.oracle) against nn's 2-D
+# backward, which is its bitwise reference one batch and one table at a time.
+
+
+def test_stacked_backward_is_bitwise_one_backward_per_table(rng):
+    # compared row by row: a gradient's lost -0.0 would vanish in the score's
+    # dot; a third of the layouts have a (1, 1) weight block (random_layout)
+    for trial in range(300):
+        k = 2 + trial % 5
+        params = random_layout(rng, trial // 5, k)
+        s, r = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        n = 1 if trial % 4 else int(rng.integers(2, 5))
+        X = rng.standard_normal((s, n, params.input_dim))
+        tables = rng.standard_normal((s, r, n, k))
+        _, acts = oracle.mlp_forward(params, X)
+        grads = oracle.mlp_backward(params, acts, tables)
+        assert grads.shape == (s * r, params.param_count)
+        for b in range(s):
+            _, alone = mlp_forward(params, X[b])
+            for t in range(r):
+                want = mlp_backward(params, alone, tables[b, t]).flat
+                assert grads[b * r + t].tobytes() == want.tobytes(), (trial, params.dims, b, t)
+
+
+def test_backward_over_a_stacked_cache_is_bitwise_one_class_stack_per_batch(rng):
+    # the reference is each batch's class stack over its own one-batch forward,
+    # which test_stacked_backward_is_bitwise_one_backward_per_table holds bitwise
+    # to R lone backward passes
+    for trial in range(120):
+        params = random_layout(rng, trial, int(rng.integers(2, 7)))
+        s, n, r = int(rng.integers(1, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        X = rng.standard_normal((s, n, params.input_dim))
+        tables = rng.standard_normal((s, r, n, params.n_classes))
+        _, acts = oracle.mlp_forward(params, X)
+        got = oracle.mlp_backward(params, acts, tables)
+        for b in range(s):
+            _, alone = oracle.mlp_forward(params, X[b : b + 1])
+            want = oracle.mlp_backward(params, alone, tables[b : b + 1])
+            assert got[b * r : (b + 1) * r].tobytes() == want.tobytes(), (trial, b)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (3, 3, 4), (2, 3, 5), (2, 2, 2, 4), (2, 1, 4, 4),
+                                   (1, 2, 1, 3, 4), (3, 1, 3, 4)])
+def test_backward_over_a_stacked_cache_rejects_a_table_of_another_shape(rng, shape):
+    params = small_mlp()
+    _, acts = oracle.mlp_forward(params, rng.standard_normal((2, 3, 3)))
+    with pytest.raises(ValueError, match="do not fit 2 batches of 3 rows and 4 classes"):
+        oracle.mlp_backward(params, acts, np.zeros(shape))
+
+
+@pytest.mark.parametrize("table_stack", [None, 2, 3, 8])
+def test_backward_over_a_stacked_cache_rejects_an_out_of_another_stack(rng, table_stack):
+    # the out, the (S * R, P) gradient rows, is laid out by the tables' stack:
+    # tables for another number of batches than the cache's one are refused,
+    # where numpy would broadcast that batch across them
+    params = small_mlp()
+    _, acts = oracle.mlp_forward(params, rng.standard_normal((1, 1, 3)))
+    shape = (3, 1, 4) if table_stack is None else (table_stack, 3, 1, 4)
+    with pytest.raises(ValueError, match="do not fit 1 batches"):
+        oracle.mlp_backward(params, acts, rng.standard_normal(shape))
 
 
 @pytest.mark.parametrize("cls", [ModelParams, ParamGrad])

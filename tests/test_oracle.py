@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_grad, small_mlp
+from conftest import random_grad, random_layout, small_mlp
 from saflex import nn, oracle
 from saflex.core import closed_form_assignment, pi_scores, validation_gradient
 from saflex.data import Batch
@@ -121,28 +121,12 @@ def test_reverse_scores_run_none_of_the_fast_paths_engine(monkeypatch, k):
     assert [pi_scores_reverse(*inst).tobytes() for inst in instances] == want
 
 
-def _random_layout(rng, trial, k):
-    """init_mlp over 1-3 layers with k classes.
-
-    Two trials in three get a 1-wide layer below the output, and one in
-    three a 1-wide input feeding a 1-wide hidden layer: a (1, 1) weight
-    block, whose gradient np.matmul would take from +0.0 and so lose a -0.0.
-    """
-    n_layers = int(rng.integers(1, 4))
-    dims = [int(d) for d in rng.integers(1, 48, size=n_layers)] + [k]
-    if trial % 3 == 1:
-        dims[int(rng.integers(0, n_layers))] = 1
-    elif trial % 3 == 2:
-        dims[: min(2, n_layers)] = [1] * min(2, n_layers)
-    return init_mlp(dims, seed=trial)
-
-
 @pytest.mark.parametrize("k", range(2, ENUM_MAX_K + 1))
 def test_stacked_forward_is_bitwise_one_forward_per_batch(rng, k):
     # S batches of n rows each: a forward that folds them into one (S * n)-row
     # product differs from the S n-row products in the last bit
     for trial in range(60):
-        params = _random_layout(rng, trial, k)
+        params = random_layout(rng, trial, k)
         if trial % 4 == 3:  # saturated logits
             params = ModelParams.from_flat(1e3 * params.flat, params.shapes)
         s, n = int(rng.integers(1, 9)), 1 if trial % 2 else int(rng.integers(2, 5))
@@ -159,31 +143,10 @@ def test_stacked_forward_is_bitwise_one_forward_per_batch(rng, k):
         assert X.tobytes() == X_before.tobytes()
 
 
-@pytest.mark.parametrize("k", range(2, ENUM_MAX_K + 1))
-def test_stacked_backward_is_bitwise_one_backward_per_table(rng, k):
-    # the reference is the training step's 2-D backward, one batch and one
-    # table at a time, compared row by row: a gradient's lost -0.0 would
-    # vanish in the score's dot
-    for trial in range(60):
-        params = _random_layout(rng, trial, k)
-        s, r = int(rng.integers(1, 9)), int(rng.integers(1, 7))
-        n = 1 if trial % 4 else int(rng.integers(2, 5))
-        X = rng.standard_normal((s, n, params.input_dim))
-        tables = rng.standard_normal((s, r, n, k))
-        probs, acts = oracle.mlp_forward(params, X)
-        grads = oracle.mlp_backward(params, acts, tables)
-        assert grads.shape == (s * r, params.param_count)
-        for b in range(s):
-            _, alone = mlp_forward(params, X[b])
-            for t in range(r):
-                want = mlp_backward(params, alone, tables[b, t]).flat
-                assert grads[b * r + t].tobytes() == want.tobytes(), (trial, params.dims, b, t)
-
-
 def test_stacked_dot_is_bitwise_each_rows_dot(rng):
     # blocks up to 47 x 47 long: np.einsum's sum order differs from ddot's there
     for trial in range(300):
-        params = _random_layout(rng, trial, int(rng.integers(2, 7)))
+        params = random_layout(rng, trial, int(rng.integers(2, 7)))
         r = int(rng.integers(1, 9))
         grads = rng.standard_normal((r, params.param_count))
         grads[0, : int(rng.integers(0, params.param_count + 1))] = -0.0
