@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, eval, oracle-check. Exit codes: 0 success,
-2 configuration/usage error, 3 numerical failure. SAFLEX_THREADS is
-validated here; nothing reads it yet, as no code path starts workers.
+2 configuration/usage error or an allocation larger than memory, 3
+numerical failure. SAFLEX_THREADS is validated here; nothing reads it
+yet, as no code path starts workers.
 """
 
 from __future__ import annotations
@@ -272,6 +273,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
     except (DivergenceError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

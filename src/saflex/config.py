@@ -101,11 +101,13 @@ def load_config(path: str) -> dict:
     try:
         with decoding(path), open(path) as f:
             raw = json.load(f)
+        return resolve(raw)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return resolve(raw)
+    except RecursionError as exc:  # the decoder and _leaf's message recurse per [ or {
+        raise ConfigError(f"{path}: nested too deeply") from exc
 
 
 def require(cfg: dict, section: str, key: str) -> Any:

@@ -11,12 +11,10 @@ Conventions used throughout the package:
 
 Everything here is a pure function of its inputs. In-place operations
 touch only temporaries a function has just allocated itself, never its
-inputs or a parameter vector, unless the caller hands over an array to
-write: mlp_backward given `out` overwrites every block of that ParamGrad
-and returns it, and mlp_forward given `reuse` overwrites that cache's
-arrays, which then belong to the cache it returns. Two more writes keep
-what is derived on first use: relu_masks() keeps its masks on the cache,
-and ParamGrad.dot keeps its 1-D block views of `flat` on the vector.
+inputs or a parameter vector, with two exceptions: mlp_forward given
+`reuse` overwrites that cache's arrays, which then belong to the cache it
+returns, and relu_masks() keeps the masks it builds on first use on the
+cache.
 """
 
 from __future__ import annotations
@@ -146,23 +144,15 @@ class ParamGrad(_LayerVector):
         if self.shapes != other.shapes:
             raise ValueError("parameter-vector shapes do not match")
 
-    # the 1-D blocks of `flat` that dot() pairs up, made on its first call
-    _dot_blocks: list[np.ndarray] | None = None
-
-    def _blocks(self) -> list[np.ndarray]:
-        """Every weight block, then every bias, each as its 1-D slice of `flat`.
-
-        A weight block's slice is the memory its ravel() views, so a dot
-        over these slices runs the same ddot on the same elements.
-        """
-        if self._dot_blocks is None:
-            self._dot_blocks = [self.flat[lo:hi] for lo, hi in block_spans(self.shapes)]
-        return self._dot_blocks
-
     def dot(self, other: "ParamGrad") -> float:
-        """Sum of per-block dots, all weight blocks first, then all biases."""
+        """Sum of per-block dots, all weight blocks first, then all biases.
+
+        Each block is its 1-D slice of `flat`, the memory a weight block's
+        ravel() views, so every ddot runs on the same elements in the same order.
+        """
         self._check_same_shape(other)
-        return sum(float(a.dot(b)) for a, b in zip(self._blocks(), other._blocks()))
+        a, b = self.flat, other.flat
+        return sum(float(a[lo:hi].dot(b[lo:hi])) for lo, hi in block_spans(self.shapes))
 
     def add_scaled(self, other: "ParamGrad", scale: float) -> "ParamGrad":
         """Return self + scale * other."""
@@ -174,11 +164,6 @@ class ParamGrad(_LayerVector):
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.flat))
-
-
-def param_dot(a: ParamGrad, b: ParamGrad) -> float:
-    """Euclidean inner product over all parameters."""
-    return a.dot(b)
 
 
 def init_mlp(layer_dims: list[int] | tuple[int, ...], seed: int = 0) -> ModelParams:
@@ -317,26 +302,18 @@ def mlp_backward(
     cache: ForwardCache,
     dloss_dlogits: np.ndarray,
     rows: slice = slice(None),
-    out: ParamGrad | None = None,
 ) -> ParamGrad:
     """Reverse-mode gradient of a scalar loss with the given logit gradient.
 
-    The returned gradient is summed over the batch; divide dloss_dlogits
-    by the batch size beforehand for a mean-reduced loss. `rows` picks
-    the cache rows the (rows, K) logit gradient belongs to. Given `out`,
-    laid out like `params`, every block of it is overwritten and it is
-    returned.
+    The returned gradient, a fresh vector, is summed over the batch; divide
+    dloss_dlogits by the batch size beforehand for a mean-reduced loss.
+    `rows` picks the cache rows the (rows, K) logit gradient belongs to.
     """
     d = np.asarray(dloss_dlogits, dtype=np.float64)
     want = None if cache.logits is None else cache.logits[rows].shape
     if d.shape != want:
         raise ValueError(f"dloss_dlogits shape {d.shape} does not fit logits shape {want}")
-    if out is None:
-        grad = ParamGrad.from_flat(np.empty(params.flat.shape), params.shapes)
-    elif out.shapes != params.shapes:
-        raise ValueError(f"out laid out for {out.shapes}, not the parameters' {params.shapes}")
-    else:
-        grad = out
+    grad = ParamGrad.from_flat(np.empty(params.flat.shape), params.shapes)
     masks = cache.relu_masks()
     delta = d
     for i in range(params.n_layers - 1, -1, -1):

@@ -39,7 +39,6 @@ from saflex.nn import (
     jvp_logits_batch,
     mlp_backward,
     mlp_forward,
-    param_dot,
 )
 from saflex.losses import hard_ce
 from saflex.oracle import (
@@ -156,7 +155,7 @@ def test_criterion_2_gradient_machinery():
 
         c = g.standard_normal(u.shape)
         lhs = float((c * u).sum())
-        rhs = param_dot(mlp_backward(params, cache, c), t)
+        rhs = mlp_backward(params, cache, c).dot(t)
         worst_dual = max(worst_dual, abs(lhs - rhs) / max(1.0, abs(lhs)))
     ok = worst_bwd <= 1e-6 and worst_jvp <= 1e-6 and worst_dual <= 1e-9
     _report(2, "reverse/forward mode vs finite differences",

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import struct
+import sys
 import warnings
 
 import numpy as np
@@ -518,6 +519,40 @@ def test_bad_hidden_widths_and_val_batch_size_exit_two(tmp_path, capsys, section
     assert main(["train", "-c", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+# 2**55 parameters or samples need 1.25 EiB and 256 PiB: more than any 64-bit
+# address space, so numpy's allocation fails at once and touches no memory.
+# A size an overcommitting host could map (data.n 10**12, 7 TiB) is no test.
+@pytest.mark.parametrize("section,key,value", [("model", "hidden", [2**55]), ("data", "n", 2**55)],
+                         ids=["hidden", "n"])
+@pytest.mark.parametrize("sweep", [[], ["--sweep-sigma", "0.5,1.0"]])
+def test_an_allocation_larger_than_memory_exits_two(tmp_path, capsys, section, key, value, sweep):
+    cfg = _cfg(tmp_path, **{section: {key: value}})
+    assert main(["train", "-c", cfg, *sweep]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "print_config", "eval"])
+def test_an_over_nested_config_exits_two(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)  # the config names no output.dir: the default is relative
+    argv = {"train": ["train", "-c", "deep.json"],
+            "print_config": ["train", "--print-config", "-c", "deep.json"],
+            "eval": ["eval", "-c", "deep.json", "--checkpoint", "none.bin"]}[command]
+    # 100 000 levels overflow the JSON decoder; the depths around the recursion
+    # limit decode, and overflow in the type error's message instead
+    limit = sys.getrecursionlimit()
+    for depth in [100_000, *range(limit - 200, limit + 20)]:
+        (tmp_path / "deep.json").write_text('{"model": {"hidden": ' + "[" * depth + "1"
+                                            + "]" * depth + "}}")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        if depth == 100_000:
+            assert err == "config error: deep.json: nested too deeply\n"
+        assert err.startswith("config error: ") and err.count("\n") == 1, (depth, err)
+    assert os.listdir(tmp_path) == ["deep.json"]
 
 
 @pytest.mark.parametrize("block", [0, 1, 2], ids=["train", "aug", "val"])

@@ -20,7 +20,6 @@ from saflex.nn import (
     log_softmax,
     mlp_backward,
     mlp_forward,
-    param_dot,
     row_sum,
     save_checkpoint,
     sgd_step,
@@ -161,7 +160,7 @@ def test_jvp_backward_duality(seed):
     t = random_grad(params, rng)
     c = rng.standard_normal((3, 4))
     lhs = float((c * jvp_logits_batch(params, t, cache)).sum())
-    rhs = param_dot(mlp_backward(params, cache, c), t)
+    rhs = mlp_backward(params, cache, c).dot(t)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
@@ -209,8 +208,8 @@ def test_param_dot_basics():
     e1.weights[0][0, 0] = 1.0
     e2 = ParamGrad.zeros_like(p)
     e2.biases[0][1] = 1.0
-    assert param_dot(e1, e1) == 1.0
-    assert param_dot(e1, e2) == 0.0
+    assert e1.dot(e1) == 1.0
+    assert e1.dot(e2) == 0.0
 
 
 def test_param_dot_matches_naive_sum(rng):
@@ -221,14 +220,14 @@ def test_param_dot_matches_naive_sum(rng):
     for x, y in zip(a.weights + a.biases, b.weights + b.biases):
         for u, v in zip(x.ravel(), y.ravel()):
             naive += u * v
-    assert abs(param_dot(a, b) - naive) <= 1e-12 * max(1.0, abs(naive))
+    assert abs(a.dot(b) - naive) <= 1e-12 * max(1.0, abs(naive))
 
 
 def test_param_dot_shape_mismatch():
     a = ParamGrad([np.zeros((2, 2))], [np.zeros(2)])
     b = ParamGrad([np.zeros((3, 2))], [np.zeros(2)])
     with pytest.raises(ValueError):
-        param_dot(a, b)
+        a.dot(b)
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):
@@ -351,35 +350,6 @@ def test_backward_writes_a_fresh_vector(rng):
     assert not np.shares_memory(g1.flat, g2.flat)
 
 
-def _nan_grad(params):
-    return ParamGrad.from_flat(np.full(params.flat.size, np.nan), params.shapes)
-
-
-@pytest.mark.parametrize("rows", [slice(None), slice(0, 5), slice(5, 12)])
-def test_backward_into_out_is_bitwise_a_fresh_backward(rng, rows):
-    # slice(0, 5) and slice(5, 12) are the two halves of a stacked cache
-    for seed in range(20):
-        dims = (int(rng.integers(1, 5)), int(rng.integers(1, 9)), int(rng.integers(1, 9)),
-                int(rng.integers(1, 7)))
-        params = small_mlp(dims=dims, seed=seed)
-        _, cache = mlp_forward(params, rng.standard_normal((12, dims[0])))
-        d = rng.standard_normal((len(range(*rows.indices(12))), dims[-1]))
-        buf = _nan_grad(params)
-        got = mlp_backward(params, cache, d, rows, out=buf)
-        assert got is buf
-        assert got.flat.tobytes() == mlp_backward(params, cache, d, rows).flat.tobytes()
-
-
-@pytest.mark.parametrize("dims", [(3, 8, 6, 5), (3, 8, 4), (3, 6, 8, 4)])
-def test_backward_rejects_an_out_of_another_layout(rng, dims):
-    params = small_mlp()
-    _, cache = mlp_forward(params, rng.standard_normal((2, 3)))
-    buf = _nan_grad(small_mlp(dims=dims))
-    with pytest.raises(ValueError, match="out laid out"):
-        mlp_backward(params, cache, rng.standard_normal((2, 4)), out=buf)
-    assert np.isnan(buf.flat).all()
-
-
 @pytest.mark.parametrize("shape", [(3, 2, 5), (3, 1, 4), (1, 3, 2, 4), (4,)])
 def test_backward_rejects_a_table_of_another_shape(rng, shape):
     params = small_mlp()
@@ -407,20 +377,17 @@ def test_a_stacked_forward_takes_no_workspace_and_only_a_3d_stack(rng):
     (None, (3, 8, 6, 4)), (2, (3, 8, 6, 4)), (4, (3, 8, 6, 4)), (3, (3, 8, 6, 5)),
 ])
 def test_stacked_backward_rejects_an_out_of_another_stack_or_layout(rng, stack_rows, dims):
-    # nn's backward writes one gradient: a stack of tables is refused before
-    # an out of this or another layout is touched, and no out of stacked rows
-    # can be built
+    # nn's backward writes one gradient: a stack of tables is refused, and no
+    # gradient of stacked rows, in this or another layout, can be built
     params = small_mlp()
     _, cache = mlp_forward(params, rng.standard_normal((2, 3)))
-    buf = _nan_grad(small_mlp(dims=dims))
     for shape in [(3, 2, 4), (2, 1, 2, 4), (2, 4, 1, 4)]:
-        for out in (None, buf):
-            with pytest.raises(ValueError, match="dloss_dlogits shape"):
-                mlp_backward(params, cache, rng.standard_normal(shape), out=out)
-    assert np.isnan(buf.flat).all()
+        with pytest.raises(ValueError, match="dloss_dlogits shape"):
+            mlp_backward(params, cache, rng.standard_normal(shape))
     if stack_rows is not None:
+        layout = small_mlp(dims=dims)
         with pytest.raises(ValueError, match="does not fit"):
-            ParamGrad.from_flat(np.full((stack_rows, buf.flat.size), np.nan), buf.shapes)
+            ParamGrad.from_flat(np.full((stack_rows, layout.param_count), np.nan), layout.shapes)
 
 
 # The reverse oracle's stacked backward (saflex.oracle) against nn's 2-D
@@ -501,7 +468,7 @@ def test_dot_is_bitwise_the_sum_of_raveled_block_dots(rng):
         dims[int(rng.integers(0, n_layers + 1))] = 1  # a 1-wide layer in every layout
         params = init_mlp(dims)
         a, b = random_grad(params, rng), random_grad(params, rng, scale=1e3)
-        for _ in range(2):  # the second dot reads blocks made by the first
+        for _ in range(2):  # the second dot sees the new values written into flat
             pairs = zip(a.weights + a.biases, b.weights + b.biases)
             old = sum(float(np.dot(x.ravel(), y.ravel())) for x, y in pairs)
             assert np.float64(a.dot(b)).tobytes() == np.float64(old).tobytes()

@@ -20,7 +20,6 @@ from saflex.oracle import (
     post_step_val_loss,
 )
 from saflex.core import combined_step_gradient
-from saflex.nn import param_dot
 from saflex.rng import stream
 
 
@@ -29,7 +28,7 @@ def test_finite_diff_linear_function(rng):
     c = random_grad(params, rng)
 
     def fn(p):
-        return param_dot(ParamGrad(p.weights, p.biases), c)
+        return ParamGrad(p.weights, p.biases).dot(c)
 
     fd = finite_diff(fn, params, 1e-5)
     assert fd.add_scaled(c, -1.0).norm() <= 1e-10 * max(1.0, c.norm())
@@ -106,7 +105,7 @@ def test_reverse_scores_call_backward_and_dot_through_the_oracle_module(monkeypa
 
 @pytest.mark.parametrize("k", [2, ENUM_MAX_K])
 def test_reverse_scores_run_none_of_the_fast_paths_engine(monkeypatch, k):
-    fast = [nn.mlp_forward, nn.mlp_backward, nn.param_dot, nn.jvp_logits_batch]
+    fast = [nn.mlp_forward, nn.mlp_backward, nn.jvp_logits_batch]
     # a name the oracle imported would escape the patches below
     assert not [v for v in vars(oracle).values() if any(v is f for f in fast)]
     instances = [oracle_instance(6, i, ENUM_MAX_B, k) for i in range(6)]
@@ -115,7 +114,7 @@ def test_reverse_scores_run_none_of_the_fast_paths_engine(monkeypatch, k):
     def refuse(*args, **kwargs):
         raise AssertionError("the reverse oracle ran the fast path's engine")
 
-    for name in ("mlp_forward", "mlp_backward", "param_dot", "jvp_logits_batch"):
+    for name in ("mlp_forward", "mlp_backward", "jvp_logits_batch"):
         monkeypatch.setattr(nn, name, refuse)
     monkeypatch.setattr(nn.ParamGrad, "dot", refuse)
     assert [pi_scores_reverse(*inst).tobytes() for inst in instances] == want
@@ -154,7 +153,7 @@ def test_stacked_dot_is_bitwise_each_rows_dot(rng):
         got = oracle.param_dot(grads, v)
         assert got.shape == (r,)
         for t in range(r):
-            want = param_dot(ParamGrad.from_flat(grads[t], params.shapes), v)
+            want = ParamGrad.from_flat(grads[t], params.shapes).dot(v)
             assert np.float64(got[t]).tobytes() == np.float64(want).tobytes(), (trial, t)
 
 
@@ -403,7 +402,7 @@ def test_first_order_consistency_richardson():
     d = combined_step_gradient(
         params, tr, aug.X, a.weights.astype(float), one_hot(a.labels, 3)
     )
-    expected = param_dot(g_val, d)
+    expected = g_val.dot(d)
     base = hard_ce(mlp_forward(params, val.X)[0], val.hard_labels)
     alpha = 1e-3
     d1 = (base - post_step_val_loss(params, tr, aug, a, val, alpha)) / alpha
