@@ -90,6 +90,13 @@ def cmd_train(args: argparse.Namespace) -> int:
             sigmas = []
         if not sigmas or not all(0 <= s < np.inf for s in sigmas):
             raise ConfigError(f"--sweep-sigma wants finite numbers >= 0, got {args.sweep_sigma!r}")
+        # only gaussian_jitter reads augment.sigma, and mode none augments nothing:
+        # any other sweep would repeat one run under every grid point
+        mode, kind = cfg["train"]["mode"], cfg["augment"]["kind"]
+        if mode == "none" or kind != "gaussian_jitter":
+            key = f"train.mode {mode!r}" if mode == "none" else f"augment.kind {kind!r}"
+            raise ConfigError(f"--sweep-sigma varies augment.sigma, which {key} does not read "
+                              "(only gaussian_jitter in mode naive or saflex does)")
         points = []
         for sigma in sigmas:
             point = json.loads(json.dumps(cfg))

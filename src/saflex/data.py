@@ -337,18 +337,6 @@ def save_csv(ds: Dataset, path: str, schema_path: str) -> None:
 # ---------------------------------------------------------------------------
 # Raw images
 
-def save_images_raw(pixels: np.ndarray, labels: np.ndarray, num_classes: int, path: str) -> None:
-    """pixels: (n, h, w) uint8; little-endian header then pixels then labels."""
-    pixels = np.asarray(pixels, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    n, h, w = pixels.shape
-    with open(path, "wb") as f:
-        f.write(IMAGE_MAGIC)
-        f.write(struct.pack("<IIII", n, h, w, num_classes))
-        f.write(pixels.tobytes())
-        f.write(labels.tobytes())
-
-
 def load_images_raw(path: str) -> Dataset:
     """Load the raw image format; pixels scaled to [0, 1] and flattened."""
     with open(path, "rb") as f:

@@ -31,16 +31,6 @@ from .rng import stream
 CHECKPOINT_MAGIC = b"SFLX1"
 
 
-def check_matrix(x: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate a dense 2-D float64 carrier; returns a C-contiguous view."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return x
-
-
 class _LayerVector:
     """One contiguous float64 vector with per-layer weight and bias views.
 
@@ -129,16 +119,9 @@ class ModelParams(_LayerVector):
     def param_count(self) -> int:
         return self.flat.size
 
-    def copy(self) -> "ModelParams":
-        return ModelParams.from_flat(self.flat.copy(), self.shapes)
-
 
 class ParamGrad(_LayerVector):
     """A vector in parameter space, laid out like some ModelParams."""
-
-    @classmethod
-    def zeros_like(cls, params: ModelParams) -> "ParamGrad":
-        return cls.from_flat(np.zeros_like(params.flat), params.shapes)
 
     def _check_same_shape(self, other: "ParamGrad") -> None:
         if self.shapes != other.shapes:
@@ -153,14 +136,6 @@ class ParamGrad(_LayerVector):
         self._check_same_shape(other)
         a, b = self.flat, other.flat
         return sum(float(a[lo:hi].dot(b[lo:hi])) for lo, hi in block_spans(self.shapes))
-
-    def add_scaled(self, other: "ParamGrad", scale: float) -> "ParamGrad":
-        """Return self + scale * other."""
-        self._check_same_shape(other)
-        return ParamGrad.from_flat(self.flat + scale * other.flat, self.shapes)
-
-    def scale(self, c: float) -> "ParamGrad":
-        return ParamGrad.from_flat(c * self.flat, self.shapes)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.flat))
@@ -254,12 +229,6 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.exp(z, out=z)
     z /= row_sum(z)
     return z
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row log-softmax with max subtraction; cannot underflow."""
-    z = logits - row_max(logits)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 def mlp_forward(
@@ -369,6 +338,11 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelParams:
+    """The parameters in a checkpoint file.
+
+    ValueError naming the file for a bad magic, a header or body of
+    another length than its dims declare, or a NaN or infinite parameter.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -389,4 +363,7 @@ def load_checkpoint(path: str) -> ModelParams:
         raise ValueError(f"checkpoint {path!r} has {len(blob) - expected} trailing bytes "
                          f"past the {expected} its header declares")
     flat = np.frombuffer(blob, dtype="<f8", offset=off).astype(np.float64)
+    bad = flat.size - np.count_nonzero(np.isfinite(flat))
+    if bad:
+        raise ValueError(f"checkpoint {path!r} holds {bad} non-finite parameters")
     return ModelParams.from_flat(flat, shapes)

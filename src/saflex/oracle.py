@@ -2,18 +2,18 @@
 
 The assignment step claims to maximize, per augmented sample, the
 first-order decrease of the validation loss over hard labels and binary
-weights. Everything here re-derives that objective by brute force:
-alignment scores via per-class reverse-mode gradients, on this module's
-own stacked forward pass, backward pass and dot, exhaustive vertex
-enumeration of the per-sample linear program, coordinate-wise finite
-differences, and exact (non-linearized) post-step validation losses.
+weights. This module re-derives that objective by brute force: alignment
+scores via per-class reverse-mode gradients, on its own stacked forward
+pass, backward pass and dot (pi_scores_reverse); exhaustive vertex
+enumeration of the per-sample linear program over a score table
+(enumerate_optimum_scores, assignment_objective); and the exact
+(non-linearized) post-step validation loss of an assignment
+(post_step_val_loss). `saflex oracle-check` runs the first two.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
 
 import numpy as np
 
@@ -56,24 +56,6 @@ def _integers(values, name: str) -> np.ndarray:
     if values.dtype.kind not in "iub":
         raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
     return values.astype(np.int64, copy=False)
-
-
-def finite_diff(fn: Callable[[ModelParams], float], params: ModelParams, eps: float) -> ParamGrad:
-    """Central finite differences of a scalar function, per flat coordinate."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    grad = ParamGrad.zeros_like(params)
-    work = params.copy()
-    theta = work.flat
-    for j in range(theta.size):
-        orig = theta[j]
-        theta[j] = orig + eps
-        hi = fn(work)
-        theta[j] = orig - eps
-        lo = fn(work)
-        theta[j] = orig
-        grad.flat[j] = (hi - lo) / (2.0 * eps)
-    return grad
 
 
 def mlp_forward(params: ModelParams, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -216,14 +198,6 @@ def assignment_objective(pi: np.ndarray, assignment: Assignment) -> float:
     picked = pi[np.arange(pi.shape[0]), labels]
     # np.add.reduce is the reduction ndarray.sum runs, without its per-call cost
     return float(np.add.reduce(assignment.weights * picked))
-
-
-def iter_assignments(b: int, k: int) -> Iterator[Assignment]:
-    """All distinct assignments: each sample keeps one of k labels or drops."""
-    for combo in itertools.product(range(k + 1), repeat=b):
-        labels = np.array([c if c < k else 0 for c in combo], dtype=np.int64)
-        weights = np.array([1 if c < k else 0 for c in combo], dtype=np.int64)
-        yield Assignment(labels, weights)
 
 
 def post_step_val_loss(

@@ -1,0 +1,220 @@
+"""Reference implementations that the tests compare against.
+
+No saflex command runs anything here. The module holds the plain losses,
+the contrastive block, central finite differences, the brute-force
+assignment list, the raw image writer and the parameter-vector
+arithmetic that the unit tests and the acceptance criteria score the
+package with. `tests/test_public_names.py` checks that no module under
+`src/saflex` imports from the tests or defines a name that this module
+defines.
+"""
+
+from __future__ import annotations
+
+import itertools
+import struct
+from dataclasses import dataclass
+from typing import Callable, Iterator
+
+import numpy as np
+
+from saflex.data import IMAGE_MAGIC
+from saflex.losses import _check_weighted, check_simplex_rows
+from saflex.nn import ModelParams, ParamGrad, row_max
+from saflex.oracle import Assignment
+
+
+# ---------------------------------------------------------------------------
+# parameter vectors and rows
+
+
+def check_matrix(x: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Validate a dense 2-D float64 carrier; returns a C-contiguous view."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return x
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row log-softmax with max subtraction; cannot underflow."""
+    z = logits - row_max(logits)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def zeros_like(params: ModelParams) -> ParamGrad:
+    """A zero vector laid out like params."""
+    return ParamGrad.from_flat(np.zeros_like(params.flat), params.shapes)
+
+
+def copy(params: ModelParams) -> ModelParams:
+    """params over a copy of their flat vector."""
+    return ModelParams.from_flat(params.flat.copy(), params.shapes)
+
+
+def add_scaled(a: ParamGrad, b: ParamGrad, scale: float) -> ParamGrad:
+    """Return a + scale * b."""
+    a._check_same_shape(b)
+    return ParamGrad.from_flat(a.flat + scale * b.flat, a.shapes)
+
+
+def scale(g: ParamGrad, c: float) -> ParamGrad:
+    """Return c * g."""
+    return ParamGrad.from_flat(c * g.flat, g.shapes)
+
+
+# ---------------------------------------------------------------------------
+# losses
+
+
+def weighted_soft_ce(probs: np.ndarray, weights: np.ndarray, soft_labels: np.ndarray) -> float:
+    """Sum over samples of -w_i * sum_k y_ik * log p_ik."""
+    probs, weights, soft_labels = _check_weighted(
+        check_matrix(probs, "probs"), weights, check_matrix(soft_labels, "soft_labels")
+    )
+    if np.any(probs <= 0.0):
+        raise ValueError("probabilities must be strictly positive")
+    return float(-(weights * (soft_labels * np.log(probs)).sum(axis=1)).sum())
+
+
+def hard_ce(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log-likelihood under hard labels."""
+    probs = check_matrix(probs, "probs")
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (probs.shape[0],):
+        raise ValueError("labels shape mismatch")
+    p = probs[np.arange(labels.shape[0]), labels]
+    if np.any(p <= 0.0):
+        raise ValueError("probabilities must be strictly positive")
+    return float(-np.log(p).mean())
+
+
+# ---------------------------------------------------------------------------
+# contrastive block: the batch as a proxy classification task over its own
+# entries, with the same linear structure as the weighted soft-label loss
+
+
+def normalize_rows(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    if np.any(norms == 0):
+        raise ValueError("cannot normalize a zero row")
+    return x / norms
+
+
+@dataclass
+class ContrastiveBatch:
+    """Paired L2-normalized embeddings with optional weights / proxy labels.
+
+    Each anchor's positive is the same-index partner row; the other B-1
+    partners act as in-batch negatives, so the batch defines a B-way proxy
+    classification task. proxy_labels rows live on the B-simplex.
+    """
+
+    anchors: np.ndarray
+    partners: np.ndarray
+    temperature: float = 0.07
+    weights: np.ndarray | None = None
+    proxy_labels: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        self.anchors = check_matrix(self.anchors, "anchors")
+        self.partners = check_matrix(self.partners, "partners")
+        if self.anchors.shape != self.partners.shape:
+            raise ValueError("anchors and partners must have the same shape")
+        if self.anchors.shape[0] == 0:
+            raise ValueError("empty contrastive batch")
+        if self.temperature <= 0:
+            raise ValueError("temperature must be > 0")
+        for name, rows in (("anchors", self.anchors), ("partners", self.partners)):
+            norms = np.linalg.norm(rows, axis=1)
+            if np.any(np.abs(norms - 1.0) > 1e-9):
+                raise ValueError(f"{name} rows must be L2-normalized")
+        b = self.anchors.shape[0]
+        if self.weights is not None:
+            self.weights = np.asarray(self.weights, dtype=np.float64)
+            if self.weights.shape != (b,):
+                raise ValueError("weights must have one entry per pair")
+            if np.any(self.weights < 0) or np.any(self.weights > 1):
+                raise ValueError("weights must lie in [0, 1]")
+        if self.proxy_labels is not None:
+            self.proxy_labels = check_matrix(self.proxy_labels, "proxy_labels")
+            if self.proxy_labels.shape != (b, b):
+                raise ValueError("proxy_labels must be (B, B)")
+            check_simplex_rows(self.proxy_labels, "proxy_labels")
+
+    @property
+    def size(self) -> int:
+        return self.anchors.shape[0]
+
+
+def infonce_loss(cb: ContrastiveBatch) -> float:
+    """Anchor-to-partner contrastive loss with B-1 in-batch negatives."""
+    sims = (cb.anchors @ cb.partners.T) / cb.temperature
+    log_p = log_softmax(sims)
+    return float(-np.trace(log_p))
+
+
+def weighted_soft_clip(cb: ContrastiveBatch) -> float:
+    """Weighted soft-proxy-label contrastive loss, both directions.
+
+    With identity proxy labels and unit weights this is the plain
+    symmetric two-direction contrastive loss.
+    """
+    b = cb.size
+    w = cb.weights if cb.weights is not None else np.ones(b)
+    y = cb.proxy_labels if cb.proxy_labels is not None else np.eye(b)
+    sims = (cb.anchors @ cb.partners.T) / cb.temperature
+    # direction 1: each anchor classifies over partners (rows of sims)
+    term1 = -(w * (y * log_softmax(sims)).sum(axis=1)).sum()
+    # direction 2: each partner classifies over anchors (columns of sims)
+    term2 = -(w * (y * log_softmax(sims.T)).sum(axis=1)).sum()
+    return float(term1 + term2)
+
+
+# ---------------------------------------------------------------------------
+# brute force
+
+
+def finite_diff(fn: Callable[[ModelParams], float], params: ModelParams, eps: float) -> ParamGrad:
+    """Central finite differences of a scalar function, per flat coordinate."""
+    if eps <= 0:
+        raise ValueError("eps must be > 0")
+    grad = zeros_like(params)
+    work = copy(params)
+    theta = work.flat
+    for j in range(theta.size):
+        orig = theta[j]
+        theta[j] = orig + eps
+        hi = fn(work)
+        theta[j] = orig - eps
+        lo = fn(work)
+        theta[j] = orig
+        grad.flat[j] = (hi - lo) / (2.0 * eps)
+    return grad
+
+
+def iter_assignments(b: int, k: int) -> Iterator[Assignment]:
+    """All distinct assignments: each sample keeps one of k labels or drops."""
+    for combo in itertools.product(range(k + 1), repeat=b):
+        labels = np.array([c if c < k else 0 for c in combo], dtype=np.int64)
+        weights = np.array([1 if c < k else 0 for c in combo], dtype=np.int64)
+        yield Assignment(labels, weights)
+
+
+# ---------------------------------------------------------------------------
+# files
+
+
+def save_images_raw(pixels: np.ndarray, labels: np.ndarray, num_classes: int, path: str) -> None:
+    """pixels: (n, h, w) uint8; little-endian header then pixels then labels."""
+    pixels = np.asarray(pixels, dtype=np.uint8)
+    labels = np.asarray(labels, dtype=np.uint8)
+    n, h, w = pixels.shape
+    with open(path, "wb") as f:
+        f.write(IMAGE_MAGIC)
+        f.write(struct.pack("<IIII", n, h, w, num_classes))
+        f.write(pixels.tobytes())
+        f.write(labels.tobytes())

@@ -16,6 +16,17 @@ import numpy as np
 import pytest
 
 from conftest import load_script, pre_activations
+from reference import (
+    ContrastiveBatch,
+    add_scaled,
+    finite_diff,
+    hard_ce,
+    iter_assignments,
+    normalize_rows,
+    scale,
+    weighted_soft_ce,
+    weighted_soft_clip,
+)
 from saflex.augment import AugmenterSpec
 from saflex.core import (
     SaflexConfig,
@@ -25,13 +36,7 @@ from saflex.core import (
     validation_gradient,
 )
 from saflex.data import Batch, SplitSpec, gen_two_gaussians
-from saflex.losses import (
-    ContrastiveBatch,
-    normalize_rows,
-    one_hot,
-    weighted_soft_ce,
-    weighted_soft_clip,
-)
+from saflex.losses import ce_grad_logits, one_hot
 from saflex.nn import (
     ModelParams,
     ParamGrad,
@@ -40,13 +45,10 @@ from saflex.nn import (
     mlp_backward,
     mlp_forward,
 )
-from saflex.losses import hard_ce
 from saflex.oracle import (
     Assignment,
     assignment_objective,
     enumerate_optimum_scores,
-    finite_diff,
-    iter_assignments,
     pi_scores_reverse,
     post_step_val_loss,
 )
@@ -141,10 +143,10 @@ def test_criterion_2_gradient_machinery():
             return hard_ce(pr, labels)
 
         fd = finite_diff(ce_loss, params, eps)
-        worst_bwd = max(worst_bwd, grad.add_scaled(fd, -1.0).norm() / fd.norm())
+        worst_bwd = max(worst_bwd, add_scaled(grad, fd, -1.0).norm() / fd.norm())
 
         t = _random_tangent(params, g)
-        t = t.scale(1.0 / t.norm())
+        t = scale(t, 1.0 / t.norm())
         u = jvp_logits_batch(params, t, cache)
         up = ModelParams([w + eps * d for w, d in zip(params.weights, t.weights)],
                          [b + eps * d for b, d in zip(params.biases, t.biases)])
@@ -209,7 +211,7 @@ def test_criterion_3_first_order_validity():
 # 4. loss linearity in weights and soft labels
 
 def test_criterion_4_loss_linearity():
-    worst_ce = worst_clip = 0.0
+    worst_ce = worst_grad = worst_clip = 0.0
     for i in range(300):
         g = stream(SUITE_SEED, "criterion4", i)
         lam = float(g.random())
@@ -224,6 +226,13 @@ def test_criterion_4_loss_linearity():
         mix_y = weighted_soft_ce(probs, w1, lam * y1 + (1 - lam) * y2)
         sep_y = lam * weighted_soft_ce(probs, w1, y1) + (1 - lam) * weighted_soft_ce(probs, w1, y2)
         worst_ce = max(worst_ce, abs(mix_w - sep_w), abs(mix_y - sep_y))
+
+        # the training step's loss enters only through its logit gradient
+        gmix_w = ce_grad_logits(probs, lam * w1 + (1 - lam) * w2, y1)
+        gsep_w = lam * ce_grad_logits(probs, w1, y1) + (1 - lam) * ce_grad_logits(probs, w2, y1)
+        gmix_y = ce_grad_logits(probs, w1, lam * y1 + (1 - lam) * y2)
+        gsep_y = lam * ce_grad_logits(probs, w1, y1) + (1 - lam) * ce_grad_logits(probs, w1, y2)
+        worst_grad = max(worst_grad, np.abs(gmix_w - gsep_w).max(), np.abs(gmix_y - gsep_y).max())
 
         anchors = normalize_rows(g.standard_normal((b, 5)))
         partners = normalize_rows(g.standard_normal((b, 5)))
@@ -240,10 +249,12 @@ def test_criterion_4_loss_linearity():
         mix_cy = clip(w1, lam * py1 + (1 - lam) * py2)
         sep_cy = lam * clip(w1, py1) + (1 - lam) * clip(w1, py2)
         worst_clip = max(worst_clip, abs(mix_cw - sep_cw), abs(mix_cy - sep_cy))
-    ok = worst_ce <= 1e-10 and worst_clip <= 1e-10
+    ok = worst_ce <= 1e-10 and worst_grad <= 1e-10 and worst_clip <= 1e-10
     _report(4, "weighted losses linear in weights and labels",
-            ok, f"worst deviation: cross-entropy {worst_ce:.2e}, contrastive {worst_clip:.2e}")
+            ok, f"worst deviation: cross-entropy {worst_ce:.2e}, its logit gradient "
+                f"{worst_grad:.2e}, contrastive {worst_clip:.2e}")
     assert worst_ce <= 1e-10
+    assert worst_grad <= 1e-10
     assert worst_clip <= 1e-10
 
 

@@ -8,10 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
+from reference import save_images_raw
 from saflex import cli, core
 from saflex.cli import build_parser, main
 from saflex.config import DEFAULTS, resolve, ConfigError
-from saflex.data import load_csv, save_images_raw
+from saflex.data import load_csv
 from saflex.nn import init_mlp, load_checkpoint, save_checkpoint
 
 
@@ -99,6 +100,8 @@ def test_failed_config_leaves_no_output_dir(tmp_path, capsys, sweep):
         ({"augment": {"kind": "crop_flip"}}, "crop_flip needs"),  # fails in the first step
     ]
     for overrides, message in cases:
+        if sweep and message == "crop_flip needs":  # crop_flip reads no sigma: refused up front
+            message = "--sweep-sigma varies augment.sigma, which augment.kind 'crop_flip'"
         assert main(["train", "-c", _cfg(tmp_path, **overrides), *sweep]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()  # a run writes only after it succeeds
@@ -198,7 +201,6 @@ def test_modes_none_and_saflex_differ_only_through_training(tmp_path):
 
 def test_train_on_raw_images_with_crops(tmp_path):
     import numpy as np
-    from saflex.data import save_images_raw
 
     g = np.random.default_rng(0)
     pixels = g.integers(0, 256, size=(120, 6, 6)).astype(np.uint8)
@@ -282,6 +284,32 @@ def test_sweep_loads_its_input_once_and_each_point_equals_a_single_run(tmp_path,
         point, ref = tmp_path / "run" / f"sigma_{tag}", tmp_path / f"single_{tag}"
         assert _stable_metrics(point / "metrics.csv") == _stable_metrics(ref / "metrics.csv")
         assert (point / "checkpoint.bin").read_bytes() == (ref / "checkpoint.bin").read_bytes()
+
+
+@pytest.mark.parametrize("overrides,key", [
+    ({"train": {"mode": "none"}}, "train.mode 'none'"),
+    ({"augment": {"kind": "mixup"}}, "augment.kind 'mixup'"),
+], ids=["mode_none", "mixup"])
+def test_a_sweep_whose_points_cannot_differ_exits_two(tmp_path, capsys, overrides, key):
+    assert main(["train", "-c", _cfg(tmp_path, **overrides), "--sweep-sigma", "0.5,2.0"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: --sweep-sigma varies augment.sigma, which {key} does not "
+                   "read (only gaussian_jitter in mode naive or saflex does)\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("block", ["weight", "bias"])
+def test_eval_refuses_a_checkpoint_with_a_non_finite_parameter(tmp_path, capsys, value, block):
+    params = init_mlp([2, 8, 8, 2])
+    layer = params.weights[1] if block == "weight" else params.biases[1]
+    layer.flat[3] = value  # a view into params.flat
+    ckpt = str(tmp_path / "ck.bin")
+    save_checkpoint(params, ckpt)
+    assert main(["eval", "-c", _cfg(tmp_path), "--checkpoint", ckpt]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: checkpoint {ckpt!r} holds 1 non-finite parameters\n"
+    assert captured.out == ""
 
 
 def test_eval_rejects_a_checkpoint_of_another_class_count(tmp_path, capsys):

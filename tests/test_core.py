@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_grad, small_mlp
+from reference import add_scaled, finite_diff, hard_ce, zeros_like
 from saflex.core import (
     SaflexConfig,
     closed_form_assignment,
@@ -14,7 +15,7 @@ from saflex.core import (
     validation_gradient,
 )
 from saflex.data import Batch
-from saflex.losses import hard_ce, one_hot
+from saflex.losses import one_hot
 from saflex.nn import (
     ModelParams,
     ParamGrad,
@@ -22,7 +23,6 @@ from saflex.nn import (
     mlp_forward,
     sgd_step,
 )
-from saflex.oracle import finite_diff
 from saflex.rng import stream
 
 
@@ -63,7 +63,7 @@ def test_val_gradient_mean_reduction(rng):
     double = Batch(np.concatenate([x, x]), np.array([2, 2]))
     g1 = validation_gradient(params, single)
     g2 = validation_gradient(params, double)
-    assert g1.add_scaled(g2, -1.0).norm() <= 1e-15
+    assert add_scaled(g1, g2, -1.0).norm() <= 1e-15
 
 
 def test_val_gradient_matches_finite_differences(rng):
@@ -76,7 +76,7 @@ def test_val_gradient_matches_finite_differences(rng):
 
     g = validation_gradient(params, batch)
     fd = finite_diff(loss, params, 1e-5)
-    assert g.add_scaled(fd, -1.0).norm() / fd.norm() <= 1e-6
+    assert add_scaled(g, fd, -1.0).norm() / fd.norm() <= 1e-6
 
 
 def test_val_gradient_empty_batch():
@@ -90,7 +90,7 @@ def test_val_gradient_empty_batch():
 
 def test_pi_zero_validation_gradient(rng):
     params = small_mlp()
-    pi = pi_scores(params, rng.standard_normal((4, 3)), ParamGrad.zeros_like(params))
+    pi = pi_scores(params, rng.standard_normal((4, 3)), zeros_like(params))
     np.testing.assert_array_equal(pi, np.zeros((4, 4)))
 
 
@@ -171,7 +171,7 @@ def test_keep_rule_keeps_an_exactly_zero_score(rng, gumbel, beta):
     # the paper keeps a sample whose label-averaged score is nonnegative, zero
     # included; a zero validation gradient makes every score exactly zero
     params = small_mlp()
-    pi = pi_scores(params, rng.standard_normal((5, 3)), ParamGrad.zeros_like(params))
+    pi = pi_scores(params, rng.standard_normal((5, 3)), zeros_like(params))
     labels = np.array([0, 1, 2, 3, 0])
     out = saflex_assign(pi, labels, _cfg(gumbel_enabled=gumbel, beta=beta), _rng())
     np.testing.assert_array_equal(out.binary_weights, np.ones(5))
@@ -334,7 +334,7 @@ def test_step_all_weights_dropped_equals_plain_train_step(rng):
     grad_plain = mlp_backward(
         params, cache, (probs - one_hot(tr.hard_labels, params.n_classes)) / tr.size
     )
-    assert grad_comb.add_scaled(grad_plain, -1.0).norm() <= 1e-15
+    assert add_scaled(grad_comb, grad_plain, -1.0).norm() <= 1e-15
 
 
 def test_step_reduces_val_batch_loss_on_average(rng):

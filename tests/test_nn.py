@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pre_activations, random_grad, random_layout, small_mlp
+from reference import add_scaled, finite_diff, hard_ce, log_softmax, scale, zeros_like
 from saflex import nn, oracle
 from saflex.nn import (
     CHECKPOINT_MAGIC,
@@ -17,7 +18,6 @@ from saflex.nn import (
     init_mlp,
     jvp_logits_batch,
     load_checkpoint,
-    log_softmax,
     mlp_backward,
     mlp_forward,
     row_sum,
@@ -25,9 +25,8 @@ from saflex.nn import (
     sgd_step,
     softmax,
 )
-from saflex.oracle import finite_diff
 from saflex.rng import stream
-from saflex.losses import hard_ce, one_hot
+from saflex.losses import one_hot
 
 
 def test_zero_params_give_uniform_probs():
@@ -85,14 +84,14 @@ def test_backward_matches_finite_differences(rng):
         return hard_ce(pr, labels)
 
     fd = finite_diff(loss, params, 1e-5)
-    err = grad.add_scaled(fd, -1.0).norm() / fd.norm()
+    err = add_scaled(grad, fd, -1.0).norm() / fd.norm()
     assert err <= 1e-6
 
 
 def test_jvp_zero_tangent(rng):
     params = small_mlp()
     _, cache = mlp_forward(params, rng.standard_normal((2, 3)))
-    u = jvp_logits_batch(params, ParamGrad.zeros_like(params), cache)
+    u = jvp_logits_batch(params, zeros_like(params), cache)
     np.testing.assert_array_equal(u, np.zeros((2, 4)))
 
 
@@ -129,7 +128,7 @@ def test_jvp_linear_in_tangent(seed, a, b):
     _, cache = mlp_forward(params, rng.standard_normal((2, 3)))
     t1 = random_grad(params, rng)
     t2 = random_grad(params, rng)
-    combo = t1.scale(a).add_scaled(t2, b)
+    combo = add_scaled(scale(t1, a), t2, b)
     u = jvp_logits_batch(params, combo, cache)
     u_sep = a * jvp_logits_batch(params, t1, cache) + b * jvp_logits_batch(params, t2, cache)
     np.testing.assert_allclose(u, u_sep, atol=1e-10)
@@ -168,7 +167,7 @@ def test_jvp_rejects_mismatched_tangent(rng):
     params = small_mlp()
     _, cache = mlp_forward(params, rng.standard_normal((2, 3)))
     with pytest.raises(ValueError, match="tangent"):
-        jvp_logits_batch(params, ParamGrad.zeros_like(small_mlp(dims=(3, 5, 4))), cache)
+        jvp_logits_batch(params, zeros_like(small_mlp(dims=(3, 5, 4))), cache)
 
 
 def test_sgd_zero_alpha_is_identity(rng):
@@ -191,12 +190,12 @@ def test_sgd_descends_convex_quadratic(rng):
     target = random_grad(params, rng)
 
     def quad_loss(p):
-        diff = ParamGrad(p.weights, p.biases).add_scaled(target, -1.0)
+        diff = add_scaled(ParamGrad(p.weights, p.biases), target, -1.0)
         return 0.5 * diff.dot(diff)
 
     losses = [quad_loss(params)]
     for _ in range(20):
-        grad = ParamGrad(params.weights, params.biases).add_scaled(target, -1.0)
+        grad = add_scaled(ParamGrad(params.weights, params.biases), target, -1.0)
         params = sgd_step(params, grad, 0.1)
         losses.append(quad_loss(params))
     assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -204,9 +203,9 @@ def test_sgd_descends_convex_quadratic(rng):
 
 def test_param_dot_basics():
     p = ModelParams([np.zeros((2, 2))], [np.zeros(2)])
-    e1 = ParamGrad.zeros_like(p)
+    e1 = zeros_like(p)
     e1.weights[0][0, 0] = 1.0
-    e2 = ParamGrad.zeros_like(p)
+    e2 = zeros_like(p)
     e2.biases[0][1] = 1.0
     assert e1.dot(e1) == 1.0
     assert e1.dot(e2) == 0.0
@@ -533,7 +532,7 @@ def test_row_sum_bitwise_equals_sum_and_falls_back_from_8_entries(rng):
 
 def _backward_with_boolean_masks(params, cache, d, rows):
     pre = pre_activations(params, cache)
-    grad = ParamGrad.zeros_like(params)
+    grad = zeros_like(params)
     delta = d
     for i in range(params.n_layers - 1, -1, -1):
         a_in = cache.activations[i - 1] if i > 0 else cache.inputs

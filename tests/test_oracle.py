@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_grad, random_layout, small_mlp
+from reference import add_scaled, finite_diff, hard_ce, iter_assignments
 from saflex import nn, oracle
 from saflex.core import closed_form_assignment, pi_scores, validation_gradient
 from saflex.data import Batch
-from saflex.losses import hard_ce, one_hot
+from saflex.losses import one_hot
 from saflex.cli import oracle_instance
 from saflex.nn import ModelParams, ParamGrad, init_mlp, mlp_backward, mlp_forward
 from saflex.oracle import (
@@ -14,8 +15,6 @@ from saflex.oracle import (
     Assignment,
     assignment_objective,
     enumerate_optimum_scores,
-    finite_diff,
-    iter_assignments,
     pi_scores_reverse,
     post_step_val_loss,
 )
@@ -31,7 +30,7 @@ def test_finite_diff_linear_function(rng):
         return ParamGrad(p.weights, p.biases).dot(c)
 
     fd = finite_diff(fn, params, 1e-5)
-    assert fd.add_scaled(c, -1.0).norm() <= 1e-10 * max(1.0, c.norm())
+    assert add_scaled(fd, c, -1.0).norm() <= 1e-10 * max(1.0, c.norm())
 
 
 def test_finite_diff_quadratic_at_origin():
