@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,11 +25,11 @@ from .nn import init_mlp, load_checkpoint, save_checkpoint, ModelParams, ParamGr
 from .oracle import (
     ENUM_MAX_B,
     ENUM_MAX_K,
-    assignment_objective,
-    Assignment,
     enumerate_optimum_scores,
     pi_scores_reverse,
 )
+# not called here; perfbench/tracing.py wraps cli.assignment_objective, so the name stays
+from .oracle import assignment_objective  # noqa: F401
 from .rng import stream, thread_cap
 from .trainer import DivergenceError, evaluate, run_splits, train, write_metrics_csv
 
@@ -90,6 +91,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             sigmas = []
         if not sigmas or not all(0 <= s < np.inf for s in sigmas):
             raise ConfigError(f"--sweep-sigma wants finite numbers >= 0, got {args.sweep_sigma!r}")
+        # a repeat would train the same run again into the same directory
+        repeated = [s for i, s in enumerate(sigmas) if s in sigmas[:i]]
+        if repeated:
+            raise ConfigError(f"--sweep-sigma names {repeated[0]!r} more than once, "
+                              f"got {args.sweep_sigma!r}")
         # only gaussian_jitter reads augment.sigma, and mode none augments nothing:
         # any other sweep would repeat one run under every grid point
         mode, kind = cfg["train"]["mode"], cfg["augment"]["kind"]
@@ -160,6 +166,76 @@ def oracle_instance(
     return params, X, ParamGrad.from_flat(np.concatenate(parts), params.shapes)
 
 
+# instances whose rows one assignment, enumeration and tally take at once,
+# so memory stays bounded for any --n
+ORACLE_BLOCK = 1024
+
+
+@dataclass
+class _OracleTally:
+    """oracle-check's running counts, in instance order."""
+
+    cfg: SaflexConfig
+    rng: np.random.Generator  # no Gumbel draw reads it; saflex_assign takes one all the same
+    max_gap: float = 0.0
+    value_mismatch: int = 0
+    assign_mismatch: int = 0
+    keep_algorithm: int = 0
+    keep_sum_rule: int = 0
+    rule_disagree: int = 0
+    samples: int = 0
+
+    def add(self, first: int, fast: list[np.ndarray], ref: list[np.ndarray]) -> None:
+        """Tally instances first, first + 1, ... from their (b, K) score tables.
+
+        `fast` may hold one table more than `ref`: that of an instance
+        whose reference table was not finite. It is assigned, so that its
+        own pi / tau check still comes first, but not tallied. If some
+        instance's pi / tau is not finite, the instances before it are
+        tallied, then saflex_assign's FloatingPointError is raised. Each
+        nonzero gap is printed as its instance is tallied.
+        """
+        if not fast:
+            return
+        bounds = np.cumsum([0, *map(len, fast)])
+        pi_fast = np.concatenate(fast)
+        try:
+            out = saflex_assign(pi_fast, np.zeros(len(pi_fast), dtype=np.int64), self.cfg, self.rng)
+        except FloatingPointError:
+            # with beta 0 and no Gumbel, saflex_assign's scores are pi / tau
+            bad_row = np.flatnonzero(~np.isfinite(pi_fast / self.cfg.tau))[0] // pi_fast.shape[1]
+            m = int(np.searchsorted(bounds, bad_row, side="right")) - 1
+            self.add(first, fast[:m], ref[:m])
+            raise
+        n = len(ref)
+        if not n:
+            return
+        starts, rows = bounds[:n], int(bounds[n])
+        pi_ref = np.concatenate(ref)
+        best, _ = enumerate_optimum_scores(pi_ref)
+        labels = out.soft_labels[:rows].argmax(axis=1)
+        weights = out.binary_weights[:rows].astype(np.int64)
+        at = np.arange(rows)
+        best_terms = best.weights * pi_ref[at, best.labels]
+        our_terms = weights * pi_ref[at, labels]
+        # one np.add.reduce per instance, as assignment_objective sums a
+        # table: np.add.reduceat sums in another order
+        for i, lo, hi in zip(range(first, first + n), starts, bounds[1:]):
+            gap = float(np.add.reduce(best_terms[lo:hi])) - float(np.add.reduce(our_terms[lo:hi]))
+            self.max_gap = max(self.max_gap, abs(gap))
+            if gap != 0.0:
+                self.value_mismatch += 1
+                print(f"instance {i}: nonzero gap {gap!r}")
+        # a sample kept by one assignment only, or kept by both under other labels
+        differ = (best.weights != weights) | ((best.labels != labels) & (best.weights == 1))
+        self.assign_mismatch += np.count_nonzero(np.logical_or.reduceat(differ, starts))
+        self.keep_algorithm += np.count_nonzero(weights)
+        sum_keep = np.add.reduce(pi_ref, axis=1) >= 0  # pi_ref.sum(axis=1), bitwise
+        self.keep_sum_rule += np.count_nonzero(sum_keep)
+        self.rule_disagree += np.count_nonzero(sum_keep != weights)
+        self.samples += rows
+
+
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.k < 2:
         raise ConfigError("--k must be >= 2: a single-class task has nothing to assign")
@@ -170,49 +246,35 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     if not 0 < args.tau < np.inf:
         raise ConfigError(f"--tau must be a finite number > 0, got {args.tau}")
     cfg = SaflexConfig(beta=0.0, tau=args.tau, gumbel_enabled=False)
-    rng_unused = np.random.default_rng(0)
-    max_gap = 0.0
-    value_mismatch = 0
-    assign_mismatch = 0
-    keep_algorithm = 0
-    keep_sum_rule = 0
-    rule_disagree = 0
-    samples = 0
-    for i in range(args.n):
-        params, X, g_val = oracle_instance(args.seed, i, args.b, args.k)
-        b = X.shape[0]
-        pi_fast = pi_scores(params, X, g_val)
-        if not np.isfinite(pi_fast).all():
-            raise FloatingPointError(f"instance {i}: the fast scores are not finite")
-        out = saflex_assign(pi_fast, np.zeros(b, dtype=np.int64), cfg, rng_unused)
-        ours = Assignment(out.soft_labels.argmax(axis=1), out.binary_weights.astype(np.int64))
-        pi_ref = pi_scores_reverse(params, X, g_val)
-        if not np.isfinite(pi_ref).all():
-            raise FloatingPointError(f"instance {i}: the reference scores are not finite")
-        best, best_obj = enumerate_optimum_scores(pi_ref)
-        gap = best_obj - assignment_objective(pi_ref, ours)
-        max_gap = max(max_gap, abs(gap))
-        if gap != 0.0:
-            value_mismatch += 1
-            print(f"instance {i}: nonzero gap {gap!r}")
-        # a sample kept by one assignment only, or kept by both under other labels
-        kept = best.weights == 1
-        differ = (best.weights != ours.weights) | ((best.labels != ours.labels) & kept)
-        if np.count_nonzero(differ):
-            assign_mismatch += 1
-        keep_algorithm += np.count_nonzero(ours.weights)
-        sum_keep = np.add.reduce(pi_ref, axis=1) >= 0  # pi_ref.sum(axis=1), bitwise
-        keep_sum_rule += np.count_nonzero(sum_keep)
-        rule_disagree += np.count_nonzero(sum_keep != ours.weights)
-        samples += b
+    tally = _OracleTally(cfg, np.random.default_rng(0))
+    for first in range(0, args.n, ORACLE_BLOCK):
+        # score each instance of the block; assign, enumerate and tally them together
+        fast, ref, failure = [], [], None
+        for i in range(first, min(first + ORACLE_BLOCK, args.n)):
+            params, X, g_val = oracle_instance(args.seed, i, args.b, args.k)
+            pi_fast = pi_scores(params, X, g_val)
+            if not np.isfinite(pi_fast).all():
+                failure = FloatingPointError(f"instance {i}: the fast scores are not finite")
+                break
+            fast.append(pi_fast)  # its pi / tau check precedes its reference check
+            pi_ref = pi_scores_reverse(params, X, g_val)
+            if not np.isfinite(pi_ref).all():
+                failure = FloatingPointError(f"instance {i}: the reference scores are not finite")
+                break
+            ref.append(pi_ref)
+        tally.add(first, fast, ref)
+        if failure is not None:
+            raise failure
+    samples = tally.samples
     print(f"instances: {args.n}  samples: {samples}")
-    print(f"max |objective gap|: {max_gap!r}")
-    print(f"value mismatches: {value_mismatch}  assignment mismatches: {assign_mismatch}")
-    print(f"keep rate (score-at-label rule): {keep_algorithm / samples:.4f}")
-    print(f"keep rate (score-sum rule):      {keep_sum_rule / samples:.4f}")
-    print(f"per-sample rule disagreement:    {rule_disagree / samples:.4f}")
+    print(f"max |objective gap|: {tally.max_gap!r}")
+    print(f"value mismatches: {tally.value_mismatch}  "
+          f"assignment mismatches: {tally.assign_mismatch}")
+    print(f"keep rate (score-at-label rule): {tally.keep_algorithm / samples:.4f}")
+    print(f"keep rate (score-sum rule):      {tally.keep_sum_rule / samples:.4f}")
+    print(f"per-sample rule disagreement:    {tally.rule_disagree / samples:.4f}")
     # a NaN gap counts as a mismatch, though max() drops it from max_gap
-    passed = value_mismatch == 0
+    passed = tally.value_mismatch == 0
     print(f"oracle-check: {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 3
 

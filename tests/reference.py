@@ -2,15 +2,16 @@
 
 No saflex command runs anything here. The module holds the plain losses,
 the contrastive block, central finite differences, the brute-force
-assignment list, the raw image writer and the parameter-vector
-arithmetic that the unit tests and the acceptance criteria score the
-package with. `tests/test_public_names.py` checks that no module under
-`src/saflex` imports from the tests or defines a name that this module
-defines.
+assignment list, the per-instance oracle-check loop, the raw image
+writer and the parameter-vector arithmetic that the unit tests and the
+acceptance criteria score the package with. `tests/test_public_names.py`
+checks that no module under `src/saflex` imports from the tests or
+defines a name that this module defines.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import struct
 from dataclasses import dataclass
@@ -18,10 +19,13 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from saflex import cli
+from saflex.config import ConfigError
+from saflex.core import SaflexConfig
 from saflex.data import IMAGE_MAGIC
 from saflex.losses import _check_weighted, check_simplex_rows
 from saflex.nn import ModelParams, ParamGrad, row_max
-from saflex.oracle import Assignment
+from saflex.oracle import ENUM_MAX_B, ENUM_MAX_K, Assignment
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +206,68 @@ def iter_assignments(b: int, k: int) -> Iterator[Assignment]:
         labels = np.array([c if c < k else 0 for c in combo], dtype=np.int64)
         weights = np.array([1 if c < k else 0 for c in combo], dtype=np.int64)
         yield Assignment(labels, weights)
+
+
+def oracle_check_per_instance(args: argparse.Namespace) -> int:
+    """`saflex oracle-check` with every step run one instance at a time.
+
+    It looks up the scoring, assignment and enumeration functions through
+    `saflex.cli`, so a test that replaces one there replaces it here too.
+    """
+    if args.k < 2:
+        raise ConfigError("--k must be >= 2: a single-class task has nothing to assign")
+    if args.b < 1 or args.b > ENUM_MAX_B or args.k > ENUM_MAX_K:
+        raise ConfigError(f"guard bounds: 1 <= --b <= {ENUM_MAX_B} and 2 <= --k <= {ENUM_MAX_K}")
+    if args.n < 1:
+        raise ConfigError("--n must be >= 1")
+    if not 0 < args.tau < np.inf:
+        raise ConfigError(f"--tau must be a finite number > 0, got {args.tau}")
+    cfg = SaflexConfig(beta=0.0, tau=args.tau, gumbel_enabled=False)
+    rng_unused = np.random.default_rng(0)
+    max_gap = 0.0
+    value_mismatch = 0
+    assign_mismatch = 0
+    keep_algorithm = 0
+    keep_sum_rule = 0
+    rule_disagree = 0
+    samples = 0
+    for i in range(args.n):
+        params, X, g_val = cli.oracle_instance(args.seed, i, args.b, args.k)
+        b = X.shape[0]
+        pi_fast = cli.pi_scores(params, X, g_val)
+        if not np.isfinite(pi_fast).all():
+            raise FloatingPointError(f"instance {i}: the fast scores are not finite")
+        out = cli.saflex_assign(pi_fast, np.zeros(b, dtype=np.int64), cfg, rng_unused)
+        ours = Assignment(out.soft_labels.argmax(axis=1), out.binary_weights.astype(np.int64))
+        pi_ref = cli.pi_scores_reverse(params, X, g_val)
+        if not np.isfinite(pi_ref).all():
+            raise FloatingPointError(f"instance {i}: the reference scores are not finite")
+        best, best_obj = cli.enumerate_optimum_scores(pi_ref)
+        gap = best_obj - cli.assignment_objective(pi_ref, ours)
+        max_gap = max(max_gap, abs(gap))
+        if gap != 0.0:
+            value_mismatch += 1
+            print(f"instance {i}: nonzero gap {gap!r}")
+        # a sample kept by one assignment only, or kept by both under other labels
+        kept = best.weights == 1
+        differ = (best.weights != ours.weights) | ((best.labels != ours.labels) & kept)
+        if np.count_nonzero(differ):
+            assign_mismatch += 1
+        keep_algorithm += np.count_nonzero(ours.weights)
+        sum_keep = np.add.reduce(pi_ref, axis=1) >= 0  # pi_ref.sum(axis=1), bitwise
+        keep_sum_rule += np.count_nonzero(sum_keep)
+        rule_disagree += np.count_nonzero(sum_keep != ours.weights)
+        samples += b
+    print(f"instances: {args.n}  samples: {samples}")
+    print(f"max |objective gap|: {max_gap!r}")
+    print(f"value mismatches: {value_mismatch}  assignment mismatches: {assign_mismatch}")
+    print(f"keep rate (score-at-label rule): {keep_algorithm / samples:.4f}")
+    print(f"keep rate (score-sum rule):      {keep_sum_rule / samples:.4f}")
+    print(f"per-sample rule disagreement:    {rule_disagree / samples:.4f}")
+    # a NaN gap counts as a mismatch, though max() drops it from max_gap
+    passed = value_mismatch == 0
+    print(f"oracle-check: {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 3
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@ import os
 import re
 import struct
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from reference import save_images_raw
+from reference import oracle_check_per_instance, save_images_raw
 from saflex import cli, core
 from saflex.cli import build_parser, main
 from saflex.config import DEFAULTS, resolve, ConfigError
@@ -286,6 +287,17 @@ def test_sweep_loads_its_input_once_and_each_point_equals_a_single_run(tmp_path,
         assert (point / "checkpoint.bin").read_bytes() == (ref / "checkpoint.bin").read_bytes()
 
 
+@pytest.mark.parametrize("grid,value", [("0.5,0.50,5e-1", "0.5"), ("1,0.25,1.0", "1.0")])
+def test_a_sweep_that_repeats_a_value_exits_two_before_any_run(tmp_path, monkeypatch, capsys,
+                                                               grid, value):
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda *a: trained.append(a))
+    assert main(["train", "-c", _cfg(tmp_path), "--sweep-sigma", grid]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --sweep-sigma names {value} more than once, got {grid!r}\n")
+    assert trained == [] and not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("overrides,key", [
     ({"train": {"mode": "none"}}, "train.mode 'none'"),
     ({"augment": {"kind": "mixup"}}, "augment.kind 'mixup'"),
@@ -388,6 +400,100 @@ def test_oracle_check_fails_on_a_nan_gap_from_finite_scores(monkeypatch, capsys)
     out = capsys.readouterr().out
     assert "nonzero gap nan" in out and "max |objective gap|: 0.0\n" in out
     assert out.endswith("oracle-check: FAIL\n")
+
+
+ORACLE_BLOCKS = (1, 7, cli.ORACLE_BLOCK)
+
+
+def _per_instance_main(monkeypatch, capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), oracle-check run one instance at a time."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "cmd_oracle_check", oracle_check_per_instance)
+        m.setattr(cli, "_parser", build_parser)  # a fresh parser takes the reference
+        rc = main(argv)
+    return (rc, *capsys.readouterr())
+
+
+def _assert_every_block_matches_per_instance(monkeypatch, capsys, argv):
+    expected = _per_instance_main(monkeypatch, capsys, argv)
+    for block in ORACLE_BLOCKS:
+        monkeypatch.setattr(cli, "ORACLE_BLOCK", block)
+        rc = main(argv)
+        assert (rc, *capsys.readouterr()) == expected, (argv, block)
+    return expected
+
+
+@pytest.mark.parametrize("tau", ["0.01", "1.0", "1e300"])
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_oracle_check_in_blocks_prints_what_the_per_instance_loop_prints(monkeypatch, capsys,
+                                                                          k, tau):
+    # --tau 1.0 and 1e300 fail with nonzero gaps, each summed per instance as
+    # the per-instance loop sums it; np.add.reduceat would change some bits
+    for seed in range(10):
+        for b in (1, 3, 8):
+            for n in (1, 40):
+                _assert_every_block_matches_per_instance(monkeypatch, capsys, [
+                    "oracle-check", "--n", str(n), "--seed", str(seed), "--b", str(b),
+                    "--k", str(k), "--tau", tau])
+
+
+@pytest.mark.parametrize("bad", [5, 7])
+@pytest.mark.parametrize("failure", ["fast_nan", "fast_overflow", "reference_nan",
+                                     "fast_overflow_and_reference_nan"])
+def test_oracle_check_in_blocks_fails_at_the_instance_the_per_instance_loop_fails_at(
+        monkeypatch, capsys, failure, bad):
+    # negated fast scores pick other labels than the reference's, so the
+    # instances before the bad one print nonzero gaps
+    argv = ["oracle-check", "--n", "12", "--seed", "1", "--b", "8", "--k", "3", "--tau", "0.5"]
+    bad_X = cli.oracle_instance(1, bad, 8, 3)[1]
+    fast, reverse = cli.pi_scores, cli.pi_scores_reverse
+
+    def is_bad(X):
+        return X.shape == bad_X.shape and np.array_equal(X, bad_X)
+
+    def fast_scores(params, X, g_val):
+        pi = -fast(params, X, g_val)
+        if is_bad(X) and failure == "fast_nan":
+            pi[-1, 0] = np.nan
+        elif is_bad(X) and failure.startswith("fast_overflow"):
+            pi *= 1e308 / np.abs(pi).max()  # finite, but pi / 0.5 overflows
+        return pi
+
+    def reference_scores(params, X, g_val):
+        pi = reverse(params, X, g_val)
+        if is_bad(X) and failure.endswith("reference_nan"):
+            pi[0, -1] = np.nan
+        return pi
+
+    monkeypatch.setattr(cli, "pi_scores", fast_scores)
+    monkeypatch.setattr(cli, "pi_scores_reverse", reference_scores)
+    rc, out, err = _assert_every_block_matches_per_instance(monkeypatch, capsys, argv)
+    assert rc == 3 and "instance 0: nonzero gap" in out and f"instance {bad - 1}:" in out
+    assert f"instance {bad}:" not in out and "oracle-check:" not in out
+    assert err == "numerical failure: " + {
+        "fast_nan": f"instance {bad}: the fast scores are not finite\n",
+        "reference_nan": f"instance {bad}: the reference scores are not finite\n",
+    }.get(failure, "alignment scores pi / tau are not finite\n")
+
+
+def test_oracle_check_memory_does_not_grow_past_one_block(monkeypatch, capsys):
+    one = cli.oracle_instance(0, 0, 8, 6)
+    # one instance over and over: no layout cache grows with --n
+    monkeypatch.setattr(cli, "oracle_instance", lambda seed, i, b, k: one)
+    monkeypatch.setattr(cli, "ORACLE_BLOCK", 16)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            assert main(["oracle-check", "--n", str(n), "--b", "8", "--k", "6"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    peak(16)
+    # 640 instances held at once would take about 1 MB
+    assert peak(640) < 1.1 * peak(16)
 
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):
