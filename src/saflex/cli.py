@@ -20,7 +20,7 @@ import numpy as np
 from . import config as cfgmod
 from . import data as datamod
 from .config import ConfigError
-from .core import SaflexConfig, pi_scores, saflex_assign
+from .core import SaflexConfig, SaflexOutput, pi_scores, saflex_assign
 from .nn import init_mlp, load_checkpoint, save_checkpoint, ModelParams, ParamGrad
 from .oracle import (
     ENUM_MAX_B,
@@ -185,42 +185,28 @@ class _OracleTally:
     rule_disagree: int = 0
     samples: int = 0
 
-    def add(self, first: int, fast: list[np.ndarray], ref: list[np.ndarray]) -> None:
-        """Tally instances first, first + 1, ... from their (b, K) score tables.
+    def assign(self, pi_fast: np.ndarray) -> SaflexOutput:
+        """saflex_assign of (b, K) fast scores: labels 0, beta 0, no Gumbel draw."""
+        return saflex_assign(pi_fast, np.zeros(len(pi_fast), dtype=np.int64), self.cfg, self.rng)
 
-        `fast` may hold one table more than `ref`: that of an instance
-        whose reference table was not finite. It is assigned, so that its
-        own pi / tau check still comes first, but not tallied. If some
-        instance's pi / tau is not finite, the instances before it are
-        tallied, then saflex_assign's FloatingPointError is raised. Each
-        nonzero gap is printed as its instance is tallied.
+    def add(self, first: int, fast: list[np.ndarray], ref: list[np.ndarray]) -> None:
+        """Tally instances first, first + 1, ... from their finite (b, K) score tables.
+
+        Each nonzero gap is printed as its instance is tallied.
         """
         if not fast:
             return
         bounds = np.cumsum([0, *map(len, fast)])
-        pi_fast = np.concatenate(fast)
-        try:
-            out = saflex_assign(pi_fast, np.zeros(len(pi_fast), dtype=np.int64), self.cfg, self.rng)
-        except FloatingPointError:
-            # with beta 0 and no Gumbel, saflex_assign's scores are pi / tau
-            bad_row = np.flatnonzero(~np.isfinite(pi_fast / self.cfg.tau))[0] // pi_fast.shape[1]
-            m = int(np.searchsorted(bounds, bad_row, side="right")) - 1
-            self.add(first, fast[:m], ref[:m])
-            raise
-        n = len(ref)
-        if not n:
-            return
-        starts, rows = bounds[:n], int(bounds[n])
-        pi_ref = np.concatenate(ref)
+        out, pi_ref = self.assign(np.concatenate(fast)), np.concatenate(ref)
         best, _ = enumerate_optimum_scores(pi_ref)
-        labels = out.soft_labels[:rows].argmax(axis=1)
-        weights = out.binary_weights[:rows].astype(np.int64)
-        at = np.arange(rows)
+        labels = out.soft_labels.argmax(axis=1)
+        weights = out.binary_weights.astype(np.int64)
+        at = np.arange(len(pi_ref))
         best_terms = best.weights * pi_ref[at, best.labels]
         our_terms = weights * pi_ref[at, labels]
         # one np.add.reduce per instance, as assignment_objective sums a
         # table: np.add.reduceat sums in another order
-        for i, lo, hi in zip(range(first, first + n), starts, bounds[1:]):
+        for i, lo, hi in zip(range(first, first + len(ref)), bounds, bounds[1:]):
             gap = float(np.add.reduce(best_terms[lo:hi])) - float(np.add.reduce(our_terms[lo:hi]))
             self.max_gap = max(self.max_gap, abs(gap))
             if gap != 0.0:
@@ -228,12 +214,12 @@ class _OracleTally:
                 print(f"instance {i}: nonzero gap {gap!r}")
         # a sample kept by one assignment only, or kept by both under other labels
         differ = (best.weights != weights) | ((best.labels != labels) & (best.weights == 1))
-        self.assign_mismatch += np.count_nonzero(np.logical_or.reduceat(differ, starts))
+        self.assign_mismatch += np.count_nonzero(np.logical_or.reduceat(differ, bounds[:-1]))
         self.keep_algorithm += np.count_nonzero(weights)
         sum_keep = np.add.reduce(pi_ref, axis=1) >= 0  # pi_ref.sum(axis=1), bitwise
         self.keep_sum_rule += np.count_nonzero(sum_keep)
         self.rule_disagree += np.count_nonzero(sum_keep != weights)
-        self.samples += rows
+        self.samples += len(pi_ref)
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
@@ -248,19 +234,26 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     cfg = SaflexConfig(beta=0.0, tau=args.tau, gumbel_enabled=False)
     tally = _OracleTally(cfg, np.random.default_rng(0))
     for first in range(0, args.n, ORACLE_BLOCK):
-        # score each instance of the block; assign, enumerate and tally them together
+        # score the block's instances up to the first one refused; assign,
+        # enumerate and tally those before it together, then raise its error
         fast, ref, failure = [], [], None
         for i in range(first, min(first + ORACLE_BLOCK, args.n)):
             params, X, g_val = oracle_instance(args.seed, i, args.b, args.k)
             pi_fast = pi_scores(params, X, g_val)
-            if not np.isfinite(pi_fast).all():
+            # a finite pi / tau implies a finite pi, and saflex_assign takes it
+            if not np.isfinite(pi_fast / cfg.tau).all():
                 failure = FloatingPointError(f"instance {i}: the fast scores are not finite")
+                if np.isfinite(pi_fast).all():  # saflex_assign refuses it in its own words
+                    try:
+                        tally.assign(pi_fast)
+                    except FloatingPointError as exc:
+                        failure = exc
                 break
-            fast.append(pi_fast)  # its pi / tau check precedes its reference check
             pi_ref = pi_scores_reverse(params, X, g_val)
             if not np.isfinite(pi_ref).all():
                 failure = FloatingPointError(f"instance {i}: the reference scores are not finite")
                 break
+            fast.append(pi_fast)
             ref.append(pi_ref)
         tally.add(first, fast, ref)
         if failure is not None:

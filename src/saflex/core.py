@@ -111,15 +111,12 @@ def validation_gradient(params: ModelParams, val_batch: Batch) -> ParamGrad:
 
 
 def pi_scores(params: ModelParams, x_aug: np.ndarray, g_val: ParamGrad) -> np.ndarray:
-    """Per-class alignment scores for each augmented sample, (B, K).
+    """Per-class alignment scores for each row of the (B, d) batch x_aug, (B, K).
 
     One batched forward-mode pass along g_val: u = J g_val per sample,
     then pi_k = p.u - u_k. The softmax-weighted mean of each row is zero
     by construction.
     """
-    x_aug = np.asarray(x_aug, dtype=np.float64)
-    if x_aug.ndim == 1:
-        x_aug = x_aug[None, :]
     _, cache = mlp_forward(params, x_aug)
     return _pi(params, cache, slice(None), g_val)
 

@@ -57,43 +57,38 @@ class _LayerVector:
         return obj
 
     def _bind(self, flat: np.ndarray, shapes: tuple[tuple[int, int], ...]) -> None:
-        spans, size = _layout(shapes)
-        if flat.shape != (size,):
-            raise ValueError(f"flat vector of shape {flat.shape} does not fit {size} parameters")
+        spans = block_spans(shapes)
+        if flat.shape != (spans[-1][1],):
+            raise ValueError(f"flat vector of shape {flat.shape} does not fit "
+                             f"{spans[-1][1]} parameters")
         self.flat, self.shapes = flat, shapes
-        self.weights = [flat[w:b].reshape(shape) for (w, b, _), shape in zip(spans, shapes)]
-        self.biases = [flat[b:end] for _, b, end in spans]
+        self.weights = [flat[lo:hi].reshape(shape) for (lo, hi), shape in zip(spans, shapes)]
+        self.biases = [flat[lo:hi] for lo, hi in spans[len(shapes):]]
 
 
-# layouts each layout cache keeps: `oracle-check` draws 4 * 13 * 13 = 676
+# layouts the layout cache keeps: `oracle-check` draws 4 * 13 * 13 = 676
 # per class count, and each entry is a few small tuples
 _LAYOUTS_CACHED = 1024
 
 
 @lru_cache(maxsize=_LAYOUTS_CACHED)
 def block_spans(shapes: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    """(start, end) in the flat vector of every weight block, then every bias."""
-    spans, _ = _layout(shapes)
-    return tuple((w, b) for w, b, _ in spans) + tuple((b, end) for _, b, end in spans)
+    """(start, end) in the flat vector of every weight block, then every bias.
 
-
-@lru_cache(maxsize=_LAYOUTS_CACHED)
-def _layout(shapes: tuple[tuple[int, int], ...]) -> tuple[tuple[tuple[int, int, int], ...], int]:
-    """Per layer (weight start, bias start, bias end) in the flat vector, and its size.
-
-    Checked once per layout: at least one layer, each fan-in chaining
-    from the previous layer's fan-out.
+    The last bias ends the vector. Checked once per layout: at least one
+    layer, each fan-in chaining from the previous layer's fan-out.
     """
     if not shapes:
         raise ValueError("at least one layer required")
-    spans, off, fan_in = [], 0, shapes[0][0]
+    weights, biases, off, fan_in = [], [], 0, shapes[0][0]
     for i, (fi, fo) in enumerate(shapes):
         if fi != fan_in:
             raise ValueError(f"layer {i}: fan-in does not chain from layer {i - 1}")
         end = off + fi * fo
-        spans.append((off, end, end + fo))
+        weights.append((off, end))
+        biases.append((end, end + fo))
         off, fan_in = end + fo, fo
-    return tuple(spans), off
+    return tuple(weights + biases)
 
 
 class ModelParams(_LayerVector):
@@ -110,10 +105,6 @@ class ModelParams(_LayerVector):
     @property
     def n_classes(self) -> int:
         return self.shapes[-1][1]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (self.input_dim,) + tuple(fo for _, fo in self.shapes)
 
     @property
     def param_count(self) -> int:
@@ -146,14 +137,14 @@ def init_mlp(layer_dims: list[int] | tuple[int, ...], seed: int = 0) -> ModelPar
     if len(layer_dims) < 2:
         raise ValueError("need at least input and output dims")
     shapes = tuple(zip(layer_dims[:-1], layer_dims[1:]))
-    spans, size = _layout(shapes)
+    spans = block_spans(shapes)
     rng = stream(seed, "init")
-    flat = np.zeros(size)
+    flat = np.zeros(spans[-1][1])
     # a (fan_in, fan_out) draw fills its block row by row, so a 1-D draw of
     # as many values is the same numbers in the flat layout's order
-    for (fan_in, fan_out), (w, b, _) in zip(shapes, spans):
+    for (fan_in, fan_out), (lo, hi) in zip(shapes, spans):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        flat[w:b] = rng.uniform(-limit, limit, size=b - w)
+        flat[lo:hi] = rng.uniform(-limit, limit, size=hi - lo)
     return ModelParams.from_flat(flat, shapes)
 
 

@@ -137,7 +137,7 @@ def pi_scores_reverse(params: ModelParams, X: np.ndarray, g_val: ParamGrad) -> n
     (logit gradient p - e_k) and take the parameter-space inner product
     with g_val. The forward pass, backward pass and dot are this module's
     own; from the fast path's nn it takes only the parameter layout and
-    the row softmax. A 1-D X is one sample. One forward pass takes the b
+    the row softmax. X is a (b, d) batch. One forward pass takes the b
     samples as a (b, 1, d) stack of 1-row batches, one backward pass a
     (b, K, 1, K) stack of their logit gradients, and one dot the
     (b * K)-row gradient stack. Samples and classes never share the rows
@@ -145,8 +145,6 @@ def pi_scores_reverse(params: ModelParams, X: np.ndarray, g_val: ParamGrad) -> n
     one in the last bit; on the stack axes, each keeps its own 1-row product.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise ValueError(f"X of shape {X.shape} is not a batch of {params.input_dim}-wide samples")
     if g_val.shapes != params.shapes:

@@ -193,7 +193,7 @@ def test_modes_none_and_saflex_differ_only_through_training(tmp_path):
     assert main(["train", "-c", cfg_b]) == 0
     pa = load_checkpoint(str(tmp_path / "none" / "checkpoint.bin"))
     pb = load_checkpoint(str(tmp_path / "sfx" / "checkpoint.bin"))
-    assert pa.dims == pb.dims
+    assert pa.shapes == pb.shapes
     assert any(not np.array_equal(a, b) for a, b in zip(pa.weights, pb.weights))
     ma = open(tmp_path / "none" / "metrics.csv").read()
     mb = open(tmp_path / "sfx" / "metrics.csv").read()
@@ -387,6 +387,28 @@ def test_oracle_check_non_finite_fast_scores_exit_three_naming_the_instance(monk
     captured = capsys.readouterr()
     assert captured.err == "numerical failure: instance 2: the fast scores are not finite\n"
     assert "PASS" not in captured.out
+
+
+def test_oracle_check_scores_no_instance_past_the_first_refusal(monkeypatch, capsys):
+    fast, reverse, calls = cli.pi_scores, cli.pi_scores_reverse, {"fast": 0, "ref": 0}
+
+    def fast_scores(params, X, g_val):
+        calls["fast"] += 1
+        pi = fast(params, X, g_val)
+        if calls["fast"] == 6:  # instance 5: finite, but pi / 1e-10 overflows
+            pi *= 1e300 / np.abs(pi).max()
+        return pi
+
+    def reference_scores(params, X, g_val):
+        calls["ref"] += 1
+        return reverse(params, X, g_val)
+
+    monkeypatch.setattr(cli, "pi_scores", fast_scores)
+    monkeypatch.setattr(cli, "pi_scores_reverse", reference_scores)
+    assert main(["oracle-check", "--n", "40", "--seed", "0", "--tau", "1e-10"]) == 3
+    assert calls == {"fast": 6, "ref": 5}
+    assert capsys.readouterr().err == ("numerical failure: "
+                                       "alignment scores pi / tau are not finite\n")
 
 
 def test_oracle_check_fails_on_a_nan_gap_from_finite_scores(monkeypatch, capsys):

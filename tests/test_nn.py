@@ -234,7 +234,7 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     path = str(tmp_path / "ck.bin")
     save_checkpoint(params, path)
     back = load_checkpoint(path)
-    assert back.dims == params.dims
+    assert back.shapes == params.shapes
     for w0, w1 in zip(params.weights, back.weights):
         np.testing.assert_array_equal(w0, w1)
     for b0, b1 in zip(params.biases, back.biases):
@@ -410,7 +410,7 @@ def test_stacked_backward_is_bitwise_one_backward_per_table(rng):
             _, alone = mlp_forward(params, X[b])
             for t in range(r):
                 want = mlp_backward(params, alone, tables[b, t]).flat
-                assert grads[b * r + t].tobytes() == want.tobytes(), (trial, params.dims, b, t)
+                assert grads[b * r + t].tobytes() == want.tobytes(), (trial, params.shapes, b, t)
 
 
 def test_backward_over_a_stacked_cache_is_bitwise_one_class_stack_per_batch(rng):
@@ -661,13 +661,12 @@ def test_layout_caches_hold_every_oracle_check_layout():
     layouts = [((d, h1), (h1, h2), (h2, 6))
                for d in range(2, 6) for h1 in range(4, 17) for h2 in range(4, 17)]
     assert len(layouts) == 676
-    for cached in (nn._layout, nn.block_spans):
-        for shapes in layouts:
-            cached(shapes)
-        misses = cached.cache_info().misses
-        for shapes in layouts:
-            cached(shapes)
-        assert cached.cache_info().misses == misses
+    for shapes in layouts:
+        nn.block_spans(shapes)
+    misses = nn.block_spans.cache_info().misses
+    for shapes in layouts:
+        nn.block_spans(shapes)
+    assert nn.block_spans.cache_info().misses == misses
 
 
 def test_init_mlp_draws_up_to_the_glorot_limit():
