@@ -247,7 +247,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
                     try:
                         tally.assign(pi_fast)
                     except FloatingPointError as exc:
-                        failure = exc
+                        failure = FloatingPointError(f"instance {i}: {exc}")
                 break
             pi_ref = pi_scores_reverse(params, X, g_val)
             if not np.isfinite(pi_ref).all():

@@ -4,16 +4,20 @@ Modes: "none" trains on the raw minibatch; "naive" is standard practice,
 training on the augmented minibatch with its upstream labels; "saflex"
 trains on the raw-plus-augmented union with the assignment step choosing
 the augmented samples' weights and soft labels. All randomness comes
-from counter-based streams keyed by (seed, purpose, epoch, iteration),
-so two runs with the same config produce identical numbers regardless of
-the host.
+from counter-based streams, so two runs with the same config produce
+identical numbers regardless of the host. Training draws are keyed by
+epoch and iteration, validation minibatches by pass: pass c permutes the
+n validation rows with (seed, "val_order", c) and serves n // b full
+batches of b = min(val batch size, n) rows, so saflex iteration j,
+counted across epochs, takes batch j % (n // b) of pass j // (n // b).
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import astuple, dataclass, field, fields
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -66,11 +70,6 @@ class RunConfig:
         if self.val_batch_size is not None and self.val_batch_size < 1:
             raise RangeError(f"val_batch_size must be >= 1, got {self.val_batch_size}")
 
-    def effective_val_batch(self) -> int:
-        if self.val_batch_size is not None:
-            return self.val_batch_size
-        return self.batch_size
-
 
 @dataclass
 class MetricsRow:
@@ -106,30 +105,17 @@ def evaluate(
     return loss, acc
 
 
-class _ValCycler:
+def _val_batches(val: Dataset, batch_size: int, seed: int) -> Iterator[Batch]:
     """Without-replacement validation minibatches, reshuffled per pass.
 
-    Each pass is gathered once in its shuffled order; its minibatches are
-    consecutive slices of it.
+    Each minibatch is gathered from the pass's shuffled order; a partial
+    batch at the end of a pass is skipped.
     """
-
-    def __init__(self, val: Dataset, batch_size: int, seed: int):
-        self.val = val
-        self.batch_size = min(batch_size, val.size)
-        self.seed = seed
-        self.cycle = -1
-        self.pos = 0
-        self.shuffled = val.batch(np.empty(0, dtype=np.int64))
-
-    def next_batch(self) -> Batch:
-        if self.pos + self.batch_size > self.shuffled.size:
-            self.cycle += 1
-            order = stream(self.seed, "val_order", self.cycle).permutation(self.val.size)
-            self.shuffled = self.val.batch(order)
-            self.pos = 0
-        rows = slice(self.pos, self.pos + self.batch_size)
-        self.pos += self.batch_size
-        return Batch(self.shuffled.X[rows], self.shuffled.hard_labels[rows])
+    b = min(batch_size, val.size)
+    for cycle in itertools.count():
+        order = stream(seed, "val_order", cycle).permutation(val.size)
+        for lo in range(0, val.size - b + 1, b):
+            yield val.batch(order[lo : lo + b])
 
 
 class _Optimizer:
@@ -194,7 +180,7 @@ def train(
     # every split's evaluation forward writes into the leading rows of one workspace
     ws = ForwardCache.empty(params, max(train_ds.size, val_ds.size, test_ds.size))
     optimizer = _Optimizer(run, params)
-    cycler = _ValCycler(val_ds, run.effective_val_batch(), run.seed)
+    val_batches = _val_batches(val_ds, run.val_batch_size or run.batch_size, run.seed)
     groups, image_hw = data.group_slices(), data.image_hw
     history: list[MetricsRow] = []
     for epoch in range(run.epochs):
@@ -211,7 +197,7 @@ def train(
                 aug = apply_augmenter(run.augment, base, aug_rng, k, groups, image_hw)
                 n_aug += 1
             if run.mode == "saflex":
-                val_batch = cycler.next_batch()
+                val_batch = next(val_batches)
                 gumbel_rng = stream(run.saflex.seed, "gumbel", epoch, it)
                 try:
                     grad, out = saflex_gradient(

@@ -237,7 +237,10 @@ def oracle_check_per_instance(args: argparse.Namespace) -> int:
         pi_fast = cli.pi_scores(params, X, g_val)
         if not np.isfinite(pi_fast).all():
             raise FloatingPointError(f"instance {i}: the fast scores are not finite")
-        out = cli.saflex_assign(pi_fast, np.zeros(b, dtype=np.int64), cfg, rng_unused)
+        try:
+            out = cli.saflex_assign(pi_fast, np.zeros(b, dtype=np.int64), cfg, rng_unused)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"instance {i}: {exc}") from exc
         ours = Assignment(out.soft_labels.argmax(axis=1), out.binary_weights.astype(np.int64))
         pi_ref = cli.pi_scores_reverse(params, X, g_val)
         if not np.isfinite(pi_ref).all():

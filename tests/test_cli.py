@@ -408,7 +408,7 @@ def test_oracle_check_scores_no_instance_past_the_first_refusal(monkeypatch, cap
     assert main(["oracle-check", "--n", "40", "--seed", "0", "--tau", "1e-10"]) == 3
     assert calls == {"fast": 6, "ref": 5}
     assert capsys.readouterr().err == ("numerical failure: "
-                                       "alignment scores pi / tau are not finite\n")
+                                       "instance 5: alignment scores pi / tau are not finite\n")
 
 
 def test_oracle_check_fails_on_a_nan_gap_from_finite_scores(monkeypatch, capsys):
@@ -495,7 +495,7 @@ def test_oracle_check_in_blocks_fails_at_the_instance_the_per_instance_loop_fail
     assert err == "numerical failure: " + {
         "fast_nan": f"instance {bad}: the fast scores are not finite\n",
         "reference_nan": f"instance {bad}: the reference scores are not finite\n",
-    }.get(failure, "alignment scores pi / tau are not finite\n")
+    }.get(failure, f"instance {bad}: alignment scores pi / tau are not finite\n")
 
 
 def test_oracle_check_memory_does_not_grow_past_one_block(monkeypatch, capsys):

@@ -11,7 +11,7 @@ from saflex.rng import stream
 from saflex.trainer import (
     DivergenceError,
     _Optimizer,
-    _ValCycler,
+    _val_batches,
     MetricsRow,
     RunConfig,
     evaluate,
@@ -317,14 +317,36 @@ def test_val_cycler_batches_are_slices_of_each_shuffled_pass():
     # pass are skipped; 48 rows end on a batch boundary, and all are served
     for n in (50, 48):
         val = gen_two_gaussians(n, seed=2)
-        cycler = _ValCycler(val, 16, seed=3)
+        batches = _val_batches(val, 16, seed=3)
         for cycle in range(3):
             order = stream(3, "val_order", cycle).permutation(val.size)
             for j in range(3):
                 want = val.batch(order[16 * j : 16 * (j + 1)])
-                got = cycler.next_batch()
+                got = next(batches)
                 assert got.X.tobytes() == want.X.tobytes()
                 assert got.hard_labels.tobytes() == want.hard_labels.tobytes()
+
+
+def test_val_batches_larger_than_the_split_serve_each_whole_shuffled_pass(monkeypatch):
+    # a 16-row batch on 10 rows is capped at 10: every call serves one whole
+    # reshuffled pass; a generator that served nothing would draw forever
+    val = gen_two_gaussians(10, seed=2)
+    draws = []
+
+    def counted(*key):
+        draws.append(key)
+        if len(draws) > 5:
+            raise AssertionError(f"{len(draws)} validation orders drawn for 5 batches")
+        return stream(*key)
+
+    monkeypatch.setattr(trainer_mod, "stream", counted)
+    batches = _val_batches(val, 16, seed=3)
+    for cycle in range(5):
+        want = val.batch(stream(3, "val_order", cycle).permutation(val.size))
+        got = next(batches)
+        assert got.X.tobytes() == want.X.tobytes()
+        assert got.hard_labels.tobytes() == want.hard_labels.tobytes()
+    assert draws == [(3, "val_order", cycle) for cycle in range(5)]
 
 
 def test_train_calls_split_and_apply_train_statistics_once_each_through_trainer(monkeypatch):
