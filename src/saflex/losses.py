@@ -18,6 +18,9 @@ import numpy as np
 
 from .nn import row_max
 
+# how far a soft-label row may stray below 0 or from summing to 1
+SIMPLEX_TOL = 1e-9
+
 
 def check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """labels as a 1-D int64 array; ValueError unless each lies in [0, num_classes)."""
@@ -37,11 +40,11 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def check_simplex_rows(y: np.ndarray, name: str, tol: float = 1e-9) -> None:
-    """ValueError unless every row of y is nonnegative and sums to 1, within tol."""
-    if np.any(y < -tol):
+def check_simplex_rows(y: np.ndarray, name: str) -> None:
+    """ValueError unless every row of y is nonnegative and sums to 1, within SIMPLEX_TOL."""
+    if np.any(y < -SIMPLEX_TOL):
         raise ValueError(f"{name} has negative entries")
-    if np.any(np.abs(y.sum(axis=1) - 1.0) > tol):
+    if np.any(np.abs(y.sum(axis=1) - 1.0) > SIMPLEX_TOL):
         raise ValueError(f"{name} rows must sum to 1")
 
 

@@ -34,36 +34,23 @@ CHECKPOINT_MAGIC = b"SFLX1"
 class _LayerVector:
     """One contiguous float64 vector with per-layer weight and bias views.
 
-    The layout is the checkpoint body: W0 (row-major), b0, W1, b1, ...
-    `shapes` holds each layer's (fan_in, fan_out); `weights` and `biases`
-    are views into `flat`, so writing through either side changes both.
+    from_flat builds one over a flat array in the checkpoint body's layout, W0
+    (row-major), b0, W1, b1, ..., at the spans block_spans gives. `weights` and
+    `biases` view `flat` per layer of `shapes`, so writing through either changes both.
     """
-
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]) -> None:
-        if len(weights) != len(biases):
-            raise ValueError("weights and biases must pair up layer by layer")
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
-                raise ValueError(f"layer {i}: weight {w.shape} / bias {b.shape} mismatch")
-        parts = [a.ravel() for pair in zip(weights, biases) for a in pair]
-        flat = np.concatenate(parts, dtype=np.float64) if parts else np.zeros(0)
-        self._bind(flat, tuple(w.shape for w in weights))
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, shapes: tuple[tuple[int, int], ...]):
         """Views over `flat` itself (not a copy) for the given layer shapes."""
-        obj = cls.__new__(cls)
-        obj._bind(flat, shapes)
-        return obj
-
-    def _bind(self, flat: np.ndarray, shapes: tuple[tuple[int, int], ...]) -> None:
         spans = block_spans(shapes)
         if flat.shape != (spans[-1][1],):
             raise ValueError(f"flat vector of shape {flat.shape} does not fit "
                              f"{spans[-1][1]} parameters")
-        self.flat, self.shapes = flat, shapes
-        self.weights = [flat[lo:hi].reshape(shape) for (lo, hi), shape in zip(spans, shapes)]
-        self.biases = [flat[lo:hi] for lo, hi in spans[len(shapes):]]
+        obj = cls()
+        obj.flat, obj.shapes = flat, shapes
+        obj.weights = [flat[lo:hi].reshape(shape) for (lo, hi), shape in zip(spans, shapes)]
+        obj.biases = [flat[lo:hi] for lo, hi in spans[len(shapes):]]
+        return obj
 
 
 # layouts the layout cache keeps: `oracle-check` draws 4 * 13 * 13 = 676

@@ -4,11 +4,13 @@ import os
 import numpy as np
 import pytest
 
+from reference import from_blocks
 from saflex.nn import ModelParams, ParamGrad, init_mlp
 
 
 def random_grad(params: ModelParams, rng: np.random.Generator, scale: float = 1.0) -> ParamGrad:
-    return ParamGrad(
+    return from_blocks(
+        ParamGrad,
         [scale * rng.standard_normal(w.shape) for w in params.weights],
         [scale * rng.standard_normal(b.shape) for b in params.biases],
     )

@@ -24,7 +24,7 @@ from saflex.config import ConfigError
 from saflex.core import SaflexConfig
 from saflex.data import IMAGE_MAGIC
 from saflex.losses import _check_weighted, check_simplex_rows
-from saflex.nn import ModelParams, ParamGrad, row_max
+from saflex.nn import ModelParams, ParamGrad, block_spans, row_max
 from saflex.oracle import ENUM_MAX_B, ENUM_MAX_K, Assignment
 
 
@@ -51,6 +51,21 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 def zeros_like(params: ModelParams) -> ParamGrad:
     """A zero vector laid out like params."""
     return ParamGrad.from_flat(np.zeros_like(params.flat), params.shapes)
+
+
+def from_blocks(cls, weights: list[np.ndarray], biases: list[np.ndarray]):
+    """A `cls` vector (ModelParams or ParamGrad) holding copies of the given layer blocks.
+
+    Each block is written into its block_spans span of a fresh flat vector.
+    """
+    if len(weights) != len(biases):
+        raise ValueError("weights and biases must pair up layer by layer")
+    shapes = tuple(w.shape for w in weights)
+    spans = block_spans(shapes)
+    flat = np.empty(spans[-1][1])
+    for (lo, hi), block in zip(spans, [*weights, *biases]):
+        flat[lo:hi] = np.reshape(block, hi - lo)
+    return cls.from_flat(flat, shapes)
 
 
 def copy(params: ModelParams) -> ModelParams:

@@ -8,6 +8,7 @@ module reproduces the same numbers.
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -20,6 +21,7 @@ from reference import (
     ContrastiveBatch,
     add_scaled,
     finite_diff,
+    from_blocks,
     hard_ce,
     iter_assignments,
     normalize_rows,
@@ -63,7 +65,8 @@ def _report(num: int, title: str, ok: bool, detail: str) -> None:
 
 
 def _random_tangent(params, g, scale=1.0):
-    return ParamGrad(
+    return from_blocks(
+        ParamGrad,
         [scale * g.standard_normal(w.shape) for w in params.weights],
         [scale * g.standard_normal(b.shape) for b in params.biases],
     )
@@ -148,9 +151,9 @@ def test_criterion_2_gradient_machinery():
         t = _random_tangent(params, g)
         t = scale(t, 1.0 / t.norm())
         u = jvp_logits_batch(params, t, cache)
-        up = ModelParams([w + eps * d for w, d in zip(params.weights, t.weights)],
+        up = from_blocks(ModelParams, [w + eps * d for w, d in zip(params.weights, t.weights)],
                          [b + eps * d for b, d in zip(params.biases, t.biases)])
-        dn = ModelParams([w - eps * d for w, d in zip(params.weights, t.weights)],
+        dn = from_blocks(ModelParams, [w - eps * d for w, d in zip(params.weights, t.weights)],
                          [b - eps * d for b, d in zip(params.biases, t.biases)])
         fd_u = (mlp_forward(up, X)[1].logits - mlp_forward(dn, X)[1].logits) / (2 * eps)
         worst_jvp = max(worst_jvp, np.linalg.norm(u - fd_u) / np.linalg.norm(fd_u))
@@ -400,7 +403,7 @@ def _cli(args, env_extra=None, cwd=None):
 
 
 def _metrics_without_wallclock(path):
-    lines = open(path).read().splitlines()
+    lines = pathlib.Path(path).read_text().splitlines()
     return [",".join(line.split(",")[:-1]) for line in lines]
 
 
@@ -428,11 +431,11 @@ def test_criterion_8_determinism(tmp_path):
         reruns[threads] = out_dir
 
     base_metrics = _metrics_without_wallclock(str(tmp_path / "base" / "metrics.csv"))
-    base_ck = open(tmp_path / "base" / "checkpoint.bin", "rb").read()
+    base_ck = (tmp_path / "base" / "checkpoint.bin").read_bytes()
     ok = True
     for threads, out_dir in reruns.items():
         ok &= _metrics_without_wallclock(os.path.join(out_dir, "metrics.csv")) == base_metrics
-        ok &= open(os.path.join(out_dir, "checkpoint.bin"), "rb").read() == base_ck
+        ok &= pathlib.Path(out_dir, "checkpoint.bin").read_bytes() == base_ck
     _report(8, "bitwise reproducibility from resolved config",
             ok, "metrics (excluding wall-clock column) and checkpoints identical "
                 "across reruns with SAFLEX_THREADS in {1, 4}")

@@ -1,7 +1,9 @@
 import json
 import os
+import pathlib
 import re
 import struct
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -39,8 +41,8 @@ def test_gen_data_deterministic(tmp_path, capsys):
     assert main(args + ["--out", out1]) == 0
     assert main(args + ["--out", out2]) == 0
     for name in ("data.csv", "schema.csv"):
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
+        a = pathlib.Path(out1, name).read_bytes()
+        b = pathlib.Path(out2, name).read_bytes()
         assert a == b
 
 
@@ -179,8 +181,8 @@ def test_train_writes_outputs_and_is_reproducible(tmp_path):
     assert main(["train", "-c", resolved, "--output-dir", out2]) == 0
     assert (_stable_metrics(os.path.join(run_dir, "metrics.csv"))
             == _stable_metrics(os.path.join(out2, "metrics.csv")))
-    a = open(os.path.join(run_dir, "checkpoint.bin"), "rb").read()
-    b = open(os.path.join(out2, "checkpoint.bin"), "rb").read()
+    a = pathlib.Path(run_dir, "checkpoint.bin").read_bytes()
+    b = pathlib.Path(out2, "checkpoint.bin").read_bytes()
     assert a == b
 
 
@@ -195,9 +197,37 @@ def test_modes_none_and_saflex_differ_only_through_training(tmp_path):
     pb = load_checkpoint(str(tmp_path / "sfx" / "checkpoint.bin"))
     assert pa.shapes == pb.shapes
     assert any(not np.array_equal(a, b) for a, b in zip(pa.weights, pb.weights))
-    ma = open(tmp_path / "none" / "metrics.csv").read()
-    mb = open(tmp_path / "sfx" / "metrics.csv").read()
+    ma = (tmp_path / "none" / "metrics.csv").read_text()
+    mb = (tmp_path / "sfx" / "metrics.csv").read_text()
     assert ma != mb
+
+
+def test_a_benchmark_shaped_run_leaves_nothing_behind():
+    # a caller that prints one result line last, as perfbench/run.py does,
+    # must end on it: no thread, child process, at-exit hook or late
+    # warning of the package may write after it
+    import saflex
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(saflex.__file__)))
+    code = (
+        "import contextlib, io, multiprocessing, threading\n"
+        "from saflex import cli\n"
+        "from saflex.data import gen_two_gaussians\n"
+        "from saflex.trainer import MODES, RunConfig, train\n"
+        "for mode in MODES:\n"
+        "    train(RunConfig(epochs=1, mode=mode), gen_two_gaussians(300))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['oracle-check', '--n', '5']) == 0\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+        "assert multiprocessing.active_children() == []\n"
+        "print('END')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1:] == ["END"]
+    assert proc.stderr == ""
 
 
 def test_train_on_raw_images_with_crops(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_grad, small_mlp
-from reference import add_scaled, finite_diff, hard_ce, zeros_like
+from reference import add_scaled, finite_diff, from_blocks, hard_ce, zeros_like
 from saflex.core import (
     SaflexConfig,
     closed_form_assignment,
@@ -50,7 +50,7 @@ def _rng():
 
 def test_val_gradient_zero_at_perfect_fit():
     # logits saturated at the correct class -> probs ~ one-hot -> tiny gradient
-    params = ModelParams([np.array([[60.0, -60.0]])], [np.zeros(2)])
+    params = from_blocks(ModelParams, [np.array([[60.0, -60.0]])], [np.zeros(2)])
     batch = Batch(np.array([[1.0], [1.0]]), np.array([0, 0]))
     g = validation_gradient(params, batch)
     assert g.norm() <= 1e-20
@@ -96,8 +96,8 @@ def test_pi_zero_validation_gradient(rng):
 
 def test_pi_linear_model_worked_example():
     # zero weights, two classes; tangent touches only the first logit
-    params = ModelParams([np.zeros((2, 2))], [np.zeros(2)])
-    g_val = ParamGrad([np.array([[1.0, 0.0], [0.0, 0.0]])], [np.zeros(2)])
+    params = from_blocks(ModelParams, [np.zeros((2, 2))], [np.zeros(2)])
+    g_val = from_blocks(ParamGrad, [np.array([[1.0, 0.0], [0.0, 0.0]])], [np.zeros(2)])
     x = np.array([[1.0, 0.0]])
     pi = pi_scores(params, x, g_val)
     np.testing.assert_allclose(pi, [[-0.5, 0.5]], atol=1e-15)
@@ -110,11 +110,13 @@ def test_pi_matches_per_class_loss_directional_derivative(rng):
     g_val = random_grad(params, rng, scale=0.5)
     pi = pi_scores(params, X, g_val)
     eps = 1e-6
-    up = ModelParams(
+    up = from_blocks(
+        ModelParams,
         [w + eps * t for w, t in zip(params.weights, g_val.weights)],
         [b + eps * t for b, t in zip(params.biases, g_val.biases)],
     )
-    dn = ModelParams(
+    dn = from_blocks(
+        ModelParams,
         [w - eps * t for w, t in zip(params.weights, g_val.weights)],
         [b - eps * t for b, t in zip(params.biases, g_val.biases)],
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_grad, random_layout, small_mlp
-from reference import add_scaled, finite_diff, hard_ce, iter_assignments
+from reference import add_scaled, finite_diff, from_blocks, hard_ce, iter_assignments
 from saflex import nn, oracle
 from saflex.core import closed_form_assignment, pi_scores, validation_gradient
 from saflex.data import Batch
@@ -27,17 +27,17 @@ def test_finite_diff_linear_function(rng):
     c = random_grad(params, rng)
 
     def fn(p):
-        return ParamGrad(p.weights, p.biases).dot(c)
+        return from_blocks(ParamGrad, p.weights, p.biases).dot(c)
 
     fd = finite_diff(fn, params, 1e-5)
     assert add_scaled(fd, c, -1.0).norm() <= 1e-10 * max(1.0, c.norm())
 
 
 def test_finite_diff_quadratic_at_origin():
-    params = ModelParams([np.zeros((2, 2))], [np.zeros(2)])
+    params = from_blocks(ModelParams, [np.zeros((2, 2))], [np.zeros(2)])
 
     def fn(p):
-        g = ParamGrad(p.weights, p.biases)
+        g = from_blocks(ParamGrad, p.weights, p.biases)
         return 0.5 * g.dot(g)
 
     fd = finite_diff(fn, params, 1e-5)

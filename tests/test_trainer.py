@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import from_blocks
 from saflex.augment import AugmenterSpec
 from saflex.core import SaflexConfig, validation_gradient
 from saflex.data import Batch, Dataset, SplitSpec, gen_two_gaussians
@@ -63,7 +64,7 @@ def test_modes_share_initialization_then_diverge():
 
 
 def test_evaluate_uniform_predictor():
-    params = ModelParams([np.zeros((2, 4))], [np.zeros(4)])
+    params = from_blocks(ModelParams, [np.zeros((2, 4))], [np.zeros(4)])
     ds = gen_two_gaussians(100, seed=3)
     ds4 = Dataset(ds.X, ds.labels, 4)
     loss, acc = evaluate(params, ds4)
@@ -74,7 +75,7 @@ def test_evaluate_perfect_predictor():
     # class 0 sits at (1,1): its logit must grow with x . (1,1)
     ds = gen_two_gaussians(200, sigma=1e-3, seed=4)
     w = np.array([[100.0, -100.0], [100.0, -100.0]])
-    params = ModelParams([w], [np.zeros(2)])
+    params = from_blocks(ModelParams, [w], [np.zeros(2)])
     _, acc = evaluate(params, ds)
     assert acc == 1.0
 
@@ -275,8 +276,8 @@ def test_evaluate_with_reuse_returns_what_a_fresh_evaluate_does(rng):
     reuse = ForwardCache.empty(params, 700)
     for _ in range(4):
         assert evaluate(params, ds, reuse) == evaluate(params, ds)
-        grad = ParamGrad([rng.standard_normal(w.shape) for w in params.weights],
-                         [rng.standard_normal(b.shape) for b in params.biases])
+        grad = from_blocks(ParamGrad, [rng.standard_normal(w.shape) for w in params.weights],
+                           [rng.standard_normal(b.shape) for b in params.biases])
         params = sgd_step(params, grad, 0.5)
 
 
