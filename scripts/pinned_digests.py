@@ -25,8 +25,10 @@ Pinned runs:
   `oracle.pi_scores_reverse`, over the first 200 instances of that
   run, drawn by the CLI's own `oracle_instance`: a last-bit change in a
   score that flips no decision still shows;
-* the features and labels of both CSVs loaded with `standardize=True`
-  (z-scored over the file), and of one `gen_two_moons` dataset;
+* the features and labels of both CSVs z-scored over the file, by
+  `apply_train_statistics` with every row as its one part (the path
+  `load_csv(..., standardize=True)` takes), and of one `gen_two_moons`
+  dataset;
 * `cutmix_tabular` on the first 64 rows of the K = 3 CSV, with its own
   column groups and with a group list that shares a column, at
   p_replace 0.2 and 1.0 over 200 streams: the output bytes, the labels
@@ -60,7 +62,9 @@ import numpy as np
 from saflex import cli
 from saflex.augment import AugmenterSpec, cutmix_tabular
 from saflex.core import SaflexConfig, pi_scores
-from saflex.data import Dataset, SplitSpec, gen_two_gaussians, gen_two_moons, load_csv
+from saflex.data import (
+    Dataset, SplitSpec, apply_train_statistics, gen_two_gaussians, gen_two_moons, load_csv,
+)
 from saflex.nn import ParamGrad, init_mlp
 from saflex.oracle import pi_scores_reverse
 from saflex.rng import stream
@@ -223,9 +227,8 @@ def cli_digests(tmp: str) -> list[tuple[str, str]]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         lines = cli_digests(tmp)
-        csvs = {"tabular": tabular_csv(tmp), "gapped": gapped_csv(tmp)}
-        tabular, gapped = (load_csv(*paths, standardize=False) for paths in csvs.values())
-        zscored = [(name, load_csv(*paths, standardize=True)) for name, paths in csvs.items()]
+        csvs = {"tabular": load_csv(*tabular_csv(tmp)), "gapped": load_csv(*gapped_csv(tmp))}
+    tabular, gapped = csvs.values()
     gaussians = gen_two_gaussians(400, sigma=1.0, seed=3)
     for mode in MODES:
         for opt_name, opt in OPTIMIZERS.items():
@@ -265,8 +268,9 @@ def main() -> int:
             split=SplitSpec(0.6, 0.2, 0.2, seed=4), standardize=True, seed=4,
         )
         lines.append((f"train {mode} sgd cutmix_tabular gapped csv k3", train_digest(run, gapped)))
-    for name, ds in zscored:
-        lines.append((f"load_csv {name} csv standardize=True", dataset_digest(ds)))
+    for name, ds in csvs.items():
+        zscored = apply_train_statistics(ds, (np.arange(ds.size),))[0]
+        lines.append((f"load_csv {name} csv standardize=True", dataset_digest(zscored)))
     # positional, so the line reads the same whatever the spread parameter is named
     lines.append(("gen_two_moons 400 0.2 seed 7", dataset_digest(gen_two_moons(400, 0.2, 7))))
     lines.append(("cutmix_tabular csv k3 and shared-column groups, p 0.2 and 1.0, 200 streams",

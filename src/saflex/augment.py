@@ -100,12 +100,11 @@ def mixup(
     alpha: float,
     rng: np.random.Generator,
     num_classes: int,
-    lam: float | None = None,
 ) -> Batch:
     """Convex-combine each row with a random partner; soft label to match."""
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
-    lam_val = float(rng.beta(alpha, alpha)) if lam is None else float(lam)
+    lam_val = float(rng.beta(alpha, alpha))
     perm = rng.permutation(batch.size)
     X = lam_val * batch.X + (1.0 - lam_val) * batch.X[perm]
     soft = (lam_val * one_hot(batch.hard_labels, num_classes)
@@ -119,7 +118,6 @@ def crop_flip(
     pad: int,
     rng: np.random.Generator,
     image_hw: tuple[int, int] | None,
-    flip: bool = True,
 ) -> Batch:
     """Zero-pad, re-crop at a random offset, and flip horizontally at 0.5."""
     if image_hw is None:
@@ -133,7 +131,7 @@ def crop_flip(
     offsets = rng.integers(0, 2 * pad + 1, size=(b, 2)) if pad > 0 else np.zeros(
         (b, 2), dtype=np.int64
     )
-    do_flip = rng.random(b) < 0.5 if flip else np.zeros(b, dtype=bool)
+    do_flip = rng.random(b) < 0.5
     rows = offsets[:, 0, None] + np.arange(h)
     cols = offsets[:, 1, None] + np.arange(w)
     out = padded[np.arange(b)[:, None, None], rows[:, :, None], cols[:, None, :]]

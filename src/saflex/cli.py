@@ -21,7 +21,7 @@ from . import config as cfgmod
 from . import data as datamod
 from .config import ConfigError
 from .core import SaflexConfig, SaflexOutput, pi_scores, saflex_assign
-from .nn import init_mlp, load_checkpoint, save_checkpoint, ModelParams, ParamGrad
+from .nn import block_spans, init_mlp, load_checkpoint, save_checkpoint, ModelParams, ParamGrad
 from .oracle import (
     ENUM_MAX_B,
     ENUM_MAX_K,
@@ -156,14 +156,13 @@ def oracle_instance(
     params = init_mlp(dims, seed=int(g.integers(0, 2**31)))
     b = int(g.integers(1, b_max + 1))
     X = g.standard_normal((b, dims[0]))
-    # one draw holds every weight block, then every bias; the flat layout
-    # takes each layer's weights, then its bias
-    draw = g.standard_normal(params.param_count)
-    parts, w_at, b_at = [], 0, sum(fan_in * fan_out for fan_in, fan_out in params.shapes)
-    for fan_in, fan_out in params.shapes:
-        parts += (draw[w_at : w_at + fan_in * fan_out], draw[b_at : b_at + fan_out])
-        w_at, b_at = w_at + fan_in * fan_out, b_at + fan_out
-    return params, X, ParamGrad.from_flat(np.concatenate(parts), params.shapes)
+    # one draw holds every weight block, then every bias: the order of
+    # block_spans, whose spans place each block in the flat layout
+    draw, flat, at = g.standard_normal(params.param_count), np.empty(params.param_count), 0
+    for lo, hi in block_spans(params.shapes):
+        flat[lo:hi] = draw[at : at + hi - lo]
+        at += hi - lo
+    return params, X, ParamGrad.from_flat(flat, params.shapes)
 
 
 # instances whose rows one assignment, enumeration and tally take at once,

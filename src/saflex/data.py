@@ -13,7 +13,7 @@ import struct
 import warnings
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,13 +113,6 @@ class Dataset:
     def batch(self, indices: np.ndarray) -> Batch:
         idx = np.asarray(indices, dtype=np.int64)
         return Batch(self.X[idx], self.labels[idx])
-
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            self.X[idx], self.labels[idx], self.num_classes,
-            self.groups, self.label_values, self.image_hw,
-        )
 
     def group_slices(self) -> list[np.ndarray]:
         """Column indices of each source feature, for group-wise transforms."""
@@ -374,7 +367,7 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndar
     """Disjoint, exhaustive, seed-deterministic, label-stratified partition.
 
     Returns the sorted int64 row indices of the train, val and test parts;
-    `ds.subset` or `apply_train_statistics` gathers the rows.
+    `trainer.run_splits` gathers the rows.
     """
     rng = stream(spec.seed, "split")
     fracs = np.array([spec.train, spec.val, spec.test])
@@ -422,7 +415,7 @@ def apply_train_statistics(ds: Dataset, parts: Sequence[np.ndarray]) -> tuple[Da
     is z-scored in place: `X -= shift; X /= scale`, where `shift` and
     `scale` hold the first part's mean and std on continuous columns and 0
     and 1 elsewhere, which leave a value bitwise as it is. Without
-    continuous columns each output is `ds.subset(rows)`, bitwise.
+    continuous columns each output is the plain gather of its rows, bitwise.
     """
     cont = [g.start for g in ds.groups if g.kind == "continuous"]
     out = []
@@ -433,8 +426,7 @@ def apply_train_statistics(ds: Dataset, parts: Sequence[np.ndarray]) -> tuple[Da
                 shift, scale = _column_statistics(X, cont)
             X -= shift
             X /= scale
-        out.append(Dataset(X, ds.labels[rows], ds.num_classes, ds.groups, ds.label_values,
-                           ds.image_hw))
+        out.append(replace(ds, X=X, labels=ds.labels[rows]))
     return tuple(out)
 
 

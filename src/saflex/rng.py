@@ -46,15 +46,13 @@ def stream(*key_parts: int | str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_Key(key)))
 
 
-def thread_cap(default: int = 1) -> int:
-    """Upper bound on worker parallelism, from SAFLEX_THREADS.
+def thread_cap() -> int:
+    """Upper bound on worker parallelism: SAFLEX_THREADS, or 1 if unset or empty.
 
     All numeric results are required to be independent of this value;
     it only caps how many workers a parallel section may use.
     """
-    raw = os.environ.get("SAFLEX_THREADS", "")
-    if not raw:
-        return default
+    raw = os.environ.get("SAFLEX_THREADS") or "1"
     try:
         n = int(raw)
     except ValueError as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -157,7 +157,7 @@ def run_splits(run: RunConfig, data: Dataset) -> tuple[Dataset, Dataset, Dataset
         raise ValueError("every split must be nonempty")
     if run.standardize:
         return apply_train_statistics(data, parts)
-    return tuple(data.subset(p) for p in parts)
+    return tuple(replace(data, X=data.X[p], labels=data.labels[p]) for p in parts)
 
 
 Observer = Callable[[int, int, Batch, Batch | None, SaflexOutput | None], None]

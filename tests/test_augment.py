@@ -160,11 +160,26 @@ def test_cutmix_donors_are_never_the_base_row(b):
             assert np.all(donor[:, cols] == donor[:, cols[:1]])
 
 
+def _mixup_draws(seed, alpha, b):
+    """What mixup draws from stream(seed, "mix"), from a second stream with
+    the same key: lambda, then the permutation."""
+    twin = stream(seed, "mix")
+    return float(twin.beta(alpha, alpha)), twin.permutation(b)
+
+
 def test_mixup_half_keeps_the_base_rows_hard_labels():
+    # a row takes its own hard label at lambda >= 0.5, its partner's below
     batch = Batch(np.arange(10.0)[:, None], np.arange(10))
-    out = mixup(batch, 1.0, stream(1, "mix"), num_classes=10, lam=0.5)
-    assert np.any(out.X != batch.X)  # the partners are other rows
-    np.testing.assert_array_equal(out.hard_labels, batch.hard_labels)
+    kept = 0
+    for seed in range(20):
+        out = mixup(batch, 1.0, stream(seed, "mix"), num_classes=10)
+        lam, perm = _mixup_draws(seed, 1.0, 10)
+        assert np.any(out.X != batch.X)  # the partners are other rows
+        assert out.X.tobytes() == (lam * batch.X + (1.0 - lam) * batch.X[perm]).tobytes()
+        want = batch.hard_labels if lam >= 0.5 else batch.hard_labels[perm]
+        np.testing.assert_array_equal(out.hard_labels, want)
+        kept += lam >= 0.5
+    assert 0 < kept < 20
 
 
 def test_apply_augmenter_stacks_label_noise_on_the_cutmix_stream():
@@ -180,20 +195,13 @@ def test_apply_augmenter_stacks_label_noise_on_the_cutmix_stream():
     assert abs((out.hard_labels != batch.hard_labels).mean() - 0.3) < 0.07
 
 
-def test_mixup_lambda_one_is_identity(rng):
-    batch = _batch(rng, k=3)
-    out = mixup(batch, 1.0, rng, num_classes=3, lam=1.0)
-    np.testing.assert_array_equal(out.X, batch.X)
-    np.testing.assert_array_equal(out.soft_labels.argmax(axis=1), batch.hard_labels)
-    np.testing.assert_array_equal(out.soft_labels.max(axis=1), np.ones(batch.size))
-
-
 def test_mixup_half_blend():
     batch = Batch(np.array([[0.0], [2.0]]), np.array([0, 1]))
-    rng = stream(1, "mix")
-    out = mixup(batch, 1.0, rng, num_classes=2, lam=0.5)
-    for row in out.soft_labels:
-        np.testing.assert_allclose(row, [0.5, 0.5])
+    out = mixup(batch, 1.0, stream(9, "mix"), num_classes=2)
+    lam, perm = _mixup_draws(9, 1.0, 2)
+    assert perm.tolist() == [1, 0] and 0.5 < lam < 0.51  # each row blends with the other
+    np.testing.assert_array_equal(out.X, [[2.0 * (1.0 - lam)], [2.0 * lam]])
+    np.testing.assert_array_equal(out.soft_labels, [[lam, 1.0 - lam], [1.0 - lam, lam]])
 
 
 def test_mixup_soft_labels_in_simplex(rng):
@@ -209,29 +217,29 @@ def _image_batch(rng, b=5, hw=8):
 
 
 def test_crop_flip_identity(rng):
+    # pad 0 draws no offsets and crops each image whole, so only the flips change it
     batch = _image_batch(rng)
-    out = crop_flip(batch, 0, rng, (8, 8), flip=False)
-    np.testing.assert_array_equal(out.X, batch.X)
+    out = crop_flip(batch, 0, stream(0, "crop"), (8, 8))
+    flips = stream(0, "crop").random(batch.size) < 0.5
+    assert 0 < flips.sum() < batch.size
+    imgs = batch.X.reshape(-1, 8, 8)
+    want = np.where(flips[:, None, None], imgs[:, :, ::-1], imgs)
+    np.testing.assert_array_equal(out.X, want.reshape(batch.size, 64))
 
 
 def test_crop_flip_offsets_cover_grid():
-    rng = stream(2, "crop")
     batch = _image_batch(stream(0, "imgs"), b=400, hw=8)
-    out = crop_flip(batch, 2, rng, (8, 8), flip=False)
-    # each output must be some shifted crop of the padded original
-    seen = set()
-    for i in range(batch.size):
-        img = batch.X[i].reshape(8, 8)
-        padded = np.pad(img, 2)
-        got = out.X[i].reshape(8, 8)
-        found = None
-        for r in range(5):
-            for c in range(5):
-                if np.array_equal(padded[r : r + 8, c : c + 8], got):
-                    found = (r, c)
-        assert found is not None
-        seen.add(found)
-    assert seen == {(r, c) for r in range(5) for c in range(5)}
+    out = crop_flip(batch, 2, stream(2, "crop"), (8, 8))
+    # the draws crop_flip makes, from a second stream with the same key:
+    # each image's offsets, then whether it flips
+    twin = stream(2, "crop")
+    offsets, flips = twin.integers(0, 5, size=(400, 2)), twin.random(400) < 0.5
+    # each output is the crop of the padded original at its offsets, mirrored when it flips
+    for i, ((r, c), flip) in enumerate(zip(offsets, flips)):
+        want = np.pad(batch.X[i].reshape(8, 8), 2)[r : r + 8, c : c + 8]
+        np.testing.assert_array_equal(out.X[i].reshape(8, 8), want[:, ::-1] if flip else want)
+    assert {(r, c) for r, c in offsets.tolist()} == {(r, c) for r in range(5) for c in range(5)}
+    assert 0 < flips.sum() < 400
 
 
 def test_crop_flip_requires_square(rng):

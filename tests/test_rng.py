@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from saflex.rng import stream
+from saflex.rng import stream, thread_cap
 
 KEY_PATHS = [
     (0,),
@@ -51,3 +51,15 @@ def test_stream_key_derivation_is_pinned():
     assert raw.tolist() == [
         9931131463365527678, 4559166736133684114, 12876780966917499255, 15498099710218624988
     ]
+
+
+def test_thread_cap_reads_saflex_threads(monkeypatch):
+    monkeypatch.delenv("SAFLEX_THREADS", raising=False)
+    assert thread_cap() == 1
+    for raw, want in (("", 1), ("1", 1), ("4", 4)):
+        monkeypatch.setenv("SAFLEX_THREADS", raw)
+        assert thread_cap() == want
+    for raw, message in (("0", "must be >= 1"), ("-2", "must be >= 1"), ("two", "must be an integer")):
+        monkeypatch.setenv("SAFLEX_THREADS", raw)
+        with pytest.raises(ValueError, match=f"^SAFLEX_THREADS {message}"):
+            thread_cap()
