@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .losses import check_labels, check_simplex_rows, one_hot
+from .losses import check_labels, check_simplex_rows
 from .rng import stream
 
 IMAGE_MAGIC = b"SFIM1"
@@ -216,11 +216,74 @@ def write_schema(schema: list[tuple[str, str, int | None]], schema_path: str) ->
             w.writerow([name, kind] if card is None else [name, kind, card])
 
 
-def _codes(raw: list[str]) -> tuple[list[str], np.ndarray]:
-    """A column's sorted distinct values, and each entry's index among them."""
-    values = sorted(set(raw))
-    lut = {v: i for i, v in enumerate(values)}
-    return values, np.array([lut[v] for v in raw], dtype=np.int64)
+CSV_CHUNK_ROWS = 256  # data rows parsed per pass; only one chunk's strings are alive
+
+
+class _CsvColumn:
+    """One schema column, parsed a chunk at a time.
+
+    A continuous column keeps one float64 array per chunk; a categorical
+    or label column keeps one int64 array of first-seen codes per chunk,
+    and the code of each distinct value. The first non-numeric and the
+    first non-finite value are kept with their lines, to be raised after
+    the last chunk.
+    """
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self.parts: list[np.ndarray] = []
+        self.table: dict[str, int] = {}
+        self.non_numeric: tuple[int, str] | None = None
+        self.non_finite: tuple[int, str] | None = None
+
+    def add(self, raw: list[str], lines: list[int]) -> None:
+        if self.kind != "continuous":
+            table = self.table
+            self.parts.append(np.array([table.setdefault(v, len(table)) for v in raw],
+                                       dtype=np.int64))
+            return
+        if self.non_numeric:
+            return  # the column's error is known; its values are not needed
+        try:
+            x = np.array([float(v) for v in raw], dtype=np.float64)
+        except ValueError:
+            i = next(i for i, v in enumerate(raw) if not _parses(v))
+            self.non_numeric = (lines[i], raw[i])
+            return
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size and not self.non_finite:
+            self.non_finite = (lines[bad[0]], raw[bad[0]])
+        self.parts.append(x)
+
+    def sorted_codes(self) -> tuple[list[str], np.ndarray]:
+        """The sorted distinct values, and each row's index among them."""
+        values = sorted(self.table)
+        lut = {v: i for i, v in enumerate(values)}
+        rank = np.array([lut[v] for v in self.table], dtype=np.int64)
+        return values, rank[np.concatenate(self.parts)]
+
+
+def _parses(v: str) -> bool:
+    try:
+        float(v)
+    except ValueError:
+        return False
+    return True
+
+
+def _read_chunk(reader, path: str, width: int) -> tuple[list[list[str]], list[int]]:
+    """The next CSV_CHUNK_ROWS non-blank rows (fewer at the end), and the line each ends on."""
+    rows, lines = [], []
+    for r in reader:
+        if not r:
+            continue
+        if len(r) != width:
+            raise ValueError(f"{path}:{reader.line_num}: {len(r)} fields, the header has {width}")
+        rows.append(r)
+        lines.append(reader.line_num)
+        if len(rows) == CSV_CHUNK_ROWS:
+            break
+    return rows, lines
 
 
 def load_csv(path: str, schema_path: str, standardize: bool = False) -> Dataset:
@@ -232,9 +295,16 @@ def load_csv(path: str, schema_path: str, standardize: bool = False) -> Dataset:
     count differs from the header's, or a continuous value that is not a
     finite number, raises ValueError naming the file, line and column; a
     file that does not decode raises ValueError naming the file.
+
+    The rows are turned into numbers CSV_CHUNK_ROWS at a time, so only one
+    chunk's strings are alive. A decode or field-count error is raised
+    where it is read; value errors wait for the last chunk and are raised
+    in schema order, a column's non-numeric value before its non-finite one.
     """
     schema = read_schema(schema_path)
     expected = [name for name, _, _ in schema]
+    columns = [_CsvColumn(kind) for _, kind, _ in schema]
+    n = 0
     with decoding(path), open(path, newline="") as f:
         reader = csv.reader(f)
         try:
@@ -246,52 +316,43 @@ def load_csv(path: str, schema_path: str, standardize: bool = False) -> Dataset:
             if missing:
                 raise ValueError(f"{path}: missing columns {missing} required by schema")
             raise ValueError(f"{path}: header {header} does not match schema order {expected}")
-        rows, lines = [], []
-        for r in reader:
-            if not r:
-                continue
-            if len(r) != len(header):
-                raise ValueError(
-                    f"{path}:{reader.line_num}: {len(r)} fields, the header has {len(header)}"
-                )
-            rows.append(r)
-            lines.append(reader.line_num)
+        while True:  # a file of whole chunks ends on an empty one
+            rows, lines = _read_chunk(reader, path, len(header))
+            for j, col in enumerate(columns):
+                col.add([r[j].strip() for r in rows], lines)
+            n += len(rows)
+            if len(rows) < CSV_CHUNK_ROWS:
+                break
 
-    cols = {name: [r[j].strip() for r in rows] for j, name in enumerate(header)}
-    n = len(rows)
-    blocks: list[np.ndarray] = []
+    width = sum(1 if kind == "continuous" else card or len(col.table)
+                for (_, kind, card), col in zip(schema, columns) if kind != "label")
+    X = np.zeros((n, width))
     groups: list[FeatureGroup] = []
     start = 0
-    for name, kind, card in schema:  # read_schema allows exactly one label column
-        raw = cols[name]
-        if kind == "label":
-            label_values, labels = _codes(raw)
-        elif kind == "continuous":
-            try:
-                x = np.array([float(v) for v in raw], dtype=np.float64)
-            except ValueError as exc:
-                raise ValueError(f"{path}: non-numeric value in column {name!r}") from exc
-            bad = np.flatnonzero(~np.isfinite(x))
-            if bad.size:
-                i = bad[0]
-                raise ValueError(
-                    f"{path}:{lines[i]}: non-finite value {raw[i]!r} in column {name!r}"
-                )
-            blocks.append(x[:, None])
+    for (name, kind, card), col in zip(schema, columns):  # read_schema allows one label column
+        if col.non_numeric:
+            line, raw = col.non_numeric
+            raise ValueError(f"{path}:{line}: non-numeric value {raw!r} in column {name!r}")
+        if col.non_finite:
+            line, raw = col.non_finite
+            raise ValueError(f"{path}:{line}: non-finite value {raw!r} in column {name!r}")
+        if kind == "continuous":
+            X[:, start] = np.concatenate(col.parts)
             groups.append(FeatureGroup(name, "continuous", start, 1))
             start += 1
-        else:
-            values, codes = _codes(raw)
-            if card is not None and len(values) > card:
-                raise ValueError(
-                    f"{path}: column {name!r} has unknown category {values[card]!r} "
-                    f"(cardinality {card}, saw {len(values)} values)"
-                )
-            width = card if card is not None else len(values)
-            blocks.append(one_hot(codes, width))
-            groups.append(FeatureGroup(name, "categorical", start, width, values))
-            start += width
-    X = np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
+            continue
+        values, codes = col.sorted_codes()
+        if kind == "label":
+            label_values, labels = values, codes
+            continue
+        if card is not None and len(values) > card:
+            raise ValueError(
+                f"{path}: column {name!r} has unknown category {values[card]!r} "
+                f"(cardinality {card}, saw {len(values)} values)"
+            )
+        X[np.arange(n), start + codes] = 1.0
+        groups.append(FeatureGroup(name, "categorical", start, card or len(values), values))
+        start += card or len(values)
     ds = Dataset(X, labels, len(label_values), groups, label_values)
     return apply_train_statistics(ds, (np.arange(n),))[0] if standardize else ds
 

@@ -56,6 +56,16 @@ def load_script(name):
     return module
 
 
+def load_outcome(load, path, schema):
+    """What a CSV loader gives: the Dataset's bytes and metadata, or its error."""
+    try:
+        ds = load(path, schema)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), str(exc)
+    return (ds.X.shape, ds.X.tobytes(), ds.labels.tobytes(), ds.num_classes, ds.groups,
+            ds.label_values)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -12,6 +12,7 @@ defines a name that this module defines.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import struct
 from dataclasses import dataclass
@@ -22,8 +23,9 @@ import numpy as np
 from saflex import cli
 from saflex.config import ConfigError
 from saflex.core import SaflexConfig
-from saflex.data import IMAGE_MAGIC
-from saflex.losses import _check_weighted, check_simplex_rows
+from saflex.data import (IMAGE_MAGIC, Dataset, FeatureGroup, apply_train_statistics, decoding,
+                         read_schema)
+from saflex.losses import _check_weighted, check_simplex_rows, one_hot
 from saflex.nn import ModelParams, ParamGrad, block_spans, row_max
 from saflex.oracle import ENUM_MAX_B, ENUM_MAX_K, Assignment
 
@@ -302,3 +304,83 @@ def save_images_raw(pixels: np.ndarray, labels: np.ndarray, num_classes: int, pa
         f.write(struct.pack("<IIII", n, h, w, num_classes))
         f.write(pixels.tobytes())
         f.write(labels.tobytes())
+
+
+def _codes(raw: list[str]) -> tuple[list[str], np.ndarray]:
+    """A column's sorted distinct values, and each entry's index among them."""
+    values = sorted(set(raw))
+    lut = {v: i for i, v in enumerate(values)}
+    return values, np.array([lut[v] for v in raw], dtype=np.int64)
+
+
+def load_csv_unchunked(path: str, schema_path: str, standardize: bool = False) -> Dataset:
+    """`saflex.data.load_csv` as it was before it parsed in chunks: every
+    row is read as strings before any value is converted, and each column
+    is then converted whole, in schema order."""
+    schema = read_schema(schema_path)
+    expected = [name for name, _, _ in schema]
+    with decoding(path), open(path, newline="") as f:
+        reader = csv.reader(f)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        if header != expected:
+            missing = [c for c in expected if c not in header]
+            if missing:
+                raise ValueError(f"{path}: missing columns {missing} required by schema")
+            raise ValueError(f"{path}: header {header} does not match schema order {expected}")
+        rows, lines = [], []
+        for r in reader:
+            if not r:
+                continue
+            if len(r) != len(header):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: {len(r)} fields, the header has {len(header)}"
+                )
+            rows.append(r)
+            lines.append(reader.line_num)
+
+    cols = {name: [r[j].strip() for r in rows] for j, name in enumerate(header)}
+    n = len(rows)
+    blocks: list[np.ndarray] = []
+    groups: list[FeatureGroup] = []
+    start = 0
+    for name, kind, card in schema:  # read_schema allows exactly one label column
+        raw = cols[name]
+        if kind == "label":
+            label_values, labels = _codes(raw)
+        elif kind == "continuous":
+            try:
+                x = np.array([float(v) for v in raw], dtype=np.float64)
+            except ValueError:
+                for i, v in enumerate(raw):
+                    try:
+                        float(v)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}:{lines[i]}: non-numeric value {v!r} in column {name!r}"
+                        ) from None
+            bad = np.flatnonzero(~np.isfinite(x))
+            if bad.size:
+                i = bad[0]
+                raise ValueError(
+                    f"{path}:{lines[i]}: non-finite value {raw[i]!r} in column {name!r}"
+                )
+            blocks.append(x[:, None])
+            groups.append(FeatureGroup(name, "continuous", start, 1))
+            start += 1
+        else:
+            values, codes = _codes(raw)
+            if card is not None and len(values) > card:
+                raise ValueError(
+                    f"{path}: column {name!r} has unknown category {values[card]!r} "
+                    f"(cardinality {card}, saw {len(values)} values)"
+                )
+            width = card if card is not None else len(values)
+            blocks.append(one_hot(codes, width))
+            groups.append(FeatureGroup(name, "categorical", start, width, values))
+            start += width
+    X = np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
+    ds = Dataset(X, labels, len(label_values), groups, label_values)
+    return apply_train_statistics(ds, (np.arange(n),))[0] if standardize else ds

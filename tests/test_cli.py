@@ -202,18 +202,35 @@ def test_modes_none_and_saflex_differ_only_through_training(tmp_path):
     assert ma != mb
 
 
-def test_a_benchmark_shaped_run_leaves_nothing_behind():
+def test_a_benchmark_shaped_run_leaves_nothing_behind(tmp_path):
     # a caller that prints one result line last, as perfbench/run.py does,
     # must end on it: no thread, child process, at-exit hook or late
-    # warning of the package may write after it
+    # warning of the package may write after it. Like perfbench it loads a
+    # CSV in its own process, and also one that fails in a late chunk; a
+    # file either load left open would warn on stderr
     import saflex
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(saflex.__file__)))
+    schema = tmp_path / "s.csv"
+    schema.write_text("a,continuous\nc,categorical,3\nlabel,label\n")
+    rows = [f"{i / 7!r},{'uvw'[i % 3]},c{i % 2}" for i in range(600)]
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("\n".join(["a,c,label", *rows]) + "\n")
+    rows[590] = "1.0,u"  # a field-count error, read in the last 256-row chunk
+    bad.write_text("\n".join(["a,c,label", *rows]) + "\n")
     code = (
         "import contextlib, io, multiprocessing, threading\n"
         "from saflex import cli\n"
-        "from saflex.data import gen_two_gaussians\n"
+        "from saflex.data import gen_two_gaussians, load_csv\n"
         "from saflex.trainer import MODES, RunConfig, train\n"
+        f"ds = load_csv({str(good)!r}, {str(schema)!r}, standardize=False)\n"
+        "assert ds.X.shape == (600, 4)\n"
+        "try:\n"
+        f"    load_csv({str(bad)!r}, {str(schema)!r}, standardize=False)\n"
+        "except ValueError as exc:\n"
+        "    assert ':592: 2 fields' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('the malformed CSV loaded')\n"
         "for mode in MODES:\n"
         "    train(RunConfig(epochs=1, mode=mode), gen_two_gaussians(300))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -223,8 +240,8 @@ def test_a_benchmark_shaped_run_leaves_nothing_behind():
         "print('END')\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "always::ResourceWarning", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1:] == ["END"]
     assert proc.stderr == ""
@@ -684,6 +701,13 @@ def test_schema_with_a_duplicate_column_name_exits_two_naming_the_file(tmp_path,
     assert main(["train", "-c", cfg]) == 2
     assert capsys.readouterr().err == (
         f"error: {tmp_path / 's.csv'}:2: duplicate column name 'a'\n")
+
+
+def test_csv_non_numeric_value_exits_two_naming_line_and_column(tmp_path, capsys):
+    cfg = _csv_cfg(tmp_path, "a,c,label\n0.5,u,0\n\n1.5x,v,1\n-1.0,u,1\n")
+    assert main(["train", "-c", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'd.csv'}:4: non-numeric value '1.5x' in column 'a'\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

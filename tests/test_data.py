@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import save_images_raw
+from conftest import load_outcome
+from reference import load_csv_unchunked, save_images_raw
+from saflex import data as saflex_data
 from saflex.cli import main
 from saflex.data import (
     Dataset,
@@ -334,6 +337,116 @@ def test_csv_rows_must_match_the_header(tmp_path):
     for text, line in [("a,label\n1,0\n2\n", 3), ("a,label\n1,0\n\n2,1,9\n", 4)]:
         with pytest.raises(ValueError, match=f"d.csv:{line}: "):
             load_csv(_write(tmp_path / "d.csv", text), schema)
+
+
+# ---------------------------------------------------------------------------
+# The chunked CSV parse against the whole-file loader
+
+
+GRID_ROWS = 600
+# data rows 0, 300 and 599 lie in the first, a middle and the last chunk at
+# each chunk size
+GRID_AT = (0, 300, GRID_ROWS - 1)
+CHUNK_SIZES = (1, 7, saflex_data.CSV_CHUNK_ROWS)
+GRID_SCHEMA = "a,continuous\nc,categorical,3\nb,continuous\nlabel,label\n"
+GRID_LAYOUT = b'\r\n1.5,v,-2.5,"cla\r\nss1"'  # a blank line, then a quoted line break
+
+# name -> (the data rows that replace rows i < j, the error that must win);
+# a problem's line is its row + 2, + 2 more past GRID_LAYOUT
+GRID_CASES = {
+    "valid": (lambda i, j: {}, None),
+    "valid, blank lines, CRLF and a quoted line break": (lambda i, j: {i: GRID_LAYOUT}, None),
+    "a late field count beats an early non-numeric value": (
+        lambda i, j: {i: b"x1,u,1.0,class0", j: b"1.0,u,class0"},
+        lambda i, j: f":{j + 2}: 3 fields, the header has 4"),
+    "a late decode error beats an early non-finite value": (
+        lambda i, j: {i: b"inf,u,1.0,class0", j: b"\xe3(,u,1.0,class0"},
+        lambda i, j: ": not utf-8 text"),
+    "a late non-numeric value beats an early non-finite one in its column": (
+        lambda i, j: {i: b"nan,u,1.0,class0", j: b"1..0,u,1.0,class0"},
+        lambda i, j: f":{j + 2}: non-numeric value '1..0' in column 'a'"),
+    "a late problem in an earlier column wins": (
+        lambda i, j: {i: b"1.0,u,-inf,class0", j: b"one,u,1.0,class0"},
+        lambda i, j: f":{j + 2}: non-numeric value 'one' in column 'a'"),
+    "an early problem in an earlier column wins": (
+        lambda i, j: {i: b"inf,u,1.0,class0", j: b"1.0,u,two,class0"},
+        lambda i, j: f":{i + 2}: non-finite value 'inf' in column 'a'"),
+    "an unknown category beats a later column": (
+        lambda i, j: {i: b"1.0,u,nan,class0", j: b"1.0,zz,1.0,class0"},
+        lambda i, j: ": column 'c' has unknown category 'zz' (cardinality 3, saw 4 values)"),
+    "an earlier column beats an unknown category": (
+        lambda i, j: {i: b"1.0,zz,1.0,class0", j: b" -INF ,u,1.0,class0"},
+        lambda i, j: f":{j + 2}: non-finite value '-INF' in column 'a'"),
+    "lines past blank lines, CRLF and a quoted line break": (
+        lambda i, j: {i: GRID_LAYOUT, j: b"1.0,w,+nan,class2"},
+        lambda i, j: f":{j + 4}: non-finite value '+nan' in column 'b'"),
+}
+
+
+def _grid_bytes(edits: dict[int, bytes]) -> bytes:
+    """The grid file with CRLF line ends, its data rows replaced by `edits`."""
+    g = stream(0, "test_data", "grid")
+    a, b = g.standard_normal(GRID_ROWS).tolist(), (g.standard_normal(GRID_ROWS) * 1e3).tolist()
+    rows = [f"{a[k]!r},{'uvw'[k * 7 % 3]},{b[k]!r},class{k % 3}".encode()
+            for k in range(GRID_ROWS)]
+    rows[5], rows[6] = b" -0.0 ,u,1_000,class1", b"+1e3,v,  .5 ,class2"
+    for k, row in edits.items():
+        rows[k] = row
+    return b"\r\n".join([b"a,c,b,label", *rows, b""])
+
+
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_chunked_csv_load_matches_the_whole_file_loader(tmp_path, monkeypatch, case):
+    edits, expected = GRID_CASES[case]
+    path, schema = tmp_path / "d.csv", _write(tmp_path / "s.csv", GRID_SCHEMA)
+    for i, j in itertools.combinations(GRID_AT, 2):
+        path.write_bytes(_grid_bytes(edits(i, j)))
+        want = load_outcome(load_csv_unchunked, str(path), schema)
+        if expected is None:
+            assert want[0] == (GRID_ROWS, 5), want[:1]
+        else:
+            assert want[0] is ValueError and expected(i, j) in want[1], (want, i, j)
+        for rows in CHUNK_SIZES:
+            monkeypatch.setattr(saflex_data, "CSV_CHUNK_ROWS", rows)
+            assert load_outcome(load_csv, str(path), schema) == want, (i, j, rows)
+
+
+def test_chunked_csv_load_of_a_header_only_file_matches_the_whole_file_loader(
+        tmp_path, monkeypatch):
+    path = _write(tmp_path / "d.csv", "a,c,b,label\r\n")
+    schema = _write(tmp_path / "s.csv", GRID_SCHEMA.replace(",3", ""))
+    want = load_outcome(load_csv_unchunked, path, schema)
+    assert want[0] == (0, 2)
+    for rows in CHUNK_SIZES:
+        monkeypatch.setattr(saflex_data, "CSV_CHUNK_ROWS", rows)
+        assert load_outcome(load_csv, path, schema) == want
+
+
+def test_csv_load_peaks_below_twice_its_matrix(tmp_path):
+    # tabular_cutmix's schema at 20 000 rows: every field kept as a string
+    # until the end peaked at 5.6 times the returned matrix
+    g = stream(5, "test_data", "tabular")
+    n, scales, cards = 20_000, (1.0, 10.0, 100.0, 0.1, 5.0, 1000.0), (4, 5, 8, 12)
+    columns = [[repr(float(v)) for v in s * g.standard_normal(n)] for s in scales]
+    columns += [[f"v{v}" for v in g.integers(0, card, n)] for card in cards]
+    columns.append([f"c{v}" for v in g.integers(0, 3, n)])
+    header = [f"num{j}" for j in range(len(scales))] + [f"cat{j}" for j in range(len(cards))]
+    path = _write(tmp_path / "d.csv", "\n".join(
+        [",".join([*header, "label"]), *map(",".join, zip(*columns))]) + "\n")
+    schema = _write(tmp_path / "s.csv", "".join(
+        [f"{h},continuous\n" for h in header[:len(scales)]]
+        + [f"{h},categorical,{c}\n" for h, c in zip(header[len(scales):], cards)]
+        + ["label,label\n"]))
+    del columns
+    load_csv(path, schema)  # warm: first-call allocations are not the load's
+    tracemalloc.start()
+    try:
+        ds = load_csv(path, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.X.shape == (n, len(scales) + sum(cards))
+    assert peak < 2 * ds.X.nbytes, (peak, ds.X.nbytes)
 
 
 # ---------------------------------------------------------------------------

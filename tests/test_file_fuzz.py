@@ -4,6 +4,8 @@ Each example corrupts one valid file (a checkpoint, a raw image file, a CSV
 or its schema) with one to three truncations and bit flips, then runs
 `saflex eval` on it and, for a data file, `saflex train` at one epoch, both
 in process. Every command returns 0, 2 or 3, and a failure prints one line.
+A corrupted CSV or schema also loads, in 7-row chunks, to the same Dataset
+or the same error as through the whole-file reference loader.
 """
 
 import contextlib
@@ -17,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import save_images_raw
+from conftest import load_outcome
+from reference import load_csv_unchunked, save_images_raw
+from saflex import data as saflex_data
 from saflex.cli import main
 from saflex.nn import init_mlp, save_checkpoint
 
@@ -91,6 +95,12 @@ def test_corrupted_files_exit_0_2_or_3_with_at_most_one_error_line(inputs, targe
         with open(cfg, "w") as f:
             json.dump({**TINY, "data": data, "augment": augment,
                        "output": {"dir": os.path.join(tmp, "run")}}, f)
+        if kind == "csv":
+            csv_paths = (paths["data.csv"], paths["schema.csv"])
+            want = load_outcome(load_csv_unchunked, *csv_paths)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(saflex_data, "CSV_CHUNK_ROWS", 7)
+                assert load_outcome(saflex_data.load_csv, *csv_paths) == want
         commands = [["eval", "-c", cfg, "--checkpoint", paths[ckpt]]]
         if trains:
             commands.append(["train", "-c", cfg])
