@@ -59,14 +59,14 @@ def cutmix_tabular(
     batch: Batch,
     p_replace: float,
     rng: np.random.Generator,
-    groups: list[np.ndarray] | None = None,
+    groups: list[np.ndarray],
 ) -> Batch:
     """Replace each feature with the same feature of a random donor row.
 
     Replacement is per source feature; a one-hot categorical group moves
     as a unit so every output row stays a valid encoding. The base row's
     label is kept. `groups` holds integer column-index arrays, one per
-    source feature (default: one per column); a column in several groups
+    source feature (Dataset.group_slices); a column in several groups
     ends with the donor of the last group that replaced it.
 
     Each group draws which rows it replaces and each row's donor; those
@@ -78,8 +78,6 @@ def cutmix_tabular(
     b, d = batch.X.shape
     if b < 2 or p_replace == 0.0:
         return Batch(batch.X.copy(), batch.hard_labels.copy())
-    if groups is None:
-        groups = np.arange(d).reshape(d, 1)
     shift = np.zeros((d, b), dtype=np.int64)  # column x row; 0 keeps the base row
     for cols in groups:
         take = rng.random(b) < p_replace
@@ -128,9 +126,8 @@ def crop_flip(
     b = batch.size
     imgs = batch.X.reshape(b, h, w)
     padded = np.pad(imgs, ((0, 0), (pad, pad), (pad, pad)))
-    offsets = rng.integers(0, 2 * pad + 1, size=(b, 2)) if pad > 0 else np.zeros(
-        (b, 2), dtype=np.int64
-    )
+    # at pad 0 this is int64 zeros, and it draws nothing
+    offsets = rng.integers(0, 2 * pad + 1, size=(b, 2))
     do_flip = rng.random(b) < 0.5
     rows = offsets[:, 0, None] + np.arange(h)
     cols = offsets[:, 1, None] + np.arange(w)
@@ -164,8 +161,8 @@ def apply_augmenter(
     batch: Batch,
     rng: np.random.Generator,
     num_classes: int,
-    groups: list[np.ndarray] | None = None,
-    image_hw: tuple[int, int] | None = None,
+    groups: list[np.ndarray],
+    image_hw: tuple[int, int] | None,
 ) -> Batch:
     """Run the configured pipeline: base kind, then optional label noise."""
     if spec.kind == "gaussian_jitter":

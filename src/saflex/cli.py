@@ -39,7 +39,7 @@ def _build_dataset(cfg: dict) -> datamod.Dataset:
     kind = d["kind"]
     try:
         if kind == "two_gaussians":
-            return datamod.gen_two_gaussians(d["n"], d["means"], d["sigma"], d["seed"])
+            return datamod.gen_two_gaussians(d["n"], d["means"], d["sigma"], seed=d["seed"])
         if kind == "two_moons":
             return datamod.gen_two_moons(d["n"], d["sigma"], d["seed"])
     except datamod.RangeError as exc:  # named after its data.* config key

@@ -123,7 +123,8 @@ def gen_two_gaussians(
     n: int,
     means: tuple[tuple[float, float], tuple[float, float]] = ((1.0, 1.0), (-1.0, -1.0)),
     sigma: float = 1.0,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> Dataset:
     """Balanced binary 2-D task: class c drawn from N(mean_c, sigma^2 I)."""
     if n < 2:
@@ -149,7 +150,7 @@ def gen_two_gaussians(
     return Dataset(X[order], y[order], 2)
 
 
-def gen_two_moons(n: int, sigma: float = 0.1, seed: int = 0) -> Dataset:
+def gen_two_moons(n: int, sigma: float, seed: int) -> Dataset:
     """Two interleaved half circles with Gaussian noise of std sigma."""
     if n < 2:
         raise RangeError(f"n must be >= 2, got {n}")

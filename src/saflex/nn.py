@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -147,9 +147,9 @@ class ForwardCache:
     """
 
     inputs: np.ndarray
-    activations: list[np.ndarray] = field(default_factory=list)
-    logits: np.ndarray | None = None
-    probs: np.ndarray | None = None
+    activations: list[np.ndarray]
+    logits: np.ndarray
+    probs: np.ndarray
     masks: list[np.ndarray] | None = None
 
     def relu_masks(self) -> list[np.ndarray]:
@@ -231,17 +231,15 @@ def mlp_forward(
     if X.shape[1] != params.input_dim:
         raise ValueError(f"input dim {X.shape[1]} != model input dim {params.input_dim}")
     n = X.shape[0]
-    cache = ForwardCache(inputs=X)
-    a = X
+    acts, a = [], X
     outs = None if reuse is None else [*reuse.activations, reuse.logits]
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         if i:  # ReLU the hidden layer below in place
-            cache.activations.append(np.maximum(a, 0.0, out=a))
+            acts.append(np.maximum(a, 0.0, out=a))
         a = np.matmul(a, w, out=None if outs is None else outs[i][:n])
         a += b
-    cache.logits = a
-    cache.probs = softmax(a, out=None if reuse is None else reuse.probs[:n])
-    return cache.probs, cache
+    probs = softmax(a, out=None if reuse is None else reuse.probs[:n])
+    return probs, ForwardCache(X, acts, a, probs)
 
 
 def mlp_backward(
@@ -257,7 +255,7 @@ def mlp_backward(
     `rows` picks the cache rows the (rows, K) logit gradient belongs to.
     """
     d = np.asarray(dloss_dlogits, dtype=np.float64)
-    want = None if cache.logits is None else cache.logits[rows].shape
+    want = cache.logits[rows].shape
     if d.shape != want:
         raise ValueError(f"dloss_dlogits shape {d.shape} does not fit logits shape {want}")
     grad = ParamGrad.from_flat(np.empty(params.flat.shape), params.shapes)
@@ -300,11 +298,11 @@ def jvp_logits_batch(
     return t
 
 
-def sgd_step(params: ModelParams, grad: ParamGrad, alpha: float) -> ModelParams:
-    """One plain gradient-descent update; returns new parameters."""
+def sgd_step(params: ModelParams, step: np.ndarray, alpha: float) -> ModelParams:
+    """New parameters params - alpha * step, for a flat step; every optimizer update ends here."""
     if alpha < 0:
         raise ValueError("learning rate must be >= 0")
-    return ModelParams.from_flat(params.flat - alpha * grad.flat, params.shapes)
+    return ModelParams.from_flat(params.flat - alpha * step, params.shapes)
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
@@ -336,7 +334,8 @@ def load_checkpoint(path: str) -> ModelParams:
     off += 8 * n_layers
     expected = off + sum(8 * (fi * fo + fo) for fi, fo in shapes)
     if len(blob) < expected:
-        raise ValueError(f"truncated checkpoint: expected {expected} bytes, got {len(blob)}")
+        raise ValueError(f"truncated checkpoint {path!r}: expected {expected} bytes, "
+                         f"got {len(blob)}")
     if len(blob) > expected:
         raise ValueError(f"checkpoint {path!r} has {len(blob) - expected} trailing bytes "
                          f"past the {expected} its header declares")

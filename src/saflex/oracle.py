@@ -218,6 +218,6 @@ def post_step_val_loss(
     grad = combined_step_gradient(
         params, train_batch, aug_batch.X, assignment.weights.astype(np.float64), soft
     )
-    stepped = sgd_step(params, grad, alpha)
+    stepped = sgd_step(params, grad.flat, alpha)
     _, cache = nn.mlp_forward(stepped, val_set.X)
     return ce_from_logits(cache.logits, val_set.hard_labels)

@@ -25,7 +25,7 @@ from .augment import AugmenterSpec, apply_augmenter
 from .core import SaflexConfig, SaflexOutput, saflex_gradient
 from .data import Batch, Dataset, RangeError, SplitSpec, apply_train_statistics, split
 from .losses import ce_from_logits, mean_ce_grad_logits, one_hot
-from .nn import ForwardCache, ModelParams, ParamGrad, init_mlp, mlp_backward, mlp_forward
+from .nn import ForwardCache, ModelParams, ParamGrad, init_mlp, mlp_backward, mlp_forward, sgd_step
 from .rng import stream
 
 MODES = ("none", "naive", "saflex")
@@ -61,6 +61,8 @@ class RunConfig:
             raise RangeError(f"lr must be > 0, got {self.lr}")
         if not self.momentum >= 0:
             raise RangeError(f"momentum must be >= 0, got {self.momentum}")
+        if self.optimizer == "adam" and self.momentum != 0:
+            raise RangeError(f"momentum must be 0 with optimizer adam, got {self.momentum}")
         if self.epochs < 0:
             raise RangeError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -130,7 +132,7 @@ class _Optimizer:
             self.t = 0
 
     def apply(self, params: ModelParams, grad: ParamGrad) -> ModelParams:
-        g = grad.flat
+        g = step = grad.flat
         if self.cfg.optimizer == "adam":
             self.t += 1
             b1, b2, eps = 0.9, 0.999, 1e-8
@@ -138,11 +140,8 @@ class _Optimizer:
             self.v = b2 * self.v + (1 - b2) * g * g
             step = (self.m / (1 - b1 ** self.t)) / (np.sqrt(self.v / (1 - b2 ** self.t)) + eps)
         elif self.velocity is not None:
-            self.velocity = self.cfg.momentum * self.velocity + g
-            step = self.velocity
-        else:
-            step = g
-        return ModelParams.from_flat(params.flat - self.cfg.lr * step, params.shapes)
+            self.velocity = step = self.cfg.momentum * self.velocity + g
+        return sgd_step(params, step, self.cfg.lr)
 
 
 def run_splits(run: RunConfig, data: Dataset) -> tuple[Dataset, Dataset, Dataset]:

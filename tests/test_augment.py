@@ -18,6 +18,11 @@ def _batch(rng, b=8, d=3, k=4, **kw):
     return Batch(rng.standard_normal((b, d)), rng.integers(0, k, size=b), **kw)
 
 
+def _columns(batch):
+    """One group per column, as Dataset.group_slices gives for ungrouped features."""
+    return [np.array([j]) for j in range(batch.X.shape[1])]
+
+
 def test_jitter_zero_sigma_identity(rng):
     batch = _batch(rng)
     out = gaussian_jitter(batch, 0.0, rng)
@@ -50,13 +55,13 @@ def test_jitter_does_not_touch_input(rng):
 
 def test_cutmix_identity_at_zero(rng):
     batch = _batch(rng)
-    out = cutmix_tabular(batch, 0.0, rng)
+    out = cutmix_tabular(batch, 0.0, rng, _columns(batch))
     np.testing.assert_array_equal(out.X, batch.X)
 
 
 def test_cutmix_full_replacement_uses_donor_rows(rng):
     batch = _batch(rng, b=6, d=4)
-    out = cutmix_tabular(batch, 1.0, stream(9, "cm"))
+    out = cutmix_tabular(batch, 1.0, stream(9, "cm"), _columns(batch))
     for j in range(4):
         for i in range(6):
             assert out.X[i, j] in batch.X[:, j]
@@ -65,7 +70,7 @@ def test_cutmix_full_replacement_uses_donor_rows(rng):
 
 def test_cutmix_degenerate_single_row(rng):
     batch = _batch(rng, b=1)
-    out = cutmix_tabular(batch, 0.9, rng)
+    out = cutmix_tabular(batch, 0.9, rng, _columns(batch))
     np.testing.assert_array_equal(out.X, batch.X)
 
 
@@ -81,13 +86,11 @@ def test_cutmix_group_closure(rng):
     assert set(hot.ravel()) <= {0.0, 1.0}
 
 
-def _cutmix_reference(batch, p_replace, rng, groups=None):
+def _cutmix_reference(batch, p_replace, rng, groups):
     """The per-group loop cutmix_tabular replaced: draws and fancy writes interleaved."""
     b = batch.size
     if b < 2 or p_replace == 0.0:
         return Batch(batch.X.copy(), batch.hard_labels.copy())
-    if groups is None:
-        groups = [np.array([j]) for j in range(batch.X.shape[1])]
     X = batch.X.copy()
     for cols in groups:
         take = rng.random(b) < p_replace
@@ -98,12 +101,12 @@ def _cutmix_reference(batch, p_replace, rng, groups=None):
     return Batch(X, batch.hard_labels.copy())
 
 
-_GROUP_SHAPES = ("none", "empty", "partition", "partial", "shared", "repeated")
+_GROUP_SHAPES = ("columns", "empty", "partition", "partial", "shared", "repeated")
 
 
 def _groups(meta, d, shape):
-    if shape == "none":
-        return None
+    if shape == "columns":  # what a dataset without feature groups gives
+        return [np.array([j]) for j in range(d)]
     if shape == "empty":
         return []
     if shape == "partition":  # contiguous blocks covering every column once
@@ -187,7 +190,7 @@ def test_apply_augmenter_stacks_label_noise_on_the_cutmix_stream():
     batch = Batch(rng.standard_normal((400, 5)), rng.integers(0, 3, size=400))
     groups = [np.array([0]), np.array([1, 2]), np.array([3, 4])]
     spec = AugmenterSpec(kind="cutmix_tabular", p_replace=0.3, flip_rate=0.3)
-    out = apply_augmenter(spec, batch, stream(2, "aug"), 3, groups)
+    out = apply_augmenter(spec, batch, stream(2, "aug"), 3, groups, None)
     want_rng = stream(2, "aug")
     want = label_noise(cutmix_tabular(batch, 0.3, want_rng, groups), 0.3, want_rng, 3)
     assert out.X.tobytes() == want.X.tobytes()
@@ -257,10 +260,10 @@ def test_crop_flip_deterministic(rng):
 
 def test_apply_augmenter_hands_the_image_shape_to_crop_flip(rng):
     spec, batch = AugmenterSpec(kind="crop_flip", pad=1), _image_batch(rng, hw=4)
-    out = apply_augmenter(spec, batch, stream(5, "aug"), 2, image_hw=(4, 4))
+    out = apply_augmenter(spec, batch, stream(5, "aug"), 2, _columns(batch), (4, 4))
     np.testing.assert_array_equal(out.X, crop_flip(batch, 1, stream(5, "aug"), (4, 4)).X)
     with pytest.raises(ValueError, match=r"^crop_flip needs a batch with image_hw metadata$"):
-        apply_augmenter(spec, batch, rng, 2)
+        apply_augmenter(spec, batch, rng, 2, _columns(batch), None)
 
 
 def test_label_noise_identity_at_zero(rng):
@@ -291,7 +294,7 @@ def test_label_noise_needs_two_classes(rng):
 def test_apply_augmenter_stacks_label_noise(rng):
     spec = AugmenterSpec(kind="gaussian_jitter", sigma=0.5, flip_rate=1.0)
     batch = _batch(rng, k=2)
-    out = apply_augmenter(spec, batch, stream(0, "aug"), num_classes=2)
+    out = apply_augmenter(spec, batch, stream(0, "aug"), 2, _columns(batch), None)
     assert np.any(out.X != batch.X)
     np.testing.assert_array_equal(out.hard_labels, 1 - batch.hard_labels)
 
@@ -324,6 +327,6 @@ def test_augmenters_preserve_shape_and_size(rng):
         AugmenterSpec(kind="mixup"),
         AugmenterSpec(kind="label_noise", flip_rate=0.5),
     ):
-        out = apply_augmenter(spec, batch, stream(1, spec.kind), num_classes=3)
+        out = apply_augmenter(spec, batch, stream(1, spec.kind), 3, _columns(batch), None)
         assert out.X.shape == batch.X.shape
         assert out.size == batch.size

@@ -100,6 +100,9 @@ def test_gen_data_rejects_zero_n(tmp_path):
 def test_failed_config_leaves_no_output_dir(tmp_path, capsys, sweep):
     cases = [
         ({"data": {"kind": "two_moons", "sigma": -1}}, "data.sigma"),  # fails before training
+        # Adam reads no momentum: refused rather than run without it
+        ({"optimizer": {"kind": "adam", "momentum": 0.9}},
+         "config error: optimizer.momentum must be 0 with optimizer adam, got 0.9\n"),
         ({"augment": {"kind": "crop_flip"}}, "crop_flip needs"),  # fails in the first step
     ]
     for overrides, message in cases:
@@ -232,7 +235,7 @@ def test_a_benchmark_shaped_run_leaves_nothing_behind(tmp_path):
         "else:\n"
         "    raise AssertionError('the malformed CSV loaded')\n"
         "for mode in MODES:\n"
-        "    train(RunConfig(epochs=1, mode=mode), gen_two_gaussians(300))\n"
+        "    train(RunConfig(epochs=1, mode=mode), gen_two_gaussians(300, seed=0))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['oracle-check', '--n', '5']) == 0\n"
         "assert threading.active_count() == 1, threading.enumerate()\n"
@@ -649,6 +652,16 @@ def test_truncated_image_header_exits_two(tmp_path, capsys):
     cfg = _cfg(tmp_path, data={"kind": "images", "path": str(img)})
     assert main(["train", "-c", cfg]) == 2
     assert "truncated image file header" in capsys.readouterr().err
+
+
+def test_a_checkpoint_cut_short_exits_two_naming_the_file(tmp_path, capsys):
+    ck = tmp_path / "ck.bin"
+    save_checkpoint(init_mlp([2, 8, 8, 2]), str(ck))
+    expected = len(ck.read_bytes())
+    ck.write_bytes(ck.read_bytes()[:-8])
+    assert main(["eval", "-c", _cfg(tmp_path), "--checkpoint", str(ck)]) == 2
+    assert capsys.readouterr().err == (f"error: truncated checkpoint {str(ck)!r}: "
+                                       f"expected {expected} bytes, got {expected - 8}\n")
 
 
 def test_a_checkpoint_with_a_byte_appended_exits_two_naming_the_trailing_byte(tmp_path, capsys):

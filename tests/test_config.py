@@ -152,6 +152,8 @@ def test_a_bad_flag_value_exits_two_naming_the_flag(case, data):
     ('{"optimizer": {"lr": 0}}', "config error: optimizer.lr must be > 0, got 0.0"),
     ('{"optimizer": {"momentum": -0.5}}',
      "config error: optimizer.momentum must be >= 0, got -0.5"),
+    ('{"optimizer": {"kind": "adam", "momentum": 0.9}}',
+     "config error: optimizer.momentum must be 0 with optimizer adam, got 0.9"),
     ('{"train": {"mode": "bogus"}}',
      "config error: train.mode must be one of ('none', 'naive', 'saflex'), got 'bogus'"),
     ('{"train": {"epochs": -1}}', "config error: train.epochs must be >= 0, got -1"),

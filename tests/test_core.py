@@ -319,7 +319,7 @@ def test_step_zero_alpha_keeps_params(rng):
     tr, aug, val = _batches(rng, params)
     grad, _ = saflex_gradient(params, tr, aug, val, _cfg(), _rng())
     np.testing.assert_array_equal(params.flat, before)  # the step reads, never writes
-    np.testing.assert_array_equal(sgd_step(params, grad, 0.0).flat, before)
+    np.testing.assert_array_equal(sgd_step(params, grad.flat, 0.0).flat, before)
 
 
 def test_step_all_weights_dropped_equals_plain_train_step(rng):
@@ -344,7 +344,7 @@ def test_step_reduces_val_batch_loss_on_average(rng):
     tr, aug, val = _batches(rng, params, b=16)
     before = hard_ce(mlp_forward(params, val.X)[0], val.hard_labels)
     grad, _ = saflex_gradient(params, tr, aug, val, _cfg(), _rng())
-    stepped = sgd_step(params, grad, 1e-2)
+    stepped = sgd_step(params, grad.flat, 1e-2)
     after = hard_ce(mlp_forward(stepped, val.X)[0], val.hard_labels)
     assert after < before
 

@@ -181,7 +181,7 @@ def test_jvp_rejects_mismatched_tangent(rng):
 def test_sgd_zero_alpha_is_identity(rng):
     params = small_mlp()
     grad = random_grad(params, rng)
-    out = sgd_step(params, grad, 0.0)
+    out = sgd_step(params, grad.flat, 0.0)
     for w0, w1 in zip(params.weights, out.weights):
         np.testing.assert_array_equal(w0, w1)
 
@@ -189,7 +189,7 @@ def test_sgd_zero_alpha_is_identity(rng):
 def test_sgd_arithmetic():
     params = from_blocks(ModelParams, [np.ones((1, 1))], [np.ones(1)])
     grad = from_blocks(ParamGrad, [2 * np.ones((1, 1))], [2 * np.ones(1)])
-    out = sgd_step(params, grad, 0.5)
+    out = sgd_step(params, grad.flat, 0.5)
     assert out.weights[0][0, 0] == 0.0 and out.biases[0][0] == 0.0
 
 
@@ -204,7 +204,7 @@ def test_sgd_descends_convex_quadratic(rng):
     losses = [quad_loss(params)]
     for _ in range(20):
         grad = add_scaled(from_blocks(ParamGrad, params.weights, params.biases), target, -1.0)
-        params = sgd_step(params, grad, 0.1)
+        params = sgd_step(params, grad.flat, 0.1)
         losses.append(quad_loss(params))
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -498,8 +498,10 @@ def test_checkpoint_truncated(tmp_path):
     save_checkpoint(params, str(path))
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
-    with pytest.raises(ValueError, match="truncated"):
+    with pytest.raises(ValueError) as exc:
         load_checkpoint(str(path))
+    assert str(exc.value) == (f"truncated checkpoint {str(path)!r}: "
+                              f"expected {len(blob)} bytes, got {len(blob) - 8}")
 
 
 def test_init_is_seeded_and_bounded():
@@ -605,7 +607,7 @@ def test_relu_masks_are_the_recomputed_pre_activations_above_zero():
     p = np.array([specials])
     act = p.copy()
     np.maximum(act, 0.0, out=act)
-    by_hand = ForwardCache(inputs=np.empty((1, 1)), activations=[act])
+    by_hand = ForwardCache(np.empty((1, 1)), [act], np.empty((1, 1)), np.empty((1, 1)))
     assert by_hand.relu_masks()[0].tobytes() == (p > 0.0).astype(np.float64).tobytes()
 
 
@@ -715,7 +717,7 @@ def test_reused_forward_is_bitwise_a_fresh_forward(seed, rows, hidden, k, scale)
             assert a.base is b and a.shape[0] == n  # the leading rows, not a fresh array
         assert got[1].inputs is X and X.tobytes() == X_before.tobytes()
         assert params.flat.tobytes() == params_before.tobytes()
-        params = sgd_step(params, random_grad(params, g), 0.1)
+        params = sgd_step(params, random_grad(params, g).flat, 0.1)
 
 
 @pytest.mark.parametrize("change", ["rows", "width", "output width"])
@@ -738,7 +740,7 @@ def test_reused_forward_returns_no_stale_masks(rng):
     ws = ForwardCache.empty(params, 12)
     _, cache = mlp_forward(params, X, ws)
     old_masks = cache.relu_masks()
-    params = sgd_step(params, random_grad(params, rng), 1.0)
+    params = sgd_step(params, random_grad(params, rng).flat, 1.0)
     _, cache = mlp_forward(params, X, ws)
     assert cache.masks is None
     fresh_masks = mlp_forward(params, X)[1].relu_masks()

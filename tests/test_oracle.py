@@ -378,7 +378,7 @@ def test_post_step_all_dropped_equals_plain_train_step():
 
     probs, cache = mlp_forward(params, tr.X)
     grad = mlp_backward(params, cache, (probs - one_hot(tr.hard_labels, 3)) / tr.size)
-    stepped = sgd_step(params, grad, 1e-2)
+    stepped = sgd_step(params, grad.flat, 1e-2)
     want = hard_ce(mlp_forward(stepped, val.X)[0], val.hard_labels)
     assert got == pytest.approx(want, abs=1e-15)
 

@@ -4,7 +4,8 @@ tests, and every parameter with a default is passed by one.
 A caller is a load of the name, as an `ast.Name` or an `ast.Attribute`,
 anywhere in `src/`, `scripts/` or `perfbench/`: a call, a reference, a
 base class or an annotation. An import or a string (a tracer's site
-table) is no caller. The match is on the bare name, so a load of
+table) is no caller, and neither is a load in the body of a function that
+only the tests call (TEST_ONLY): its callees serve the tests alone. The match is on the bare name, so a load of
 `oracle.param_dot` would also count for a public `param_dot` in `nn`.
 
 A defaulted parameter of a public function, or of a public method of any
@@ -31,11 +32,12 @@ TESTS = ROOT / "tests"
 KINDS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # each name here has callers in the tests only; a caller elsewhere fails the
-# test below, so the name leaves this list when it gains one. The three left
-# wait for the callers ROADMAP items 2 and 3 give them (a certification run
-# on real training states and `saflex explain`)
+# test below, so the name leaves this list when it gains one. They wait for
+# the callers ROADMAP items 2, 3 and 12 give them (a certification run on real
+# training states, `saflex explain` and `scripts/step_fidelity.py`)
 TEST_ONLY = {
     "core.closed_form_assignment": "the closed-form rule criterion 5 and test_oracle assign with",
+    "core.combined_step_gradient": "the step gradient of criterion 3's exact post-step loss",
     "core.validation_gradient": "the validation gradient criterion 3 and the oracle tests start from",
     "oracle.post_step_val_loss": "the exact post-step loss criterion 3 compares against",
 }
@@ -62,7 +64,12 @@ def _loaded_names() -> set[str]:
     loaded = set()
     for d in CALLER_DIRS:
         for path in (ROOT / d).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            if path.parent == PACKAGE:
+                for node in tree.body:
+                    if isinstance(node, KINDS) and f"{path.stem}.{node.name}" in TEST_ONLY:
+                        node.body = []
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     loaded.add(node.id)
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):

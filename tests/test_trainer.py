@@ -278,7 +278,7 @@ def test_evaluate_with_reuse_returns_what_a_fresh_evaluate_does(rng):
         assert evaluate(params, ds, reuse) == evaluate(params, ds)
         grad = from_blocks(ParamGrad, [rng.standard_normal(w.shape) for w in params.weights],
                            [rng.standard_normal(b.shape) for b in params.biases])
-        params = sgd_step(params, grad, 0.5)
+        params = sgd_step(params, grad.flat, 0.5)
 
 
 @pytest.mark.parametrize("split", [SplitSpec(0.6, 0.2, 0.2, seed=0),
