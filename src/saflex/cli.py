@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,9 +134,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = cfgmod.load_config(args.config)
     params = load_checkpoint(args.checkpoint)
     ds = _build_dataset(cfg)
-    if params.n_classes != ds.num_classes:
-        raise ValueError(f"the checkpoint has {params.n_classes} classes, "
-                         f"the data has {ds.num_classes}")
+    if (params.input_dim, params.n_classes) != (ds.dim, ds.num_classes):
+        raise ValueError(f"the checkpoint takes {params.input_dim} features and "
+                         f"{params.n_classes} classes, the data has {ds.dim} and {ds.num_classes}")
     tr, va, te = run_splits(cfgmod.build_run_config(cfg), ds)
     part = {"train": tr, "val": va, "test": te}[args.split]
     loss, acc = evaluate(params, part)
@@ -322,13 +323,20 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# a warning as one stderr line, without its source path and code line
+def _show_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         thread_cap()  # validate SAFLEX_THREADS early
         # a diverging run overflows before its guard raises; the exit-3 line says so
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            with warnings.catch_warnings():  # restores showwarning on exit
+                warnings.showwarning = _show_warning
+                return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -44,7 +44,7 @@ DEFAULTS: dict[str, Any] = {
         "mode": _RUN.mode,  # none | naive | saflex
         "epochs": _RUN.epochs,
         "batch_size": _RUN.batch_size,
-        "val_batch_size": 0,  # 0 means: use batch_size
+        "val_batch_size": _RUN.val_batch_size,  # 0 means: use batch_size
         "seed": _RUN.seed,
     },
     "augment": asdict(AugmenterSpec()),  # its "seed" is accepted but not read
@@ -88,10 +88,8 @@ def _merge(defaults: dict, user: dict, path: str) -> dict:
     return out
 
 
-def resolve(user: dict | None) -> dict:
+def resolve(user: dict) -> dict:
     """Merge a user document over the defaults, rejecting unknown keys."""
-    if user is None:
-        user = {}
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
     return _merge(DEFAULTS, user, "")
@@ -147,7 +145,7 @@ def build_run_config(cfg: dict) -> RunConfig:
         optimizer=opt["kind"],
         epochs=tr["epochs"],
         batch_size=tr["batch_size"],
-        val_batch_size=tr["val_batch_size"] or None,
+        val_batch_size=tr["val_batch_size"],
         mode=tr["mode"],
         augment=_built("augment.{}".format, AugmenterSpec, **cfg["augment"]),
         saflex=_built("saflex.{}".format, SaflexConfig,

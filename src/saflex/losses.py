@@ -65,11 +65,11 @@ def ce_grad_logits(
     probs: np.ndarray,
     weights: np.ndarray,
     soft_labels: np.ndarray,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Logit-space gradient of the weighted soft-label loss: row i is w_i * (p_i - y_i).
 
-    Written to `out` when given. Shapes are checked, finiteness is not:
+    Written to `out`. Shapes are checked, finiteness is not:
     the saflex step raises on non-finite scores before it gets here, and
     the trainer checks every gradient.
     """

@@ -101,25 +101,8 @@ class ModelParams(_LayerVector):
 class ParamGrad(_LayerVector):
     """A vector in parameter space, laid out like some ModelParams."""
 
-    def _check_same_shape(self, other: "ParamGrad") -> None:
-        if self.shapes != other.shapes:
-            raise ValueError("parameter-vector shapes do not match")
 
-    def dot(self, other: "ParamGrad") -> float:
-        """Sum of per-block dots, all weight blocks first, then all biases.
-
-        Each block is its 1-D slice of `flat`, the memory a weight block's
-        ravel() views, so every ddot runs on the same elements in the same order.
-        """
-        self._check_same_shape(other)
-        a, b = self.flat, other.flat
-        return sum(float(a[lo:hi].dot(b[lo:hi])) for lo, hi in block_spans(self.shapes))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.flat))
-
-
-def init_mlp(layer_dims: list[int] | tuple[int, ...], seed: int = 0) -> ModelParams:
+def init_mlp(layer_dims: list[int] | tuple[int, ...], seed: int) -> ModelParams:
     """Uniform init in +-sqrt(6 / (fan_in + fan_out)); biases zero."""
     if len(layer_dims) < 2:
         raise ValueError("need at least input and output dims")
@@ -276,7 +259,7 @@ def jvp_logits_batch(
     params: ModelParams,
     tangent: ParamGrad,
     cache: ForwardCache,
-    rows: slice = slice(None),
+    rows: slice,
 ) -> np.ndarray:
     """Logit JVP along a parameter-space tangent for the cache rows `rows`.
 

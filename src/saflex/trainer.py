@@ -44,7 +44,7 @@ class RunConfig:
     optimizer: str = "sgd"  # sgd | adam; verification paths use plain sgd
     epochs: int = 20
     batch_size: int = 64
-    val_batch_size: int | None = None  # defaults to batch_size
+    val_batch_size: int = 0  # 0 means: use batch_size
     mode: str = "saflex"
     augment: AugmenterSpec = field(default_factory=AugmenterSpec)
     saflex: SaflexConfig = field(default_factory=SaflexConfig)
@@ -69,8 +69,8 @@ class RunConfig:
             raise RangeError(f"batch_size must be >= 1, got {self.batch_size}")
         if any(h < 1 for h in self.hidden):
             raise RangeError(f"hidden layer widths must be >= 1, got {list(self.hidden)}")
-        if self.val_batch_size is not None and self.val_batch_size < 1:
-            raise RangeError(f"val_batch_size must be >= 1, got {self.val_batch_size}")
+        if self.val_batch_size < 0:
+            raise RangeError(f"val_batch_size must be >= 0, got {self.val_batch_size}")
 
 
 @dataclass

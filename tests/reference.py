@@ -75,15 +75,34 @@ def copy(params: ModelParams) -> ModelParams:
     return ModelParams.from_flat(params.flat.copy(), params.shapes)
 
 
+def _check_same_shape(a: ParamGrad, b: ParamGrad) -> None:
+    if a.shapes != b.shapes:
+        raise ValueError("parameter-vector shapes do not match")
+
+
 def add_scaled(a: ParamGrad, b: ParamGrad, scale: float) -> ParamGrad:
     """Return a + scale * b."""
-    a._check_same_shape(b)
+    _check_same_shape(a, b)
     return ParamGrad.from_flat(a.flat + scale * b.flat, a.shapes)
 
 
 def scale(g: ParamGrad, c: float) -> ParamGrad:
     """Return c * g."""
     return ParamGrad.from_flat(c * g.flat, g.shapes)
+
+
+def dot(a: ParamGrad, b: ParamGrad) -> float:
+    """Sum of per-block dots, all weight blocks first, then all biases.
+
+    Each block is its 1-D slice of `flat`, the memory a weight block's
+    ravel() views, so every ddot runs on the same elements in the same order.
+    """
+    _check_same_shape(a, b)
+    return sum(float(a.flat[lo:hi].dot(b.flat[lo:hi])) for lo, hi in block_spans(a.shapes))
+
+
+def norm(g: ParamGrad) -> float:
+    return float(np.linalg.norm(g.flat))
 
 
 # ---------------------------------------------------------------------------

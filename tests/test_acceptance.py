@@ -20,10 +20,12 @@ from conftest import load_script, pre_activations
 from reference import (
     ContrastiveBatch,
     add_scaled,
+    dot,
     finite_diff,
     from_blocks,
     hard_ce,
     iter_assignments,
+    norm,
     normalize_rows,
     scale,
     weighted_soft_ce,
@@ -146,11 +148,11 @@ def test_criterion_2_gradient_machinery():
             return hard_ce(pr, labels)
 
         fd = finite_diff(ce_loss, params, eps)
-        worst_bwd = max(worst_bwd, add_scaled(grad, fd, -1.0).norm() / fd.norm())
+        worst_bwd = max(worst_bwd, norm(add_scaled(grad, fd, -1.0)) / norm(fd))
 
         t = _random_tangent(params, g)
-        t = scale(t, 1.0 / t.norm())
-        u = jvp_logits_batch(params, t, cache)
+        t = scale(t, 1.0 / norm(t))
+        u = jvp_logits_batch(params, t, cache, slice(None))
         up = from_blocks(ModelParams, [w + eps * d for w, d in zip(params.weights, t.weights)],
                          [b + eps * d for b, d in zip(params.biases, t.biases)])
         dn = from_blocks(ModelParams, [w - eps * d for w, d in zip(params.weights, t.weights)],
@@ -160,7 +162,7 @@ def test_criterion_2_gradient_machinery():
 
         c = g.standard_normal(u.shape)
         lhs = float((c * u).sum())
-        rhs = mlp_backward(params, cache, c).dot(t)
+        rhs = dot(mlp_backward(params, cache, c), t)
         worst_dual = max(worst_dual, abs(lhs - rhs) / max(1.0, abs(lhs)))
     ok = worst_bwd <= 1e-6 and worst_jvp <= 1e-6 and worst_dual <= 1e-9
     _report(2, "reverse/forward mode vs finite differences",
@@ -231,10 +233,13 @@ def test_criterion_4_loss_linearity():
         worst_ce = max(worst_ce, abs(mix_w - sep_w), abs(mix_y - sep_y))
 
         # the training step's loss enters only through its logit gradient
-        gmix_w = ce_grad_logits(probs, lam * w1 + (1 - lam) * w2, y1)
-        gsep_w = lam * ce_grad_logits(probs, w1, y1) + (1 - lam) * ce_grad_logits(probs, w2, y1)
-        gmix_y = ce_grad_logits(probs, w1, lam * y1 + (1 - lam) * y2)
-        gsep_y = lam * ce_grad_logits(probs, w1, y1) + (1 - lam) * ce_grad_logits(probs, w1, y2)
+        def grad(w, y):
+            return ce_grad_logits(probs, w, y, out=np.empty_like(probs))
+
+        gmix_w = grad(lam * w1 + (1 - lam) * w2, y1)
+        gsep_w = lam * grad(w1, y1) + (1 - lam) * grad(w2, y1)
+        gmix_y = grad(w1, lam * y1 + (1 - lam) * y2)
+        gsep_y = lam * grad(w1, y1) + (1 - lam) * grad(w1, y2)
         worst_grad = max(worst_grad, np.abs(gmix_w - gsep_w).max(), np.abs(gmix_y - gsep_y).max())
 
         anchors = normalize_rows(g.standard_normal((b, 5)))

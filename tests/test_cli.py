@@ -126,7 +126,7 @@ def _empty_train_split_cfg(tmp_path):
 def test_empty_split_exits_two_without_warnings(tmp_path, capsys, command):
     cfg = _empty_train_split_cfg(tmp_path)
     ckpt = str(tmp_path / "init.bin")
-    save_checkpoint(init_mlp([2, 8, 8, 2]), ckpt)
+    save_checkpoint(init_mlp([2, 8, 8, 2], seed=0), ckpt)
     argv = {"train": ["train", "-c", cfg],
             "train_sweep": ["train", "-c", cfg, "--sweep-sigma", "0.5,1.0"],
             "eval": ["eval", "-c", cfg, "--checkpoint", ckpt, "--split", "test"]}[command]
@@ -363,7 +363,7 @@ def test_a_sweep_whose_points_cannot_differ_exits_two(tmp_path, capsys, override
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("block", ["weight", "bias"])
 def test_eval_refuses_a_checkpoint_with_a_non_finite_parameter(tmp_path, capsys, value, block):
-    params = init_mlp([2, 8, 8, 2])
+    params = init_mlp([2, 8, 8, 2], seed=0)
     layer = params.weights[1] if block == "weight" else params.biases[1]
     layer.flat[3] = value  # a view into params.flat
     ckpt = str(tmp_path / "ck.bin")
@@ -378,9 +378,30 @@ def test_eval_rejects_a_checkpoint_of_another_class_count(tmp_path, capsys):
     rows = "".join(f"{i / 7!r},{'uv'[i % 2]},{i % 3}\n" for i in range(30))
     cfg = _csv_cfg(tmp_path, "a,c,label\n" + rows)  # 3 columns after one-hot, 3 classes
     ckpt = str(tmp_path / "two_class.bin")
-    save_checkpoint(init_mlp([3, 8, 2]), ckpt)
+    save_checkpoint(init_mlp([3, 8, 2], seed=0), ckpt)
     assert main(["eval", "-c", cfg, "--checkpoint", ckpt]) == 2
-    assert capsys.readouterr().err == "error: the checkpoint has 2 classes, the data has 3\n"
+    assert capsys.readouterr().err == (
+        "error: the checkpoint takes 3 features and 2 classes, the data has 3 and 3\n")
+
+
+def test_eval_rejects_a_checkpoint_of_another_input_width(tmp_path, capsys):
+    img = str(tmp_path / "imgs.bin")
+    save_images_raw(np.zeros((20, 3, 3)), np.arange(20) % 2, 2, img)  # 9 features, 2 classes
+    ckpt = str(tmp_path / "two_features.bin")
+    save_checkpoint(init_mlp([2, 8, 2], seed=0), ckpt)
+    cfg = _cfg(tmp_path, data={"kind": "images", "path": img})
+    assert main(["eval", "-c", cfg, "--checkpoint", ckpt]) == 2
+    assert capsys.readouterr().err == (
+        "error: the checkpoint takes 2 features and 2 classes, the data has 9 and 2\n")
+
+
+def test_a_warning_prints_as_one_line_and_main_restores_showwarning(tmp_path, capsys):
+    shown_by = warnings.showwarning
+    # 3 rows: each split gets one row, so each misses one of the 2 classes
+    assert main(["train", "-c", _cfg(tmp_path, data={"n": 3}, train={"epochs": 1})]) == 0
+    assert capsys.readouterr().err == "".join(
+        f"warning: split {part} is missing 1 class(es)\n" for part in ("train", "val", "test"))
+    assert warnings.showwarning is shown_by
 
 
 def test_oracle_check_small(capsys):
@@ -629,11 +650,11 @@ def test_divergent_run_exits_three(tmp_path, capsys, mode):
 def test_numerical_failure_prints_one_line_and_no_warning(tmp_path, capsys, overrides):
     """Overflow in a diverging run reaches the user only as the exit-3 line."""
     cfg = _cfg(tmp_path, data={"n": 50}, train={"epochs": 1}, **overrides)
-    with warnings.catch_warnings(record=True) as shown:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")  # main prints each warning as a stderr line
         assert main(["train", "-c", cfg]) == 3
     err = capsys.readouterr().err
-    assert [str(w.message) for w in shown] == [] and err.count("\n") == 1, err
+    assert err.count("\n") == 1, err
     assert err.startswith("numerical failure: ")
     assert not (tmp_path / "run").exists()
 
@@ -656,7 +677,7 @@ def test_truncated_image_header_exits_two(tmp_path, capsys):
 
 def test_a_checkpoint_cut_short_exits_two_naming_the_file(tmp_path, capsys):
     ck = tmp_path / "ck.bin"
-    save_checkpoint(init_mlp([2, 8, 8, 2]), str(ck))
+    save_checkpoint(init_mlp([2, 8, 8, 2], seed=0), str(ck))
     expected = len(ck.read_bytes())
     ck.write_bytes(ck.read_bytes()[:-8])
     assert main(["eval", "-c", _cfg(tmp_path), "--checkpoint", str(ck)]) == 2
@@ -666,7 +687,7 @@ def test_a_checkpoint_cut_short_exits_two_naming_the_file(tmp_path, capsys):
 
 def test_a_checkpoint_with_a_byte_appended_exits_two_naming_the_trailing_byte(tmp_path, capsys):
     ck = tmp_path / "ck.bin"
-    save_checkpoint(init_mlp([2, 8, 8, 2]), str(ck))
+    save_checkpoint(init_mlp([2, 8, 8, 2], seed=0), str(ck))
     expected = len(ck.read_bytes())
     ck.write_bytes(ck.read_bytes() + b"\x00")
     assert main(["eval", "-c", _cfg(tmp_path), "--checkpoint", str(ck)]) == 2

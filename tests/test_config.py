@@ -159,7 +159,7 @@ def test_a_bad_flag_value_exits_two_naming_the_flag(case, data):
     ('{"train": {"epochs": -1}}', "config error: train.epochs must be >= 0, got -1"),
     ('{"train": {"batch_size": 0}}', "config error: train.batch_size must be >= 1, got 0"),
     ('{"train": {"val_batch_size": -5}}',
-     "config error: train.val_batch_size must be >= 1, got -5"),
+     "config error: train.val_batch_size must be >= 0, got -5"),
     ('{"augment": {"kind": "foo"}}',
      "config error: augment.kind must be one of ('gaussian_jitter', 'crop_flip', 'mixup', "
      "'cutmix_tabular', 'label_noise'), got 'foo'"),
@@ -184,6 +184,15 @@ def test_config_value_errors_are_one_line_naming_the_key(tmp_path, monkeypatch, 
     path = tmp_path / "config.json"
     path.write_text(text)
     assert _run(["train", "-c", str(path)]) == (2, "", line + "\n")
+
+
+def test_a_null_config_exits_two_and_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # output.dir's default is relative
+    path = tmp_path / "config.json"
+    path.write_text("null")
+    line = "config error: config root must be a JSON object\n"
+    assert _run(["train", "-c", str(path)]) == (2, "", line)
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_a_config_that_is_not_utf8_text_exits_two_naming_the_file(tmp_path):

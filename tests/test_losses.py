@@ -54,7 +54,7 @@ def test_soft_ce_mean_nll_reduction(rng):
 
 def test_ce_grad_zero_at_match(rng):
     probs = softmax(rng.standard_normal((4, 3)))
-    g = ce_grad_logits(probs, np.ones(4), probs.copy())
+    g = ce_grad_logits(probs, np.ones(4), probs.copy(), out=np.empty_like(probs))
     np.testing.assert_array_equal(g, np.zeros_like(g))
 
 
@@ -62,7 +62,7 @@ def test_ce_grad_zero_weight_rows(rng):
     probs = softmax(rng.standard_normal((3, 4)))
     soft = one_hot(rng.integers(0, 4, size=3), 4)
     w = np.array([0.0, 1.0, 0.0])
-    g = ce_grad_logits(probs, w, soft)
+    g = ce_grad_logits(probs, w, soft, out=np.empty_like(probs))
     assert np.all(g[0] == 0) and np.all(g[2] == 0)
     assert np.any(g[1] != 0)
 
@@ -73,7 +73,7 @@ def test_ce_grad_matches_finite_differences(rng):
     soft = rng.random((3, 4))
     soft /= soft.sum(axis=1, keepdims=True)
 
-    g = ce_grad_logits(softmax(logits), w, soft)
+    g = ce_grad_logits(softmax(logits), w, soft, out=np.empty_like(logits))
     eps = 1e-6
     fd = np.zeros_like(logits)
     for i in range(3):
@@ -228,7 +228,7 @@ def test_in_place_cotangents_equal_the_one_hot_formulas_bitwise(rng):
         want_soft = w[:, None] * (p - y)
         assert mean_ce_grad_logits(p, labels).tobytes() == want.tobytes()
         assert mean_ce_grad_logits(p, one_hot(labels, k)).tobytes() == want.tobytes()
-        assert ce_grad_logits(p, w, y).tobytes() == want_soft.tobytes()
+        assert ce_grad_logits(p, w, y, out=np.empty_like(p)).tobytes() == want_soft.tobytes()
         # into row blocks of one buffer, as the combined step builds its cotangent
         buf = np.full((2 * n + 1, k), np.nan)
         mean_ce_grad_logits(p, labels, out=buf[:n])

@@ -1,18 +1,24 @@
-"""Every public function and class of `src/saflex` has a caller outside the
-tests, and every parameter with a default is passed by one.
+"""Every public function and class of `src/saflex`, and every public method
+of a public class, has a caller outside the tests. Every parameter with a
+default is passed by one such call, and left to its default by another.
 
 A caller is a load of the name, as an `ast.Name` or an `ast.Attribute`,
 anywhere in `src/`, `scripts/` or `perfbench/`: a call, a reference, a
 base class or an annotation. An import or a string (a tracer's site
 table) is no caller, and neither is a load in the body of a function that
-only the tests call (TEST_ONLY): its callees serve the tests alone. The match is on the bare name, so a load of
-`oracle.param_dot` would also count for a public `param_dot` in `nn`.
+only the tests call (TEST_ONLY): its callees serve the tests alone. A
+method's loads of its own name, inside its own body, do not count either.
+The match is on the bare name, so a load of `oracle.param_dot` would also
+count for a public `param_dot` in `nn`, and a numpy `x.dot(y)` counts for
+any method named `dot`: such a method passes this rule whatever calls it.
 
 A defaulted parameter of a public function, or of a public method of any
 class, is passed when a call in those directories names it as a keyword
 or reaches its position, counted without `self` or `cls`; calls match on
 the bare name in the same way. A parameter that only the tests pass is an
-option set to one value: that value becomes a constant.
+option set to one value: that value becomes a constant. A call that names
+neither relies on the default; a default that no call there relies on is
+one the tests alone use, and the parameter becomes required.
 
 What only the tests call lives in `tests/reference.py`. The package
 never imports from the tests, and defines no function, class or method
@@ -23,7 +29,7 @@ the source with `ast`, without importing it.
 
 import ast
 import pathlib
-from collections import defaultdict
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "scripts", "perfbench")
@@ -43,8 +49,9 @@ TEST_ONLY = {
 }
 
 
-# defaulted parameters that no call outside the tests passes, and why each stays
-UNPASSED = {
+# defaulted parameters that no call outside the tests passes or leaves to its
+# default, and why each keeps its default
+EXEMPT = {
     "rng._Key.generate_state.dtype": "numpy's ISeedSequence interface declares it",
 }
 
@@ -60,8 +67,27 @@ def _public_definitions() -> dict[str, str]:
             if isinstance(node, KINDS) and not node.name.startswith("_")}
 
 
-def _loaded_names() -> set[str]:
-    loaded = set()
+def _loads(tree: ast.AST) -> Counter:
+    """How often each bare name is loaded in tree."""
+    loaded = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded[node.attr] += 1
+    return loaded
+
+
+def _public_methods() -> dict[str, ast.FunctionDef]:
+    """'module.Class.method' -> definition, for each public method of a public class."""
+    return {f"{module}.{cls.name}.{fn.name}": fn
+            for module, tree in _package_trees().items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for fn in cls.body if isinstance(fn, KINDS[:2]) and not fn.name.startswith("_")}
+
+
+def _loaded_names() -> Counter:
+    loaded = Counter()
     for d in CALLER_DIRS:
         for path in (ROOT / d).rglob("*.py"):
             tree = ast.parse(path.read_text())
@@ -69,11 +95,7 @@ def _loaded_names() -> set[str]:
                 for node in tree.body:
                     if isinstance(node, KINDS) and f"{path.stem}.{node.name}" in TEST_ONLY:
                         node.body = []
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    loaded.add(node.id)
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    loaded.add(node.attr)
+            loaded += _loads(tree)
     return loaded
 
 
@@ -104,30 +126,38 @@ def _defaulted_parameters() -> dict[str, tuple[str, int | None, str]]:
     return found
 
 
-def _passed_arguments() -> tuple[dict[str, int], dict[str, set[str]]]:
-    """Per bare callee name: the most positional arguments a call passes,
-    and every keyword a call names."""
-    positions, keywords = defaultdict(int), defaultdict(set)
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call outside the tests, by bare callee name."""
+    calls = {}
     for d in CALLER_DIRS:
         for path in (ROOT / d).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
-                if not isinstance(node, ast.Call):
-                    continue
-                if isinstance(node.func, ast.Name):
-                    name = node.func.id
-                elif isinstance(node.func, ast.Attribute):
-                    name = node.func.attr
-                else:
-                    continue
-                positions[name] = max(positions[name], len(node.args))
-                keywords[name] |= {kw.arg for kw in node.keywords}
-    return positions, keywords
+                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                    name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, position: int | None, arg: str) -> bool:
+    """Whether call names `arg` as a keyword or reaches its `position`."""
+    return (any(kw.arg == arg for kw in call.keywords)
+            or position is not None and len(call.args) > position)
+
+
+def _relies(call: ast.Call, position: int | None, arg: str) -> bool:
+    """Whether call leaves `arg` to its default: it passes it neither by
+    name nor by position, and unpacks no `*args` or `**kwargs` that might."""
+    unpacks = (any(kw.arg is None for kw in call.keywords)
+               or any(isinstance(a, ast.Starred) for a in call.args))
+    return not unpacks and not _passes(call, position, arg)
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     defined, loaded = _public_definitions(), _loaded_names()
     assert set(TEST_ONLY) <= set(defined), "TEST_ONLY names a function that is gone"
-    uncalled = {q for q, name in defined.items() if name not in loaded}
+    uncalled = {q for q, name in defined.items() if not loaded[name]}
+    uncalled |= {q for q, fn in _public_methods().items()
+                 if not loaded[fn.name] - _loads(fn)[fn.name]}
     assert sorted(uncalled - set(TEST_ONLY)) == [], "no caller outside the tests"
     assert sorted(set(TEST_ONLY) - uncalled) == [], "gained a caller: drop it from TEST_ONLY"
 
@@ -159,10 +189,17 @@ def test_no_package_module_defines_a_name_of_the_reference_module():
 
 
 def test_every_defaulted_parameter_is_passed_outside_the_tests():
-    params = _defaulted_parameters()
-    assert set(UNPASSED) <= set(params), "UNPASSED names a parameter that is gone"
-    positions, keywords = _passed_arguments()
+    params, calls = _defaulted_parameters(), _calls()
+    assert set(EXEMPT) <= set(params), "EXEMPT names a parameter that is gone"
     unpassed = {q for q, (fn, position, arg) in params.items()
-                if arg not in keywords[fn] and (position is None or positions[fn] <= position)}
-    assert sorted(unpassed - set(UNPASSED)) == [], "only the tests pass it: make it a constant"
-    assert sorted(set(UNPASSED) - unpassed) == [], "now passed: drop it from UNPASSED"
+                if not any(_passes(c, position, arg) for c in calls.get(fn, []))}
+    assert sorted(unpassed - set(EXEMPT)) == [], "only the tests pass it: make it a constant"
+    assert sorted(set(EXEMPT) - unpassed) == [], "now passed: drop it from EXEMPT"
+
+
+def test_every_default_is_relied_on_outside_the_tests():
+    params, calls = _defaulted_parameters(), _calls()
+    unrelied = {q for q, (fn, position, arg) in params.items()
+                if not any(_relies(c, position, arg) for c in calls.get(fn, []))}
+    assert sorted(unrelied - set(EXEMPT)) == [], "only the tests use it: drop the default"
+    assert sorted(set(EXEMPT) - unrelied) == [], "now relied on: drop it from EXEMPT"

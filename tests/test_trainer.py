@@ -248,8 +248,8 @@ def test_run_config_validation():
     for hidden in [(-3,), (0,), (8, 0)]:
         with pytest.raises(ValueError, match="hidden layer widths"):
             _run(hidden=hidden)
-    for size in (0, -5):
-        with pytest.raises(ValueError, match="val_batch_size"):
+    for size in (-1, -5):
+        with pytest.raises(ValueError, match="val_batch_size must be >= 0"):
             _run(val_batch_size=size)
 
 
