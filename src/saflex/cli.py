@@ -78,6 +78,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     if args.print_config:
         cfg = cfgmod.load_config(args.config) if args.config else cfgmod.resolve({})
+        cfgmod.build_run_config(cfg)  # refused as `train` refuses it; data.* waits for the data
         sys.stdout.write(cfgmod.dump(cfg))
         return 0
     if not args.config:
@@ -112,7 +113,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             points.append((point, os.path.join(out_dir, f"sigma_{tag}")))
     ds = _build_dataset(cfg)  # the points differ only in augment.sigma: one load serves all
     for point, run_dir in points:
-        # a run that fails (exit 2 or 3) writes nothing
+        # a run that fails (exit 2 or 3) writes nothing, but a failed write
+        # keeps what came before it: a cut-short checkpoint.bin beside complete
+        # metrics.csv and resolved_config.json (ROADMAP item 15)
         history, params = train(cfgmod.build_run_config(point), ds)
         os.makedirs(run_dir, exist_ok=True)
         resolved = json.loads(json.dumps(point))
@@ -229,9 +232,10 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         raise ConfigError(f"guard bounds: 1 <= --b <= {ENUM_MAX_B} and 2 <= --k <= {ENUM_MAX_K}")
     if args.n < 1:
         raise ConfigError("--n must be >= 1")
-    if not 0 < args.tau < np.inf:
-        raise ConfigError(f"--tau must be a finite number > 0, got {args.tau}")
-    cfg = SaflexConfig(beta=0.0, tau=args.tau, gumbel_enabled=False)
+    try:
+        cfg = SaflexConfig(beta=0.0, tau=args.tau, gumbel_enabled=False)
+    except datamod.RangeError as exc:  # named after its oracle-check flag
+        raise ConfigError(f"--{exc}") from exc
     tally = _OracleTally(cfg, np.random.default_rng(0))
     for first in range(0, args.n, ORACLE_BLOCK):
         # score the block's instances up to the first one refused; assign,

@@ -13,11 +13,12 @@ import copy
 import json
 import sys
 from dataclasses import asdict
+from operator import attrgetter
 from typing import Any, Callable
 
 from .augment import AugmenterSpec
 from .core import SaflexConfig
-from .data import RangeError, SplitSpec, decoding
+from .data import TWO_GAUSSIANS_MEANS, RangeError, SplitSpec, decoding
 from .trainer import RunConfig
 
 
@@ -25,33 +26,43 @@ class ConfigError(ValueError):
     """Configuration problem; carries a human-readable key path."""
 
 
-_RUN = RunConfig()  # the model, optimizer, train and saflex defaults
+# every model, optimizer, train and saflex key, in --print-config order, by
+# the RunConfig field it sets ("saflex.beta" is RunConfig.saflex.beta). The
+# defaults, build_run_config and the key a RangeError names all read it
+_KEYS = {
+    "hidden": "model.hidden",
+    "optimizer": "optimizer.kind", "lr": "optimizer.lr", "momentum": "optimizer.momentum",
+    "mode": "train.mode", "epochs": "train.epochs", "batch_size": "train.batch_size",
+    "val_batch_size": "train.val_batch_size", "seed": "train.seed",
+    "saflex.beta": "saflex.beta", "saflex.tau": "saflex.tau",
+    "saflex.gumbel_enabled": "saflex.gumbel", "saflex.seed": "saflex.seed",
+}
+_RUN = RunConfig()
 
-DEFAULTS: dict[str, Any] = {
+
+def _section(name: str) -> dict[str, Any]:
+    """DEFAULTS[name]: the value in RunConfig() of each of its keys' fields."""
+    return {key.partition(".")[2]: attrgetter(field)(_RUN)
+            for field, key in _KEYS.items() if key.startswith(name + ".")}
+
+
+# a JSON document, as --print-config prints it: each tuple becomes a list
+DEFAULTS: dict[str, Any] = json.loads(json.dumps({
     "data": {
         "kind": "two_gaussians",  # two_gaussians | two_moons | csv | images
         "path": "",               # csv/images input file
         "schema": "",             # schema file for kind=csv
         "n": 2000,
         "sigma": 1.0,             # class spread (two_gaussians) / noise (two_moons)
-        "means": [[1.0, 1.0], [-1.0, -1.0]],
+        "means": TWO_GAUSSIANS_MEANS,
         "seed": 0,
     },
     "split": asdict(SplitSpec()),
-    "model": {"hidden": list(_RUN.hidden)},
-    "optimizer": {"kind": _RUN.optimizer, "lr": _RUN.lr, "momentum": _RUN.momentum},
-    "train": {
-        "mode": _RUN.mode,  # none | naive | saflex
-        "epochs": _RUN.epochs,
-        "batch_size": _RUN.batch_size,
-        "val_batch_size": _RUN.val_batch_size,  # 0 means: use batch_size
-        "seed": _RUN.seed,
-    },
+    **{name: _section(name) for name in ("model", "optimizer", "train")},
     "augment": asdict(AugmenterSpec()),  # its "seed" is accepted but not read
-    "saflex": {"beta": _RUN.saflex.beta, "tau": _RUN.saflex.tau,
-               "gumbel": _RUN.saflex.gumbel_enabled, "seed": _RUN.saflex.seed},
+    "saflex": _section("saflex"),
     "output": {"dir": "runs/out"},
-}
+}))
 
 
 _EXPECTED = {dict: "an object", list: "a list", bool: "true or false", int: "an integer",
@@ -115,44 +126,31 @@ def require(cfg: dict, section: str, key: str) -> Any:
     return value
 
 
-# the config key of each RunConfig field that a RangeError can name
-_RUN_KEYS = {
-    "hidden": "model.hidden", "optimizer": "optimizer.kind", "lr": "optimizer.lr",
-    "momentum": "optimizer.momentum", "mode": "train.mode", "epochs": "train.epochs",
-    "batch_size": "train.batch_size", "val_batch_size": "train.val_batch_size",
-}
-
-
-def _built(key: Callable[[str], str], make: Callable[..., Any], **fields: Any) -> Any:
-    """`make(**fields)`; a RangeError's leading field name becomes `key(field)`."""
+def _built(prefix: str, make: Callable[..., Any], **fields: Any) -> Any:
+    """`make(**fields)`; a RangeError's leading field, at `prefix` in RunConfig, becomes its key."""
     try:
         return make(**fields)
     except RangeError as exc:
         field, _, rest = str(exc).partition(" ")
-        raise ConfigError(f"{key(field)} {rest}") from exc
+        raise ConfigError(f"{_KEYS.get(prefix + field, prefix + field)} {rest}") from exc
     except ValueError as exc:  # a rule across fields: the split fractions' sum
         raise ConfigError(str(exc)) from exc
 
 
 def build_run_config(cfg: dict) -> RunConfig:
     """The run a resolved config describes; its leaves are already typed."""
-    opt, tr, sf = cfg["optimizer"], cfg["train"], cfg["saflex"]
+    # each leaf by its key, a JSON list as the tuple RunConfig takes
+    leaves = {f"{s}.{k}": tuple(v) if type(v) is list else v
+              for s, section in cfg.items() for k, v in section.items()}
+    run = {field: leaves[key] for field, key in _KEYS.items() if "." not in field}
+    saflex = {field[len("saflex."):]: leaves[key] for field, key in _KEYS.items() if "." in field}
+    # the nested specs' ranges are checked before RunConfig's own
     return _built(
-        _RUN_KEYS.__getitem__, RunConfig,
-        hidden=tuple(cfg["model"]["hidden"]),
-        lr=opt["lr"],
-        momentum=opt["momentum"],
-        optimizer=opt["kind"],
-        epochs=tr["epochs"],
-        batch_size=tr["batch_size"],
-        val_batch_size=tr["val_batch_size"],
-        mode=tr["mode"],
-        augment=_built("augment.{}".format, AugmenterSpec, **cfg["augment"]),
-        saflex=_built("saflex.{}".format, SaflexConfig,
-                      beta=sf["beta"], tau=sf["tau"], gumbel_enabled=sf["gumbel"], seed=sf["seed"]),
-        split=_built("split.{}".format, SplitSpec, **cfg["split"]),
+        "", RunConfig, **run,
+        augment=_built("augment.", AugmenterSpec, **cfg["augment"]),
+        saflex=_built("saflex.", SaflexConfig, **saflex),
+        split=_built("split.", SplitSpec, **cfg["split"]),
         standardize=cfg["data"]["kind"] == "csv",
-        seed=tr["seed"],
     )
 
 

@@ -119,9 +119,13 @@ class Dataset:
         return [np.arange(g.start, g.start + g.width) for g in self.groups]
 
 
+# gen_two_gaussians' class means by default, and so data.means' default
+TWO_GAUSSIANS_MEANS = ((1.0, 1.0), (-1.0, -1.0))
+
+
 def gen_two_gaussians(
     n: int,
-    means: tuple[tuple[float, float], tuple[float, float]] = ((1.0, 1.0), (-1.0, -1.0)),
+    means: tuple[tuple[float, float], tuple[float, float]] = TWO_GAUSSIANS_MEANS,
     sigma: float = 1.0,
     *,
     seed: int,

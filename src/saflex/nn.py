@@ -300,7 +300,8 @@ def load_checkpoint(path: str) -> ModelParams:
     """The parameters in a checkpoint file.
 
     ValueError naming the file for a bad magic, a header or body of
-    another length than its dims declare, or a NaN or infinite parameter.
+    another length than its dims declare, a NaN or infinite parameter, or
+    dims that `block_spans` refuses.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -326,4 +327,7 @@ def load_checkpoint(path: str) -> ModelParams:
     bad = flat.size - np.count_nonzero(np.isfinite(flat))
     if bad:
         raise ValueError(f"checkpoint {path!r} holds {bad} non-finite parameters")
-    return ModelParams.from_flat(flat, shapes)
+    try:
+        return ModelParams.from_flat(flat, shapes)
+    except ValueError as exc:  # block_spans': no layer, or a fan-in that does not chain
+        raise ValueError(f"checkpoint {path!r}: {exc}") from exc

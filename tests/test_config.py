@@ -6,13 +6,14 @@ import io
 import json
 import os
 import tempfile
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saflex.cli import main
-from saflex.config import DEFAULTS, ConfigError, resolve
+from saflex.config import DEFAULTS, ConfigError, build_run_config, resolve
 
 TINY = {"data": {"n": 60}, "model": {"hidden": [4, 4]}, "train": {"epochs": 1, "batch_size": 16}}
 
@@ -178,12 +179,72 @@ def test_a_bad_flag_value_exits_two_naming_the_flag(case, data):
     ('{"split": {"test": -0.2}}', "config error: split.test must be >= 0, got -0.2"),
     ('{"split": {"train": 0, "val": 0, "test": 0}}',
      "config error: split fractions must sum to 1, got 0.0"),
+    # the nested specs are checked before the run's own fields
+    ('{"optimizer": {"lr": -1}, "split": {"train": 0.9}}',
+     "config error: split fractions must sum to 1, got 1.3"),
 ])
 def test_config_value_errors_are_one_line_naming_the_key(tmp_path, monkeypatch, text, line):
     monkeypatch.chdir(tmp_path)  # a run that gets as far as the data writes to output.dir
     path = tmp_path / "config.json"
     path.write_text(text)
     assert _run(["train", "-c", str(path)]) == (2, "", line + "\n")
+    if '"data"' not in text:  # data.* ranges are checked when the data is built
+        assert _run(["train", "-c", str(path), "--print-config"]) == (2, "", line + "\n")
+
+
+# each key of the sections build_run_config reads: a valid value other than
+# its default, and the field of the RunConfig it returns that the key sets.
+# Written out here, so a key routed to another field fails the test below
+KEY_FIELDS = {
+    "model.hidden": ([7, 5], "hidden"),
+    "optimizer.kind": ("adam", "optimizer"),
+    "optimizer.lr": (0.25, "lr"),
+    "optimizer.momentum": (0.5, "momentum"),
+    "train.mode": ("naive", "mode"),
+    "train.epochs": (3, "epochs"),
+    "train.batch_size": (7, "batch_size"),
+    "train.val_batch_size": (9, "val_batch_size"),
+    "train.seed": (11, "seed"),
+    "saflex.beta": (0.5, "saflex.beta"),
+    "saflex.tau": (0.3, "saflex.tau"),
+    "saflex.gumbel": (False, "saflex.gumbel_enabled"),
+    "saflex.seed": (13, "saflex.seed"),
+    "augment.kind": ("mixup", "augment.kind"),
+    "augment.sigma": (0.7, "augment.sigma"),
+    "augment.pad": (3, "augment.pad"),
+    "augment.mixup_alpha": (0.9, "augment.mixup_alpha"),
+    "augment.p_replace": (0.4, "augment.p_replace"),
+    "augment.flip_rate": (0.1, "augment.flip_rate"),
+    "augment.seed": (17, "augment.seed"),  # set, though nothing reads it
+    # a lone fraction moves within the sum rule's 1e-9 tolerance
+    "split.train": (0.6 + 1e-12, "split.train"),
+    "split.val": (0.2 + 1e-12, "split.val"),
+    "split.test": (0.2 + 1e-12, "split.test"),
+    "split.seed": (19, "split.seed"),
+}
+
+
+def _fields(node, prefix=""):
+    """Each leaf of asdict(RunConfig), by its dotted field path."""
+    out = {}
+    for name, value in node.items():
+        if isinstance(value, dict):
+            out.update(_fields(value, f"{prefix}{name}."))
+        else:
+            out[prefix + name] = value
+    return out
+
+
+def test_each_config_key_sets_its_own_field_and_no_other():
+    sections = ("model", "optimizer", "train", "saflex", "augment", "split")
+    assert sorted(KEY_FIELDS) == sorted(f"{s}.{k}" for s in sections for k in DEFAULTS[s])
+    base = _fields(asdict(build_run_config(resolve({}))))
+    for key, (value, field) in KEY_FIELDS.items():
+        section, name = key.split(".")
+        assert value != DEFAULTS[section][name], key
+        got = _fields(asdict(build_run_config(resolve({section: {name: value}}))))
+        assert [f for f in got if got[f] != base[f]] == [field], key
+        assert got[field] == (tuple(value) if isinstance(value, list) else value), key
 
 
 def test_a_null_config_exits_two_and_writes_nothing(tmp_path, monkeypatch):

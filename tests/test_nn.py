@@ -496,6 +496,25 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(str(path))
 
 
+def test_checkpoint_with_no_layer_names_the_file(tmp_path):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 0))
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(str(path))
+    assert str(exc.value) == f"checkpoint {str(path)!r}: at least one layer required"
+
+
+def test_checkpoint_whose_dims_do_not_chain_names_the_file(tmp_path):
+    path = tmp_path / "unchained.bin"
+    shapes = ((2, 3), (4, 2))  # layer 1 takes 4 inputs, layer 0 gives 3
+    body = np.zeros(sum(fi * fo + fo for fi, fo in shapes), dtype="<f8").tobytes()
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<5I", 2, *itertools.chain(*shapes)) + body)
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(str(path))
+    assert str(exc.value) == (f"checkpoint {str(path)!r}: "
+                              "layer 1: fan-in does not chain from layer 0")
+
+
 def test_checkpoint_truncated(tmp_path):
     params = small_mlp()
     path = tmp_path / "trunc.bin"
