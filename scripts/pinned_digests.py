@@ -240,34 +240,22 @@ def main() -> int:
                 )
                 lines.append((f"train {mode} {opt_name} {aug_name}", train_digest(run, gaussians)))
     images = blob_images()
-    for mode in MODES:
-        run = RunConfig(
-            hidden=(16, 8), lr=0.1, epochs=2, batch_size=32, mode=mode,
-            augment=AugmenterSpec(kind="crop_flip", pad=2),
-            split=SplitSpec(0.6, 0.2, 0.2, seed=0), seed=0,
-        )
-        lines.append((f"train {mode} sgd crop_flip", train_digest(run, images)))
-    for mode in MODES:
-        run = RunConfig(
-            hidden=(16, 8), lr=0.1, epochs=2, batch_size=32, mode=mode,
-            augment=AugmenterSpec(kind="crop_flip", pad=2),
-            split=SplitSpec(0.6, 0.2, 0.2, seed=3), standardize=True, seed=3,
-        )
-        lines.append((f"train {mode} sgd crop_flip standardized", train_digest(run, images)))
-    for mode in MODES:
-        run = RunConfig(
-            hidden=(16, 8), lr=0.1, epochs=2, batch_size=32, mode=mode,
-            augment=AugmenterSpec(kind="cutmix_tabular", p_replace=0.2),
-            split=SplitSpec(0.6, 0.2, 0.2, seed=1), standardize=True, seed=1,
-        )
-        lines.append((f"train {mode} sgd cutmix_tabular csv k3", train_digest(run, tabular)))
-    for mode in MODES:
-        run = RunConfig(
-            hidden=(16, 8), lr=0.1, epochs=2, batch_size=32, mode=mode,
-            augment=AugmenterSpec(kind="cutmix_tabular", p_replace=0.3),
-            split=SplitSpec(0.6, 0.2, 0.2, seed=4), standardize=True, seed=4,
-        )
-        lines.append((f"train {mode} sgd cutmix_tabular gapped csv k3", train_digest(run, gapped)))
+    crop = AugmenterSpec(kind="crop_flip", pad=2)
+    # label, dataset, augmenter, split and init seed, standardize: one run per mode each
+    for label, ds, aug, seed, standardize in (
+        ("crop_flip", images, crop, 0, False),
+        ("crop_flip standardized", images, crop, 3, True),
+        ("cutmix_tabular csv k3", tabular,
+         AugmenterSpec(kind="cutmix_tabular", p_replace=0.2), 1, True),
+        ("cutmix_tabular gapped csv k3", gapped,
+         AugmenterSpec(kind="cutmix_tabular", p_replace=0.3), 4, True),
+    ):
+        for mode in MODES:
+            run = RunConfig(
+                hidden=(16, 8), lr=0.1, epochs=2, batch_size=32, mode=mode, augment=aug,
+                split=SplitSpec(0.6, 0.2, 0.2, seed=seed), standardize=standardize, seed=seed,
+            )
+            lines.append((f"train {mode} sgd {label}", train_digest(run, ds)))
     for name, ds in csvs.items():
         zscored = apply_train_statistics(ds, (np.arange(ds.size),))[0]
         lines.append((f"load_csv {name} csv standardize=True", dataset_digest(zscored)))

@@ -35,38 +35,32 @@ from .rng import stream, thread_cap
 from .trainer import DivergenceError, evaluate, run_splits, train, write_metrics_csv
 
 
-def _build_dataset(cfg: dict) -> datamod.Dataset:
-    d = cfg["data"]
+def _build_dataset(d: dict, prefix: str) -> datamod.Dataset:
+    """The dataset of a config's data section or gen-data's flags; prefix names their keys."""
     kind = d["kind"]
     try:
         if kind == "two_gaussians":
             return datamod.gen_two_gaussians(d["n"], d["means"], d["sigma"], seed=d["seed"])
         if kind == "two_moons":
             return datamod.gen_two_moons(d["n"], d["sigma"], d["seed"])
-    except datamod.RangeError as exc:  # named after its data.* config key
-        raise ConfigError(f"data.{exc}") from exc
+    except datamod.RangeError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
     if kind == "csv":
-        path = cfgmod.require(cfg, "data", "path")
-        schema = cfgmod.require(cfg, "data", "schema")
-        return datamod.load_csv(path, schema)
+        return datamod.load_csv(cfgmod.require(d, prefix, "path"),
+                                cfgmod.require(d, prefix, "schema"))
     if kind == "images":
-        path = cfgmod.require(cfg, "data", "path")
-        return datamod.load_images_raw(path)
-    raise ConfigError(f"data.kind must be two_gaussians|two_moons|csv|images, got {kind!r}")
+        return datamod.load_images_raw(cfgmod.require(d, prefix, "path"))
+    raise ConfigError(f"{prefix}kind must be two_gaussians|two_moons|csv|images, got {kind!r}")
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    try:
-        if args.kind == "two_gaussians":
-            ds = datamod.gen_two_gaussians(args.n, sigma=args.sigma, seed=args.seed)
-        elif args.kind == "two_moons":
-            ds = datamod.gen_two_moons(args.n, sigma=args.sigma, seed=args.seed)
-        else:  # csv_passthrough: validate + re-emit an existing pair
-            if not args.input or not args.input_schema:
-                raise ConfigError("csv_passthrough needs --input and --input-schema")
-            ds = datamod.load_csv(args.input, args.input_schema)
-    except datamod.RangeError as exc:  # named after its gen-data flag
-        raise ConfigError(f"--{exc}") from exc
+    d = {"kind": args.kind, "n": args.n, "sigma": args.sigma, "seed": args.seed,
+         "means": datamod.TWO_GAUSSIANS_MEANS}
+    if args.kind == "csv_passthrough":  # validate + re-emit an existing pair
+        if not args.input or not args.input_schema:
+            raise ConfigError("csv_passthrough needs --input and --input-schema")
+        d.update(kind="csv", path=args.input, schema=args.input_schema)
+    ds = _build_dataset(d, "--")
     os.makedirs(args.out, exist_ok=True)
     data_path = os.path.join(args.out, "data.csv")
     schema_path = os.path.join(args.out, "schema.csv")
@@ -111,7 +105,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             point["augment"]["sigma"] = sigma
             tag = repr(sigma).replace(".", "p")
             points.append((point, os.path.join(out_dir, f"sigma_{tag}")))
-    ds = _build_dataset(cfg)  # the points differ only in augment.sigma: one load serves all
+    # the points differ only in augment.sigma: one load serves all
+    ds = _build_dataset(cfg["data"], "data.")
     for point, run_dir in points:
         # a run that fails (exit 2 or 3) writes nothing, but a failed write
         # keeps what came before it: a cut-short checkpoint.bin beside complete
@@ -120,10 +115,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         os.makedirs(run_dir, exist_ok=True)
         resolved = json.loads(json.dumps(point))
         resolved["output"]["dir"] = run_dir
-        with open(os.path.join(run_dir, "resolved_config.json"), "w") as f:
+        config_path = os.path.join(run_dir, "resolved_config.json")
+        with datamod.writing(config_path), open(config_path, "w") as f:
             f.write(cfgmod.dump(resolved))
         write_metrics_csv(history, os.path.join(run_dir, "metrics.csv"))
-        save_checkpoint(params, os.path.join(run_dir, "checkpoint.bin"))
+        checkpoint_path = os.path.join(run_dir, "checkpoint.bin")
+        with datamod.writing(checkpoint_path):
+            save_checkpoint(params, checkpoint_path)
         if history:
             last = history[-1]
             print(f"{run_dir}: epoch {last.epoch} val_loss={last.val_loss:.6f} "
@@ -136,7 +134,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = cfgmod.load_config(args.config)
     params = load_checkpoint(args.checkpoint)
-    ds = _build_dataset(cfg)
+    ds = _build_dataset(cfg["data"], "data.")
     if (params.input_dim, params.n_classes) != (ds.dim, ds.num_classes):
         raise ValueError(f"the checkpoint takes {params.input_dim} features and "
                          f"{params.n_classes} classes, the data has {ds.dim} and {ds.num_classes}")

@@ -119,10 +119,11 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}: nested too deeply") from exc
 
 
-def require(cfg: dict, section: str, key: str) -> Any:
-    value = cfg[section][key]
+def require(section: dict, prefix: str, key: str) -> Any:
+    """section[key]; ConfigError naming it as prefix + key when it is empty."""
+    value = section[key]
     if not value:
-        raise ConfigError(f"{section}.{key} is required for this run and has no default")
+        raise ConfigError(f"{prefix}{key} is required for this run and has no default")
     return value
 
 

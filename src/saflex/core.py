@@ -134,15 +134,12 @@ def saflex_assign(
     noise softens the otherwise near-argmax labels. A sample is kept when
     its scores, averaged under its assigned soft label, are nonnegative;
     kept weights are renormalized to total mass one. Non-finite scores
-    raise FloatingPointError: they mean the model has diverged.
+    raise FloatingPointError: they mean the model has diverged. pi is
+    (B, K) and orig_labels (B,), both built from one batch by the caller.
     """
     pi = np.asarray(pi, dtype=np.float64)
-    if pi.ndim != 2:
-        raise ValueError("pi must be (B, K)")
     b, k = pi.shape
     orig_labels = np.asarray(orig_labels, dtype=np.int64)
-    if orig_labels.shape != (b,):
-        raise ValueError("orig_labels must have one entry per sample")
     shaped = pi + cfg.beta * one_hot(orig_labels, k) if cfg.beta != 0.0 else pi
     if cfg.gumbel_enabled:
         # Gumbel + shaped equals shaped + Gumbel bitwise

@@ -185,6 +185,18 @@ def decoding(path: str):
         raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
 
 
+@contextmanager
+def writing(path: str):
+    """Raise an OSError of a write to `path` that names no file (a full disk, a
+    file-size limit) again as `<path>: <error>`."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is not None:
+            raise
+        raise OSError(f"{path}: {exc}") from None
+
+
 def read_schema(schema_path: str) -> list[tuple[str, str, int | None]]:
     """Schema file: one `name,kind[,cardinality]` line per column."""
     out = []
@@ -215,7 +227,7 @@ def read_schema(schema_path: str) -> list[tuple[str, str, int | None]]:
 
 
 def write_schema(schema: list[tuple[str, str, int | None]], schema_path: str) -> None:
-    with open(schema_path, "w", newline="") as f:
+    with writing(schema_path), open(schema_path, "w", newline="") as f:
         w = csv.writer(f)
         for name, kind, card in schema:
             w.writerow([name, kind] if card is None else [name, kind, card])
@@ -385,7 +397,7 @@ def save_csv(ds: Dataset, path: str, schema_path: str) -> None:
     schema.append((label, "label", None))
     lv = ds.label_values or [str(i) for i in range(ds.num_classes)]
     columns.append([lv[i] for i in ds.labels])
-    with open(path, "w", newline="") as f:
+    with writing(path), open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(names)
         for i in range(ds.size):

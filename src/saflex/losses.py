@@ -23,10 +23,8 @@ SIMPLEX_TOL = 1e-9
 
 
 def check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """labels as a 1-D int64 array; ValueError unless each lies in [0, num_classes)."""
+    """labels as int64; ValueError unless each lies in [0, num_classes). Not shape-checked."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError("labels must be 1-D")
     # the ufunc reductions skip the per-call cost of the .min()/.max() methods
     if labels.size and (np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= num_classes):
         raise ValueError(f"labels out of range [0, {num_classes})")
@@ -48,19 +46,6 @@ def check_simplex_rows(y: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} rows must sum to 1")
 
 
-def _check_weighted(probs: np.ndarray, weights: np.ndarray, soft_labels: np.ndarray) -> tuple:
-    """(probs, weights, soft_labels) of a weighted soft-label loss, shapes checked."""
-    probs = np.asarray(probs, dtype=np.float64)
-    soft_labels = np.asarray(soft_labels, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape != soft_labels.shape or weights.shape != (probs.shape[0],):
-        raise ValueError(
-            f"shape mismatch: probs {probs.shape}, labels {soft_labels.shape}, "
-            f"weights {weights.shape}"
-        )
-    return probs, weights, soft_labels
-
-
 def ce_grad_logits(
     probs: np.ndarray,
     weights: np.ndarray,
@@ -69,11 +54,10 @@ def ce_grad_logits(
 ) -> np.ndarray:
     """Logit-space gradient of the weighted soft-label loss: row i is w_i * (p_i - y_i).
 
-    Written to `out`. Shapes are checked, finiteness is not:
-    the saflex step raises on non-finite scores before it gets here, and
-    the trainer checks every gradient.
+    Written to `out`. Neither shapes nor finiteness are checked: the
+    saflex step slices all three from one batch and raises on non-finite
+    scores before it gets here, and the trainer checks every gradient.
     """
-    probs, weights, soft_labels = _check_weighted(probs, weights, soft_labels)
     out = np.subtract(probs, soft_labels, out=out)
     out *= weights[:, None]
     return out
@@ -110,14 +94,10 @@ def ce_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
     Equals the mean of -log softmax(logits)[i, labels[i]] but cannot
     underflow when a row is saturated. Non-finite logits yield nan rather
     than raising, so divergence guards can observe the failure; labels out
-    of range raise.
+    of range raise. Logits (n, K) and labels (n,) are not shape-checked.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ValueError("logits must be 2-D")
     labels = check_labels(labels, logits.shape[1])
-    if labels.shape != (logits.shape[0],):
-        raise ValueError("labels shape mismatch")
     # the label entries of log_softmax(logits), without the full matrix;
     # sum / n is np.mean's own arithmetic
     z = logits - row_max(logits)

@@ -104,8 +104,6 @@ class ParamGrad(_LayerVector):
 
 def init_mlp(layer_dims: list[int] | tuple[int, ...], seed: int) -> ModelParams:
     """Uniform init in +-sqrt(6 / (fan_in + fan_out)); biases zero."""
-    if len(layer_dims) < 2:
-        raise ValueError("need at least input and output dims")
     shapes = tuple(zip(layer_dims[:-1], layer_dims[1:]))
     spans = block_spans(shapes)
     rng = stream(seed, "init")
@@ -283,8 +281,6 @@ def jvp_logits_batch(
 
 def sgd_step(params: ModelParams, step: np.ndarray, alpha: float) -> ModelParams:
     """New parameters params - alpha * step, for a flat step; every optimizer update ends here."""
-    if alpha < 0:
-        raise ValueError("learning rate must be >= 0")
     return ModelParams.from_flat(params.flat - alpha * step, params.shapes)
 
 

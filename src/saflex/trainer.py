@@ -23,7 +23,7 @@ import numpy as np
 
 from .augment import AugmenterSpec, apply_augmenter
 from .core import SaflexConfig, SaflexOutput, saflex_gradient
-from .data import Batch, Dataset, RangeError, SplitSpec, apply_train_statistics, split
+from .data import Batch, Dataset, RangeError, SplitSpec, apply_train_statistics, split, writing
 from .losses import ce_from_logits, mean_ce_grad_logits, one_hot
 from .nn import ForwardCache, ModelParams, ParamGrad, init_mlp, mlp_backward, mlp_forward, sgd_step
 from .rng import stream
@@ -97,10 +97,8 @@ def evaluate(
     """Mean cross-entropy and top-1 accuracy over a dataset.
 
     The forward pass writes into the leading rows of the workspace `reuse`
-    when one is given (nn.mlp_forward).
+    when one is given (nn.mlp_forward). run_splits has refused an empty split.
     """
-    if ds.size == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
     probs, cache = mlp_forward(params, ds.X, reuse)
     loss = ce_from_logits(cache.logits, ds.labels)
     acc = float((probs.argmax(axis=1) == ds.labels).mean())
@@ -243,7 +241,7 @@ def train(
 
 def write_metrics_csv(rows: list[MetricsRow], path: str) -> None:
     """Exact-format metrics file; float fields use shortest round-trip repr."""
-    with open(path, "w", newline="") as f:
+    with writing(path), open(path, "w", newline="") as f:
         f.write(",".join(METRICS_COLUMNS) + "\n")
         for row in rows:
             vals = row.as_tuple()

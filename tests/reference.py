@@ -25,7 +25,7 @@ from saflex.config import ConfigError
 from saflex.core import SaflexConfig
 from saflex.data import (IMAGE_MAGIC, Dataset, FeatureGroup, apply_train_statistics, decoding,
                          read_schema)
-from saflex.losses import _check_weighted, check_simplex_rows, one_hot
+from saflex.losses import check_simplex_rows, one_hot
 from saflex.nn import ModelParams, ParamGrad, block_spans, row_max
 from saflex.oracle import ENUM_MAX_B, ENUM_MAX_K, Assignment
 
@@ -107,6 +107,19 @@ def norm(g: ParamGrad) -> float:
 
 # ---------------------------------------------------------------------------
 # losses
+
+
+def _check_weighted(probs: np.ndarray, weights: np.ndarray, soft_labels: np.ndarray) -> tuple:
+    """(probs, weights, soft_labels) of a weighted soft-label loss, shapes checked."""
+    probs = np.asarray(probs, dtype=np.float64)
+    soft_labels = np.asarray(soft_labels, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if probs.ndim != 2 or probs.shape != soft_labels.shape or weights.shape != (probs.shape[0],):
+        raise ValueError(
+            f"shape mismatch: probs {probs.shape}, labels {soft_labels.shape}, "
+            f"weights {weights.shape}"
+        )
+    return probs, weights, soft_labels
 
 
 def weighted_soft_ce(probs: np.ndarray, weights: np.ndarray, soft_labels: np.ndarray) -> float:

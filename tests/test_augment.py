@@ -311,14 +311,6 @@ def test_spec_validation():
             AugmenterSpec(**{name: value})
 
 
-def test_jitter_and_mixup_reject_nan_strengths(rng):
-    batch = _batch(rng)
-    with pytest.raises(ValueError, match="sigma"):
-        gaussian_jitter(batch, np.nan, rng)
-    with pytest.raises(ValueError, match="alpha"):
-        mixup(batch, np.nan, rng, num_classes=4)
-
-
 def test_augmenters_preserve_shape_and_size(rng):
     batch = _batch(rng, b=7, d=5, k=3)
     for spec in (

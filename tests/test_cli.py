@@ -320,9 +320,9 @@ def test_sweep_emits_one_run_per_sigma(tmp_path):
 def test_sweep_loads_its_input_once_and_each_point_equals_a_single_run(tmp_path, monkeypatch):
     calls, build = [], cli._build_dataset
 
-    def counted(cfg):
-        calls.append(cfg["data"])
-        return build(cfg)
+    def counted(d, prefix):
+        calls.append(d)
+        return build(d, prefix)
 
     monkeypatch.setattr(cli, "_build_dataset", counted)
     cfg = _cfg(tmp_path)
@@ -735,6 +735,36 @@ def test_schema_with_a_duplicate_column_name_exits_two_naming_the_file(tmp_path,
     assert main(["train", "-c", cfg]) == 2
     assert capsys.readouterr().err == (
         f"error: {tmp_path / 's.csv'}:2: duplicate column name 'a'\n")
+
+
+def test_csv_whose_header_lists_the_columns_in_another_order_exits_two(tmp_path, capsys):
+    cfg = _csv_cfg(tmp_path, "c,a,label\nu,0.5,0\nv,1.5,1\n")
+    assert main(["train", "-c", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'd.csv'}: header ['c', 'a', 'label'] "
+        "does not match schema order ['a', 'c', 'label']\n")
+
+
+@pytest.mark.parametrize("command", ["train", "gen-data"])
+def test_a_write_past_a_file_size_limit_exits_two_naming_the_file(tmp_path, command):
+    # the limit is set in the child alone; its first file past 4096 bytes
+    # fails in a write or in the close that flushes it, with no file name
+    import saflex
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(saflex.__file__)))
+    argv, name = {"train": (["train", "-c", _cfg(tmp_path, model={"hidden": [32, 32]})],
+                            tmp_path / "run" / "checkpoint.bin"),
+                  "gen-data": (["gen-data", "--n", "2000", "--out", str(tmp_path / "data")],
+                               tmp_path / "data" / "data.csv")}[command]
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n"
+            "from saflex.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == f"error: {name}: [Errno 27] File too large\n"
 
 
 def test_csv_non_numeric_value_exits_two_naming_line_and_column(tmp_path, capsys):

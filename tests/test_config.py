@@ -144,6 +144,8 @@ def test_a_bad_flag_value_exits_two_naming_the_flag(case, data):
     ('{"data": {"sigma": 0}}', "config error: data.sigma must be a finite number > 0, got 0.0"),
     ('{"data": {"kind": "two_moons", "sigma": -1}}',
      "config error: data.sigma must be a finite number >= 0, got -1.0"),
+    ('{"data": {"kind": "foo"}}',
+     "config error: data.kind must be two_gaussians|two_moons|csv|images, got 'foo'"),
     # every range-checked leaf of the run dataclasses
     ('{"model": {"hidden": [8, 0]}}',
      "config error: model.hidden layer widths must be >= 1, got [8, 0]"),
@@ -280,12 +282,25 @@ def test_a_config_that_is_not_utf8_text_exits_two_naming_the_file(tmp_path):
      "config error: --sigma must be a finite number >= 0, got -1.0"),
     (["gen-data", "--n", "1"], "config error: --n must be >= 2, got 1"),
     (["gen-data", "--kind", "two_moons", "--n", "0"], "config error: --n must be >= 2, got 0"),
+    (["gen-data", "--kind", "csv_passthrough", "--input", "d.csv"],
+     "config error: csv_passthrough needs --input and --input-schema"),
 ])
 def test_flag_errors_are_one_line_naming_the_flag(tmp_path, argv, line):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(dict(TINY, output={"dir": str(tmp_path / "run")})))
     extra = {"gen-data": ["--out", str(tmp_path / "data")], "train": ["-c", str(cfg)]}
     assert _run([*argv, *extra.get(argv[0], [])]) == (2, "", line + "\n")
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["train"], "config error: train needs --config (or use --print-config for defaults)"),
+    (["train", "-c", "nope.json"], "config error: cannot read config 'nope.json': "
+     "[Errno 2] No such file or directory: 'nope.json'"),
+])
+def test_a_missing_config_exits_two_in_one_line(tmp_path, monkeypatch, argv, line):
+    monkeypatch.chdir(tmp_path)
+    assert _run(argv) == (2, "", line + "\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_float_leaves_store_integers_as_floats_when_they_fit():

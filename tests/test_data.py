@@ -17,6 +17,7 @@ from reference import load_csv_unchunked, save_images_raw
 from saflex import data as saflex_data
 from saflex.cli import main
 from saflex.data import (
+    Batch,
     Dataset,
     FeatureGroup,
     SplitSpec,
@@ -27,6 +28,7 @@ from saflex.data import (
     load_images_raw,
     save_csv,
     split,
+    writing,
 )
 from saflex.rng import stream
 from saflex.trainer import RunConfig, run_splits
@@ -283,6 +285,23 @@ def test_a_column_constant_on_train_is_shifted_by_its_mean_and_left_unscaled():
     assert np.all(tr2.X[:, 1] == 0.0)
     for rows, out in zip(parts[1:], (va2, te2)):
         assert out.X[:, 1].tobytes() == (X[rows, 1] - 2.5).tobytes()
+
+
+def test_a_batch_refuses_soft_labels_of_another_row_count():
+    Batch(np.zeros((2, 3)), [0, 1], soft_labels=np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match="^soft labels must have one row per sample$"):
+        Batch(np.zeros((2, 3)), [0, 1], soft_labels=np.full((3, 2), 0.5))
+
+
+def test_a_write_error_names_its_file_unless_it_names_one_already(tmp_path):
+    path = str(tmp_path / "out.csv")
+    with pytest.raises(OSError, match=f"^{re.escape(path)}: \\[Errno 27\\] File too large$"):
+        with writing(path):
+            raise OSError(27, "File too large")  # as a write past RLIMIT_FSIZE raises it
+    with pytest.raises(FileNotFoundError) as exc:
+        with writing(path), open(tmp_path / "no" / "out.csv", "w"):
+            pass
+    assert exc.value.filename == str(tmp_path / "no" / "out.csv")
 
 
 def test_split_spec_validation():

@@ -260,6 +260,11 @@ def test_assignment_rejects_non_integer_or_non_binary_input(labels, weights):
         Assignment(np.array(labels), np.array(weights))
 
 
+def test_assignment_rejects_labels_and_weights_of_other_lengths():
+    with pytest.raises(ValueError, match="^labels and weights must be matching 1-D arrays$"):
+        Assignment(np.array([0, 1, 2]), np.array([1, 1]))
+
+
 def test_assignment_takes_bool_weights_and_keeps_int64_without_a_copy():
     labels = np.array([2, 0, 1])
     a = Assignment(labels, np.array([True, False, True]))
@@ -368,6 +373,13 @@ def test_post_step_zero_alpha_keeps_val_loss():
     a = Assignment(np.zeros(aug.size, dtype=np.int64), np.ones(aug.size, dtype=np.int64))
     before = hard_ce(mlp_forward(params, val.X)[0], val.hard_labels)
     assert post_step_val_loss(params, tr, aug, a, val, 0.0) == pytest.approx(before, abs=1e-15)
+
+
+def test_post_step_refuses_a_negative_alpha():
+    params, tr, aug, val = _instance(0)
+    a = Assignment(np.zeros(aug.size, dtype=np.int64), np.ones(aug.size, dtype=np.int64))
+    with pytest.raises(ValueError, match="^alpha must be >= 0$"):
+        post_step_val_loss(params, tr, aug, a, val, -1e-3)
 
 
 def test_post_step_all_dropped_equals_plain_train_step():
