@@ -3,7 +3,8 @@
 Given the current model, an upstream-augmented batch, and a validation
 minibatch, one step does:
 
-1. mean validation cross-entropy gradient g;
+1. mean validation cross-entropy gradient g (mean_ce_gradient, which is
+   also the whole step of the none and naive baselines);
 2. per augmented sample, class-alignment scores pi via a single logit
    JVP: with u = J(x) g and p the softmax at x, pi_k = p.u - u_k, which
    equals the inner product between g and the gradient of the per-class
@@ -71,10 +72,10 @@ class SaflexOutput:
 # saflex_gradient; `rows` selects a batch's rows in a forward cache.
 # Labels reaching them have been range-checked by the public entry point.
 
-def _val_gradient(
-    params: ModelParams, cache: ForwardCache, rows: slice, labels: np.ndarray
+def _mean_ce_gradient(
+    params: ModelParams, cache: ForwardCache, rows: slice, targets: np.ndarray
 ) -> ParamGrad:
-    return mlp_backward(params, cache, mean_ce_grad_logits(cache.probs[rows], labels), rows)
+    return mlp_backward(params, cache, mean_ce_grad_logits(cache.probs[rows], targets), rows)
 
 
 def _pi(params: ModelParams, cache: ForwardCache, rows: slice, g_val: ParamGrad) -> np.ndarray:
@@ -101,13 +102,14 @@ def _step_gradient(
     return mlp_backward(params, cache, dlogits, slice(0, b))
 
 
-def validation_gradient(params: ModelParams, val_batch: Batch) -> ParamGrad:
-    """Gradient of the mean cross-entropy over the validation minibatch."""
-    if val_batch.size == 0:
-        raise ValueError("empty validation batch")
-    labels = check_labels(val_batch.hard_labels, params.n_classes)
-    _, cache = mlp_forward(params, val_batch.X)
-    return _val_gradient(params, cache, slice(None), labels)
+def mean_ce_gradient(params: ModelParams, batch: Batch) -> ParamGrad:
+    """Mean cross-entropy gradient of a batch: its soft labels if set, else its hard labels."""
+    if batch.size == 0:
+        raise ValueError("empty batch")
+    labels = check_labels(batch.hard_labels, params.n_classes)
+    _, cache = mlp_forward(params, batch.X)
+    targets = labels if batch.soft_labels is None else batch.soft_labels
+    return _mean_ce_gradient(params, cache, slice(None), targets)
 
 
 def pi_scores(params: ModelParams, x_aug: np.ndarray, g_val: ParamGrad) -> np.ndarray:
@@ -206,9 +208,9 @@ def saflex_gradient(
 ) -> tuple[ParamGrad, SaflexOutput]:
     """Assignment plus combined gradient in one fused stacked pass.
 
-    This is validation_gradient, pi_scores, saflex_assign and
+    This is mean_ce_gradient of val_batch, pi_scores, saflex_assign and
     combined_step_gradient over one shared forward pass of the stacked
-    [train, augmented, validation] rows.
+    [train, augmented, validation] rows, behind the same entry checks.
     """
     if train_batch.size == 0 or aug_batch.size == 0 or val_batch.size == 0:
         raise ValueError("all batches must be nonempty")
@@ -217,7 +219,7 @@ def saflex_gradient(
         train_batch.hard_labels, aug_batch.hard_labels, val_batch.hard_labels
     ]), params.n_classes)
     _, cache = mlp_forward(params, np.concatenate([train_batch.X, aug_batch.X, val_batch.X]))
-    g_val = _val_gradient(params, cache, slice(b_tr + b_aug, None), val_batch.hard_labels)
+    g_val = _mean_ce_gradient(params, cache, slice(b_tr + b_aug, None), val_batch.hard_labels)
     pi = _pi(params, cache, slice(b_tr, b_tr + b_aug), g_val)
     out = saflex_assign(pi, aug_batch.hard_labels, cfg, rng)
     grad = _step_gradient(params, cache, train_batch.hard_labels, out.weights, out.soft_labels)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .losses import check_labels, check_simplex_rows
+from .nn import check_exact_length
 from .rng import stream
 
 IMAGE_MAGIC = b"SFIM1"
@@ -421,14 +422,7 @@ def load_images_raw(path: str) -> Dataset:
     if not 1 <= k <= 256:  # uint8 labels name at most 256 classes; more only inflate the model
         raise ValueError(f"image file {path!r} declares {k} classes; uint8 labels allow 1 to 256")
     off += 16
-    expected = off + n * h * w + n
-    if len(blob) < expected:
-        raise ValueError(
-            f"truncated image file {path!r}: expected {expected} bytes, got {len(blob)}"
-        )
-    if len(blob) > expected:
-        raise ValueError(f"image file {path!r} has {len(blob) - expected} trailing bytes "
-                         f"past the {expected} its header declares")
+    check_exact_length(blob, off + n * h * w + n, f"image file {path!r}")
     pixels = np.frombuffer(blob, dtype=np.uint8, count=n * h * w, offset=off)
     labels = np.frombuffer(blob, dtype=np.uint8, count=n, offset=off + n * h * w)
     if n and labels.max() >= k:

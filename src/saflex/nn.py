@@ -227,13 +227,14 @@ def mlp_backward(
     params: ModelParams,
     cache: ForwardCache,
     dloss_dlogits: np.ndarray,
-    rows: slice = slice(None),
+    rows: slice,
 ) -> ParamGrad:
     """Reverse-mode gradient of a scalar loss with the given logit gradient.
 
     The returned gradient, a fresh vector, is summed over the batch; divide
     dloss_dlogits by the batch size beforehand for a mean-reduced loss.
-    `rows` picks the cache rows the (rows, K) logit gradient belongs to.
+    `rows` picks the cache rows the (rows, K) logit gradient belongs to:
+    slice(None) when it covers them all.
     """
     d = np.asarray(dloss_dlogits, dtype=np.float64)
     want = cache.logits[rows].shape
@@ -292,6 +293,15 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         f.write(params.flat.astype("<f8").tobytes())
 
 
+def check_exact_length(blob: bytes, expected: int, what: str) -> None:
+    """ValueError naming `what` unless blob is exactly the `expected` bytes its header declares."""
+    if len(blob) < expected:
+        raise ValueError(f"truncated {what}: expected {expected} bytes, got {len(blob)}")
+    if len(blob) > expected:
+        raise ValueError(f"{what} has {len(blob) - expected} trailing bytes "
+                         f"past the {expected} its header declares")
+
+
 def load_checkpoint(path: str) -> ModelParams:
     """The parameters in a checkpoint file.
 
@@ -312,13 +322,8 @@ def load_checkpoint(path: str) -> ModelParams:
     dims = struct.unpack_from(f"<{2 * n_layers}I", blob, off)
     shapes = tuple(zip(dims[::2], dims[1::2]))
     off += 8 * n_layers
-    expected = off + sum(8 * (fi * fo + fo) for fi, fo in shapes)
-    if len(blob) < expected:
-        raise ValueError(f"truncated checkpoint {path!r}: expected {expected} bytes, "
-                         f"got {len(blob)}")
-    if len(blob) > expected:
-        raise ValueError(f"checkpoint {path!r} has {len(blob) - expected} trailing bytes "
-                         f"past the {expected} its header declares")
+    check_exact_length(blob, off + sum(8 * (fi * fo + fo) for fi, fo in shapes),
+                       f"checkpoint {path!r}")
     flat = np.frombuffer(blob, dtype="<f8", offset=off).astype(np.float64)
     bad = flat.size - np.count_nonzero(np.isfinite(flat))
     if bad:

@@ -3,13 +3,15 @@
 Modes: "none" trains on the raw minibatch; "naive" is standard practice,
 training on the augmented minibatch with its upstream labels; "saflex"
 trains on the raw-plus-augmented union with the assignment step choosing
-the augmented samples' weights and soft labels. All randomness comes
-from counter-based streams, so two runs with the same config produce
-identical numbers regardless of the host. Training draws are keyed by
-epoch and iteration, validation minibatches by pass: pass c permutes the
-n validation rows with (seed, "val_order", c) and serves n // b full
-batches of b = min(val batch size, n) rows, so saflex iteration j,
-counted across epochs, takes batch j % (n // b) of pass j // (n // b).
+the augmented samples' weights and soft labels. Each step's gradient comes
+from core (mean_ce_gradient, or saflex_gradient in mode "saflex"). All
+randomness comes from counter-based streams, so two runs with the same
+config produce identical numbers regardless of the host. Training draws
+are keyed by epoch and iteration, validation minibatches by pass: pass c
+permutes the n validation rows with (seed, "val_order", c) and serves
+n // b full batches of b = min(val batch size, n) rows, so saflex
+iteration j, counted across epochs, takes batch j % (n // b) of pass
+j // (n // b).
 """
 
 from __future__ import annotations
@@ -22,10 +24,14 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .augment import AugmenterSpec, apply_augmenter
-from .core import SaflexConfig, SaflexOutput, saflex_gradient
+from .core import SaflexConfig, SaflexOutput, mean_ce_gradient, saflex_gradient
 from .data import Batch, Dataset, RangeError, SplitSpec, apply_train_statistics, split, writing
-from .losses import ce_from_logits, mean_ce_grad_logits, one_hot
-from .nn import ForwardCache, ModelParams, ParamGrad, init_mlp, mlp_backward, mlp_forward, sgd_step
+from .losses import ce_from_logits
+from .nn import ForwardCache, ModelParams, ParamGrad, init_mlp, mlp_forward, sgd_step
+# not called here; perfbench/tracing.py wraps trainer.mlp_backward and trainer.one_hot,
+# so the names stay
+from .losses import one_hot  # noqa: F401
+from .nn import mlp_backward  # noqa: F401
 from .rng import stream
 
 MODES = ("none", "naive", "saflex")
@@ -207,12 +213,7 @@ def train(
                 changed_sum += out.frac_label_changed
             else:
                 # naive is standard practice: the augmented batch replaces the raw one
-                batch = base if aug is None else aug
-                probs, cache = mlp_forward(params, batch.X)
-                targets = batch.soft_labels
-                if targets is None:
-                    targets = one_hot(batch.hard_labels, k)
-                grad = mlp_backward(params, cache, mean_ce_grad_logits(probs, targets))
+                grad = mean_ce_gradient(params, base if aug is None else aug)
                 if aug is not None:
                     w_sum += 1.0 / aug.size
             if not np.isfinite(grad.flat).all():

@@ -23,8 +23,7 @@ import numpy as np
 from saflex import cli
 from saflex.config import ConfigError
 from saflex.core import SaflexConfig
-from saflex.data import (IMAGE_MAGIC, Dataset, FeatureGroup, apply_train_statistics, decoding,
-                         read_schema)
+from saflex.data import IMAGE_MAGIC, Dataset, FeatureGroup, decoding, read_schema
 from saflex.losses import check_simplex_rows, one_hot
 from saflex.nn import ModelParams, ParamGrad, block_spans, row_max
 from saflex.oracle import ENUM_MAX_B, ENUM_MAX_K, Assignment
@@ -345,7 +344,7 @@ def _codes(raw: list[str]) -> tuple[list[str], np.ndarray]:
     return values, np.array([lut[v] for v in raw], dtype=np.int64)
 
 
-def load_csv_unchunked(path: str, schema_path: str, standardize: bool = False) -> Dataset:
+def load_csv_unchunked(path: str, schema_path: str) -> Dataset:
     """`saflex.data.load_csv` as it was before it parsed in chunks: every
     row is read as strings before any value is converted, and each column
     is then converted whole, in schema order."""
@@ -414,5 +413,4 @@ def load_csv_unchunked(path: str, schema_path: str, standardize: bool = False) -
             groups.append(FeatureGroup(name, "categorical", start, width, values))
             start += width
     X = np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
-    ds = Dataset(X, labels, len(label_values), groups, label_values)
-    return apply_train_statistics(ds, (np.arange(n),))[0] if standardize else ds
+    return Dataset(X, labels, len(label_values), groups, label_values)

@@ -35,9 +35,9 @@ from saflex.augment import AugmenterSpec
 from saflex.core import (
     SaflexConfig,
     closed_form_assignment,
+    mean_ce_gradient,
     pi_scores,
     saflex_assign,
-    validation_gradient,
 )
 from saflex.data import Batch, SplitSpec, gen_two_gaussians
 from saflex.losses import ce_grad_logits, one_hot
@@ -141,7 +141,7 @@ def test_criterion_2_gradient_machinery():
             continue
         checked += 1
 
-        grad = mlp_backward(params, cache, (probs - one_hot(labels, 3)) / 4)
+        grad = mlp_backward(params, cache, (probs - one_hot(labels, 3)) / 4, slice(None))
 
         def ce_loss(p):
             pr, _ = mlp_forward(p, X)
@@ -162,7 +162,7 @@ def test_criterion_2_gradient_machinery():
 
         c = g.standard_normal(u.shape)
         lhs = float((c * u).sum())
-        rhs = dot(mlp_backward(params, cache, c), t)
+        rhs = dot(mlp_backward(params, cache, c, slice(None)), t)
         worst_dual = max(worst_dual, abs(lhs - rhs) / max(1.0, abs(lhs)))
     ok = worst_bwd <= 1e-6 and worst_jvp <= 1e-6 and worst_dual <= 1e-9
     _report(2, "reverse/forward mode vs finite differences",
@@ -188,7 +188,7 @@ def test_criterion_3_first_order_validity():
         tr = Batch(g.standard_normal((6, 3)), g.integers(0, K, size=6))
         aug = Batch(g.standard_normal((B, 3)), g.integers(0, K, size=B))
         val = Batch(g.standard_normal((8, 3)), g.integers(0, K, size=8))
-        g_val = validation_gradient(params, val)
+        g_val = mean_ce_gradient(params, val)
         out = saflex_assign(pi_scores(params, aug.X, g_val), aug.hard_labels, cfg, unused_rng)
         ours = Assignment(out.soft_labels.argmax(axis=1), out.binary_weights.astype(np.int64))
         for a in alphas:

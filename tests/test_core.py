@@ -4,15 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_grad, small_mlp
-from reference import add_scaled, finite_diff, from_blocks, hard_ce, norm, zeros_like
+from reference import (
+    add_scaled,
+    finite_diff,
+    from_blocks,
+    hard_ce,
+    norm,
+    weighted_soft_ce,
+    zeros_like,
+)
+from saflex.augment import mixup
 from saflex.core import (
     SaflexConfig,
     closed_form_assignment,
     combined_step_gradient,
+    mean_ce_gradient,
     pi_scores,
     saflex_assign,
     saflex_gradient,
-    validation_gradient,
 )
 from saflex.data import Batch
 from saflex.losses import one_hot
@@ -46,13 +55,13 @@ def _rng():
 
 
 # ---------------------------------------------------------------------------
-# validation_gradient
+# mean_ce_gradient
 
 def test_val_gradient_zero_at_perfect_fit():
     # logits saturated at the correct class -> probs ~ one-hot -> tiny gradient
     params = from_blocks(ModelParams, [np.array([[60.0, -60.0]])], [np.zeros(2)])
     batch = Batch(np.array([[1.0], [1.0]]), np.array([0, 0]))
-    g = validation_gradient(params, batch)
+    g = mean_ce_gradient(params, batch)
     assert norm(g) <= 1e-20
 
 
@@ -61,8 +70,8 @@ def test_val_gradient_mean_reduction(rng):
     x = rng.standard_normal((1, 3))
     single = Batch(x, np.array([2]))
     double = Batch(np.concatenate([x, x]), np.array([2, 2]))
-    g1 = validation_gradient(params, single)
-    g2 = validation_gradient(params, double)
+    g1 = mean_ce_gradient(params, single)
+    g2 = mean_ce_gradient(params, double)
     assert norm(add_scaled(g1, g2, -1.0)) <= 1e-15
 
 
@@ -74,7 +83,7 @@ def test_val_gradient_matches_finite_differences(rng):
         probs, _ = mlp_forward(p, batch.X)
         return hard_ce(probs, batch.hard_labels)
 
-    g = validation_gradient(params, batch)
+    g = mean_ce_gradient(params, batch)
     fd = finite_diff(loss, params, 1e-5)
     assert norm(add_scaled(g, fd, -1.0)) / norm(fd) <= 1e-6
 
@@ -82,7 +91,32 @@ def test_val_gradient_matches_finite_differences(rng):
 def test_val_gradient_empty_batch():
     params = small_mlp()
     with pytest.raises(ValueError, match="empty"):
-        validation_gradient(params, Batch(np.zeros((0, 3)), np.zeros(0, dtype=np.int64)))
+        mean_ce_gradient(params, Batch(np.zeros((0, 3)), np.zeros(0, dtype=np.int64)))
+
+
+def test_mean_ce_gradient_hard_labels_equal_their_one_hot_rows_bitwise(rng):
+    # the none step passes hard labels, which build no one-hot matrix
+    params = small_mlp(dims=(3, 6, 5, 4), seed=6)
+    X, labels = rng.standard_normal((7, 3)), rng.integers(0, 4, size=7)
+    hard = mean_ce_gradient(params, Batch(X, labels))
+    soft = mean_ce_gradient(params, Batch(X, labels, soft_labels=one_hot(labels, 4)))
+    np.testing.assert_array_equal(hard.flat, soft.flat)
+
+
+def test_mean_ce_gradient_on_mixup_matches_finite_differences(rng):
+    # the naive step on a mixup batch trains on its soft labels
+    params = small_mlp(dims=(3, 6, 5, 3), seed=7)
+    batch = mixup(Batch(rng.standard_normal((6, 3)), rng.integers(0, 3, size=6)), 1.0, rng, 3)
+    assert not np.isin(batch.soft_labels, (0.0, 1.0)).all()
+
+    def loss(p):
+        probs, _ = mlp_forward(p, batch.X)
+        return weighted_soft_ce(probs, np.full(batch.size, 1.0 / batch.size), batch.soft_labels)
+
+    g = mean_ce_gradient(params, batch)
+    fd = finite_diff(loss, params, 1e-5)
+    # central differences at eps 1e-5 carry ~1e-10 truncation and rounding error
+    assert norm(add_scaled(g, fd, -1.0)) / norm(fd) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +368,7 @@ def test_step_all_weights_dropped_equals_plain_train_step(rng):
     )
     probs, cache = mlp_forward(params, tr.X)
     grad_plain = mlp_backward(
-        params, cache, (probs - one_hot(tr.hard_labels, params.n_classes)) / tr.size
+        params, cache, (probs - one_hot(tr.hard_labels, params.n_classes)) / tr.size, slice(None)
     )
     assert norm(add_scaled(grad_comb, grad_plain, -1.0)) <= 1e-15
 
@@ -362,7 +396,7 @@ def test_out_of_range_labels_raise_value_error(rng, which, bad):
     tr, aug, val = batches
     if which == 2:
         with pytest.raises(ValueError, match="out of range"):
-            validation_gradient(params, val)
+            mean_ce_gradient(params, val)
     if which == 0:
         with pytest.raises(ValueError, match="out of range"):
             combined_step_gradient(params, tr, aug.X, np.full(aug.size, 1 / aug.size),
@@ -403,7 +437,7 @@ def test_fused_gradient_matches_composed_path(seed):
     grad, out = saflex_gradient(
         params, tr, aug, val, cfg, stream(seed, "gumbel", 0, 0))
 
-    g_val = validation_gradient(params, val)
+    g_val = mean_ce_gradient(params, val)
     ref = saflex_assign(pi_scores(params, aug.X, g_val), aug.hard_labels, cfg,
                         stream(seed, "gumbel", 0, 0))
     ref_grad = combined_step_gradient(params, tr, aug.X, ref.weights, ref.soft_labels)

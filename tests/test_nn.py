@@ -68,7 +68,7 @@ def test_forward_rejects_bad_dim(rng):
 def test_backward_zero_cotangent_gives_zero_grad(rng):
     params = small_mlp()
     _, cache = mlp_forward(params, rng.standard_normal((6, 3)))
-    grad = mlp_backward(params, cache, np.zeros((6, 4)))
+    grad = mlp_backward(params, cache, np.zeros((6, 4)), slice(None))
     assert norm(grad) == 0.0
 
 
@@ -77,7 +77,7 @@ def test_backward_linear_layer_closed_form(rng):
     x = rng.standard_normal((1, 3))
     _, cache = mlp_forward(params, x)
     g = rng.standard_normal((1, 2))
-    grad = mlp_backward(params, cache, g)
+    grad = mlp_backward(params, cache, g, slice(None))
     np.testing.assert_allclose(grad.weights[0], x.T @ g, atol=1e-15)
     np.testing.assert_allclose(grad.biases[0], g[0], atol=1e-15)
 
@@ -87,7 +87,7 @@ def test_backward_matches_finite_differences(rng):
     X = rng.standard_normal((4, 3))
     labels = rng.integers(0, 3, size=4)
     probs, cache = mlp_forward(params, X)
-    grad = mlp_backward(params, cache, (probs - one_hot(labels, 3)) / 4)
+    grad = mlp_backward(params, cache, (probs - one_hot(labels, 3)) / 4, slice(None))
 
     def loss(p):
         pr, _ = mlp_forward(p, X)
@@ -158,7 +158,8 @@ def test_jvp_rows_match_a_forward_of_those_rows(rng):
         jvp_logits_batch(params, t, part, slice(None)), rtol=1e-13, atol=1e-13)
     c = rng.standard_normal((4, 4))
     np.testing.assert_allclose(mlp_backward(params, stacked, c, slice(3, 7)).flat,
-                               mlp_backward(params, part, c).flat, rtol=1e-13, atol=1e-13)
+                               mlp_backward(params, part, c, slice(None)).flat,
+                               rtol=1e-13, atol=1e-13)
 
 
 @given(st.integers(0, 10_000))
@@ -171,7 +172,7 @@ def test_jvp_backward_duality(seed):
     t = random_grad(params, rng)
     c = rng.standard_normal((3, 4))
     lhs = float((c * jvp_logits_batch(params, t, cache, slice(None))).sum())
-    rhs = dot(mlp_backward(params, cache, c), t)
+    rhs = dot(mlp_backward(params, cache, c, slice(None)), t)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
@@ -348,8 +349,8 @@ def test_backward_writes_a_fresh_vector(rng):
     params = small_mlp()
     before = params.flat.copy()
     _, cache = mlp_forward(params, rng.standard_normal((3, 3)))
-    g1 = mlp_backward(params, cache, rng.standard_normal((3, 4)))
-    g2 = mlp_backward(params, cache, rng.standard_normal((3, 4)))
+    g1 = mlp_backward(params, cache, rng.standard_normal((3, 4)), slice(None))
+    g2 = mlp_backward(params, cache, rng.standard_normal((3, 4)), slice(None))
     np.testing.assert_array_equal(params.flat, before)
     assert not np.shares_memory(g1.flat, g2.flat)
 
@@ -359,7 +360,7 @@ def test_backward_rejects_a_table_of_another_shape(rng, shape):
     params = small_mlp()
     _, cache = mlp_forward(params, rng.standard_normal((2, 3)))
     with pytest.raises(ValueError, match="dloss_dlogits shape"):
-        mlp_backward(params, cache, np.zeros(shape))
+        mlp_backward(params, cache, np.zeros(shape), slice(None))
 
 
 def test_a_stacked_forward_takes_no_workspace_and_only_a_3d_stack(rng):
@@ -387,7 +388,7 @@ def test_stacked_backward_rejects_an_out_of_another_stack_or_layout(rng, stack_r
     _, cache = mlp_forward(params, rng.standard_normal((2, 3)))
     for shape in [(3, 2, 4), (2, 1, 2, 4), (2, 4, 1, 4)]:
         with pytest.raises(ValueError, match="dloss_dlogits shape"):
-            mlp_backward(params, cache, rng.standard_normal(shape))
+            mlp_backward(params, cache, rng.standard_normal(shape), slice(None))
     if stack_rows is not None:
         layout = small_mlp(dims=dims)
         with pytest.raises(ValueError, match="does not fit"):
@@ -414,7 +415,7 @@ def test_stacked_backward_is_bitwise_one_backward_per_table(rng):
         for b in range(s):
             _, alone = mlp_forward(params, X[b])
             for t in range(r):
-                want = mlp_backward(params, alone, tables[b, t]).flat
+                want = mlp_backward(params, alone, tables[b, t], slice(None)).flat
                 assert grads[b * r + t].tobytes() == want.tobytes(), (trial, params.shapes, b, t)
 
 

@@ -5,7 +5,7 @@ from conftest import random_grad, random_layout, small_mlp
 from reference import (add_scaled, dot, finite_diff, from_blocks, hard_ce, iter_assignments,
                        norm)
 from saflex import nn, oracle
-from saflex.core import closed_form_assignment, pi_scores, validation_gradient
+from saflex.core import closed_form_assignment, mean_ce_gradient, pi_scores
 from saflex.data import Batch
 from saflex.losses import one_hot
 from saflex.cli import oracle_instance
@@ -61,7 +61,7 @@ def _reverse_scores_reference(params, X, g_val):
     for i in range(X.shape[0]):
         probs_i, cache_i = mlp_forward(params, X[i : i + 1])
         for c in range(k):
-            g_ic = mlp_backward(params, cache_i, probs_i - np.eye(k)[c : c + 1])
+            g_ic = mlp_backward(params, cache_i, probs_i - np.eye(k)[c : c + 1], slice(None))
             pairs = zip(g_ic.weights + g_ic.biases, g_val.weights + g_val.biases)
             out[i, c] = sum(float(np.dot(a.ravel(), b.ravel())) for a, b in pairs)
     return out
@@ -389,7 +389,7 @@ def test_post_step_all_dropped_equals_plain_train_step():
     from saflex.nn import mlp_backward, sgd_step
 
     probs, cache = mlp_forward(params, tr.X)
-    grad = mlp_backward(params, cache, (probs - one_hot(tr.hard_labels, 3)) / tr.size)
+    grad = mlp_backward(params, cache, (probs - one_hot(tr.hard_labels, 3)) / tr.size, slice(None))
     stepped = sgd_step(params, grad.flat, 1e-2)
     want = hard_ce(mlp_forward(stepped, val.X)[0], val.hard_labels)
     assert got == pytest.approx(want, abs=1e-15)
@@ -398,7 +398,7 @@ def test_post_step_all_dropped_equals_plain_train_step():
 def test_first_order_consistency_richardson():
     # (L(theta) - L(theta - a*d)) / a -> <g_val, d>, Richardson-extrapolated
     params, tr, aug, val = _instance(2)
-    g_val = validation_gradient(params, val)
+    g_val = mean_ce_gradient(params, val)
     a = Assignment(np.array([0, 1, 2, 0]), np.array([1, 1, 0, 1]))
     d = combined_step_gradient(
         params, tr, aug.X, a.weights.astype(float), one_hot(a.labels, 3)

@@ -15,10 +15,17 @@ any method named `dot`: such a method passes this rule whatever calls it.
 A defaulted parameter of a public function, or of a public method of any
 class, is passed when a call in those directories names it as a keyword
 or reaches its position, counted without `self` or `cls`; calls match on
-the bare name in the same way. A parameter that only the tests pass is an
+the bare name in the same way, with one exception: a bare-name call inside
+a package module that defines that name at top level reaches only that
+module's own definition, so `oracle`'s `mlp_backward(...)` says nothing
+about `nn.mlp_backward`. A parameter that only the tests pass is an
 option set to one value: that value becomes a constant. A call that names
 neither relies on the default; a default that no call there relies on is
 one the tests alone use, and the parameter becomes required.
+
+Every name a package module imports is loaded in that module, unless the
+tracer's site table (`perfbench/tracing.py:_SITES`) wraps that name at that
+module: the tracer replaces the attribute, so the import has to stay.
 
 What only the tests call lives in `tests/reference.py`. The package
 never imports from the tests, and defines no function, class or method
@@ -32,6 +39,7 @@ import pathlib
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 CALLER_DIRS = ("src", "scripts", "perfbench")
 PACKAGE = ROOT / "src" / "saflex"
 TESTS = ROOT / "tests"
@@ -44,7 +52,6 @@ KINDS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 TEST_ONLY = {
     "core.closed_form_assignment": "the closed-form rule criterion 5 and test_oracle assign with",
     "core.combined_step_gradient": "the step gradient of criterion 3's exact post-step loss",
-    "core.validation_gradient": "the validation gradient criterion 3 and the oracle tests start from",
     "oracle.post_step_val_loss": "the exact post-step loss criterion 3 compares against",
 }
 
@@ -100,9 +107,10 @@ def _loaded_names() -> Counter:
 
 
 def _defaulted_parameters() -> dict[str, tuple[str, int | None, str]]:
-    """'module.[Class.]function.param' -> (function, position, param) for each
-    defaulted parameter of a public function or method outside TEST_ONLY.
-    The position skips `self` and `cls`; a keyword-only parameter has none."""
+    """'module.[Class.]function.param' -> ('module.[Class.]function', position,
+    param) for each defaulted parameter of a public function or method outside
+    TEST_ONLY. The position skips `self` and `cls`; a keyword-only parameter
+    has none."""
     found = {}
     for module, tree in _package_trees().items():
         defs = [(module, node, False) for node in tree.body]
@@ -119,23 +127,41 @@ def _defaulted_parameters() -> dict[str, tuple[str, int | None, str]]:
                 positional = positional[1:]
             first_defaulted = len(positional) - len(fn.args.defaults)
             for i, arg in enumerate(positional[first_defaulted:], first_defaulted):
-                found[f"{qual}.{arg.arg}"] = (fn.name, i, arg.arg)
+                found[f"{qual}.{arg.arg}"] = (qual, i, arg.arg)
             for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
                 if default is not None:
-                    found[f"{qual}.{arg.arg}"] = (fn.name, None, arg.arg)
+                    found[f"{qual}.{arg.arg}"] = (qual, None, arg.arg)
     return found
 
 
-def _calls() -> dict[str, list[ast.Call]]:
-    """Every call outside the tests, by bare callee name."""
+def _calls() -> dict[str, list[tuple[str | None, ast.Call]]]:
+    """Every call outside the tests, by bare callee name, with the package
+    module whose own top-level definition a bare-name call reaches (None
+    for every other call)."""
     calls = {}
     for d in CALLER_DIRS:
         for path in (ROOT / d).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
-                    name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-                    calls.setdefault(name, []).append(node)
+            tree = ast.parse(path.read_text())
+            own = ({node.name for node in tree.body if isinstance(node, KINDS)}
+                   if path.parent == PACKAGE else set())
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                if isinstance(node.func, ast.Name):
+                    name = node.func.id
+                    owner = path.stem if name in own else None
+                elif isinstance(node.func, ast.Attribute):
+                    name, owner = node.func.attr, None
+                else:
+                    continue
+                calls.setdefault(name, []).append((owner, node))
     return calls
+
+
+def _reaching(calls: dict[str, list[tuple[str | None, ast.Call]]], qual: str) -> list[ast.Call]:
+    """The calls that may reach the function or method `qual`."""
+    name = qual.rsplit(".", 1)[1]
+    return [c for owner, c in calls.get(name, []) if owner is None or qual == f"{owner}.{name}"]
 
 
 def _passes(call: ast.Call, position: int | None, arg: str) -> bool:
@@ -192,7 +218,7 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
     params, calls = _defaulted_parameters(), _calls()
     assert set(EXEMPT) <= set(params), "EXEMPT names a parameter that is gone"
     unpassed = {q for q, (fn, position, arg) in params.items()
-                if not any(_passes(c, position, arg) for c in calls.get(fn, []))}
+                if not any(_passes(c, position, arg) for c in _reaching(calls, fn))}
     assert sorted(unpassed - set(EXEMPT)) == [], "only the tests pass it: make it a constant"
     assert sorted(set(EXEMPT) - unpassed) == [], "now passed: drop it from EXEMPT"
 
@@ -200,6 +226,35 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
 def test_every_default_is_relied_on_outside_the_tests():
     params, calls = _defaulted_parameters(), _calls()
     unrelied = {q for q, (fn, position, arg) in params.items()
-                if not any(_relies(c, position, arg) for c in calls.get(fn, []))}
+                if not any(_relies(c, position, arg) for c in _reaching(calls, fn))}
     assert sorted(unrelied - set(EXEMPT)) == [], "only the tests use it: drop the default"
     assert sorted(set(EXEMPT) - unrelied) == [], "now relied on: drop it from EXEMPT"
+
+
+def _traced_sites() -> set[str]:
+    """'module.attribute' for each entry of the tracer's site table."""
+    tree = ast.parse(TRACING.read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "_SITES" for t in node.targets))
+    return {f"{entry.elts[0].value}.{entry.elts[1].value}" for entry in table.elts}
+
+
+def _unloaded_imports() -> set[str]:
+    """'module.name' for each name a package module imports and never loads
+    as a bare name; `from __future__` imports are no names."""
+    unloaded = set()
+    for module, tree in _package_trees().items():
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unloaded |= {f"{module}.{n}" for n in names if n not in loaded}
+    return unloaded
+
+
+def test_every_import_is_loaded_or_traced():
+    assert sorted(_unloaded_imports() - _traced_sites()) == [], \
+        "imported and never loaded: drop the import"

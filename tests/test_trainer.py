@@ -3,7 +3,7 @@ import pytest
 
 from reference import from_blocks
 from saflex.augment import AugmenterSpec
-from saflex.core import SaflexConfig, validation_gradient
+from saflex.core import SaflexConfig, mean_ce_gradient
 from saflex.data import Batch, Dataset, SplitSpec, gen_two_gaussians
 from saflex import data as data_mod
 from saflex import trainer as trainer_mod
@@ -116,7 +116,7 @@ def test_evaluate_and_validation_gradient_reject_a_3d_x(rng):
     batch = Batch(rng.standard_normal((2, 3)), labels)
     batch.X = X3
     with pytest.raises(ValueError, match="must be 2-D"):
-        validation_gradient(params, batch)
+        mean_ce_gradient(params, batch)
 
 
 def test_copy_augmenter_matches_naive_within_noise():
