@@ -67,7 +67,8 @@ def cutmix_tabular(
     as a unit so every output row stays a valid encoding. The base row's
     label is kept. `groups` holds integer column-index arrays, one per
     source feature (Dataset.group_slices); a column in several groups
-    ends with the donor of the last group that replaced it.
+    ends with the donor of the last group that replaced it. A column outside
+    the batch raises IndexError, unless b < 2 or p_replace is 0 (nothing is drawn).
 
     Each group draws which rows it replaces and each row's donor; those
     draws only record, per column and row, how far past the base row the

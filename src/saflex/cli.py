@@ -193,7 +193,9 @@ class _OracleTally:
     def add(self, first: int, fast: list[np.ndarray], ref: list[np.ndarray]) -> None:
         """Tally instances first, first + 1, ... from their finite (b, K) score tables.
 
-        Each nonzero gap is printed as its instance is tallied.
+        Each nonzero gap is printed as its instance is tallied. saflex_assign and
+        enumerate_optimum_scores treat rows one by one, so each stacked row gets
+        the bits of its instance's lone table.
         """
         if not fast:
             return

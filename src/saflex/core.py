@@ -92,7 +92,8 @@ def _step_gradient(
 ) -> ParamGrad:
     """Gradient of mean train CE plus weighted augmented soft CE.
 
-    The cache rows are [train, augmented, rest]; only the first two take part.
+    The cache rows are [train, augmented, rest]; only the first two take part,
+    their logit gradients written into one array for one backward pass.
     """
     b_tr, b = len(train_labels), len(train_labels) + len(aug_weights)
     probs = cache.probs

@@ -509,7 +509,8 @@ def _column_statistics(X: np.ndarray, cont: list[int]) -> tuple[np.ndarray, np.n
     The statistics come from one copy of those columns, dropped on return.
     It is Fortran-ordered, so `np.add.reduce(dev, 0)` sums each column
     pairwise in the order `X[:, cont].mean(axis=0)` and `.std(axis=0)`
-    use, and gives their values bit for bit.
+    use, and gives their values bit for bit; a C-ordered slice such as
+    `X[:, lo:hi]` would sum in another order.
     """
     dev = X[:, cont]
     mean = np.add.reduce(dev, 0) / X.shape[0]

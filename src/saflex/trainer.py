@@ -25,6 +25,9 @@ import numpy as np
 
 from .augment import AugmenterSpec, apply_augmenter
 from .core import SaflexConfig, SaflexOutput, mean_ce_gradient, saflex_gradient
+# perfbench/tracing.py wraps trainer.split and trainer.apply_train_statistics by name
+# (data.split_s, data.standardize_s): both stay module globals, each called once per
+# standardized train()
 from .data import Batch, Dataset, RangeError, SplitSpec, apply_train_statistics, split, writing
 from .losses import ce_from_logits
 from .nn import ForwardCache, ModelParams, ParamGrad, init_mlp, mlp_forward, sgd_step
@@ -180,7 +183,8 @@ def train(
     train_ds, val_ds, test_ds = run_splits(run, data)
     k = data.num_classes
     params = init_mlp([data.dim, *run.hidden, k], seed=run.seed)
-    # every split's evaluation forward writes into the leading rows of one workspace
+    # every split's evaluation forward writes into the leading rows of one workspace;
+    # evaluate reduces each before the next overwrites it
     ws = ForwardCache.empty(params, max(train_ds.size, val_ds.size, test_ds.size))
     optimizer = _Optimizer(run, params)
     val_batches = _val_batches(val_ds, run.val_batch_size or run.batch_size, run.seed)

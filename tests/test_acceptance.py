@@ -213,7 +213,10 @@ def test_criterion_3_first_order_validity():
 
 
 # ---------------------------------------------------------------------------
-# 4. loss linearity in weights and soft labels
+# 4. loss linearity in weights and soft labels. The cross-entropy and
+# contrastive halves certify tests/reference.py (weighted_soft_ce,
+# weighted_soft_clip); only the logit-gradient half runs package code
+# (losses.ce_grad_logits), the form in which the training step uses the loss.
 
 def test_criterion_4_loss_linearity():
     worst_ce = worst_grad = worst_clip = 0.0

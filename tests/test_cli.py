@@ -17,6 +17,7 @@ from saflex.cli import build_parser, main
 from saflex.config import DEFAULTS, resolve, ConfigError
 from saflex.data import load_csv
 from saflex.nn import init_mlp, load_checkpoint, save_checkpoint
+from saflex.trainer import METRICS_COLUMNS
 
 
 def _cfg(tmp_path, name="config.json", **overrides):
@@ -187,6 +188,18 @@ def test_train_writes_outputs_and_is_reproducible(tmp_path):
     a = pathlib.Path(run_dir, "checkpoint.bin").read_bytes()
     b = pathlib.Path(out2, "checkpoint.bin").read_bytes()
     assert a == b
+
+
+def test_train_with_zero_epochs_writes_a_header_only_run(tmp_path, capsys):
+    cfg = _cfg(tmp_path, train={"epochs": 0})
+    assert main(["train", "-c", cfg]) == 0
+    run_dir = tmp_path / "run"
+    assert capsys.readouterr().out == f"{run_dir}: no epochs run\n"
+    assert (run_dir / "metrics.csv").read_text() == ",".join(METRICS_COLUMNS) + "\n"
+    # the initial parameters: two_gaussians is 2-D with 2 classes, model.hidden [8, 8]
+    params = load_checkpoint(str(run_dir / "checkpoint.bin"))
+    assert params.flat.tobytes() == init_mlp([2, 8, 8, 2], seed=0).flat.tobytes()
+    assert json.loads((run_dir / "resolved_config.json").read_text())["train"]["epochs"] == 0
 
 
 def test_modes_none_and_saflex_differ_only_through_training(tmp_path):

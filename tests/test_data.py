@@ -134,6 +134,15 @@ def test_schema_rejects_a_duplicate_column_name(tmp_path, schema_text, header, l
         load_csv(data, schema)
 
 
+def test_schema_blank_and_whitespace_only_lines_are_skipped(tmp_path):
+    data = _write(tmp_path / "d.csv", "a,c,label\n0.5,u,0\n-1.5,v,1\n2.0,u,0\n")
+    plain = _write(tmp_path / "s.csv", "a,continuous\nc,categorical,2\nlabel,label\n")
+    spaced = _write(tmp_path / "t.csv", "a,continuous\n\nc,categorical,2\n  \t\nlabel,label\n")
+    outcome = load_outcome(load_csv, data, plain)
+    assert outcome[0] == (3, 3)  # a Dataset, not an error
+    assert load_outcome(load_csv, data, spaced) == outcome
+
+
 def test_csv_missing_column(tmp_path):
     data = _write(tmp_path / "d.csv", "a,label\n1,0\n")
     schema = _write(tmp_path / "s.csv", "a,continuous\nb,continuous\nlabel,label\n")
