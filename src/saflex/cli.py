@@ -22,7 +22,8 @@ from . import config as cfgmod
 from . import data as datamod
 from .config import ConfigError
 from .core import SaflexConfig, SaflexOutput, pi_scores, saflex_assign
-from .nn import block_spans, init_mlp, load_checkpoint, save_checkpoint, ModelParams, ParamGrad
+from .nn import (_LAYOUTS_CACHED, block_spans, init_mlp, load_checkpoint, save_checkpoint,
+                 ModelParams, ParamGrad)
 from .oracle import (
     ENUM_MAX_B,
     ENUM_MAX_K,
@@ -157,14 +158,22 @@ def oracle_instance(
     dims = [int(g.integers(2, 6)), int(g.integers(4, 17)), int(g.integers(4, 17)), k]
     params = init_mlp(dims, seed=int(g.integers(0, 2**31)))
     b = int(g.integers(1, b_max + 1))
-    X = g.standard_normal((b, dims[0]))
-    # one draw holds every weight block, then every bias: the order of
-    # block_spans, whose spans place each block in the flat layout
-    draw, flat, at = g.standard_normal(params.param_count), np.empty(params.param_count), 0
-    for lo, hi in block_spans(params.shapes):
-        flat[lo:hi] = draw[at : at + hi - lo]
-        at += hi - lo
-    return params, X, ParamGrad.from_flat(flat, params.shapes)
+    # one draw holds X, then every weight block of g_val, then every bias. A
+    # Generator keeps no normal-draw state between calls, so it is bitwise
+    # X's draw followed by g_val's
+    n = b * dims[0]
+    draw = g.standard_normal(n + params.param_count)
+    flat = draw[n:][_draw_order(params.shapes)]
+    return params, draw[:n].reshape(b, dims[0]), ParamGrad.from_flat(flat, params.shapes)
+
+
+@functools.lru_cache(maxsize=_LAYOUTS_CACHED)
+def _draw_order(shapes: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Read-only index into a draw of every weight block, then every bias (the
+    order of block_spans), that gathers it into the flat layout."""
+    order = np.argsort(np.concatenate([np.arange(lo, hi) for lo, hi in block_spans(shapes)]))
+    order.flags.writeable = False
+    return order
 
 
 # instances whose rows one assignment, enumeration and tally take at once,
@@ -276,8 +285,15 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     return 0 if passed else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusal is one stderr line, exit 2; subparsers take its class."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="saflex",
         description="Validation-guided reweighting and relabeling of augmented samples.",
     )

@@ -14,6 +14,7 @@ enumeration of the per-sample linear program over a score table
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,7 +112,7 @@ def mlp_backward(params: ModelParams, acts: list[np.ndarray], tables: np.ndarray
         np.add.reduce(delta, axis=-2, out=grads[:, b_lo:b_hi].reshape(s, r, -1))
         if i > 0:
             delta = delta @ params.weights[i].T
-            delta *= (acts[i] > 0.0).astype(np.float64)[:, None]
+            delta *= (acts[i] > 0.0)[:, None]  # numpy casts a bool to 0.0 / 1.0
     return grads
 
 
@@ -152,8 +153,17 @@ def pi_scores_reverse(params: ModelParams, X: np.ndarray, g_val: ParamGrad) -> n
     k = params.n_classes
     probs, acts = mlp_forward(params, X[:, None, :])
     # table [i, c] is bitwise probs_i - eye[c]
-    grads = mlp_backward(params, acts, probs[:, None] - np.eye(k)[:, None, :])
+    grads = mlp_backward(params, acts, probs[:, None] - _identity(k))
     return param_dot(grads, g_val).reshape(X.shape[0], k)
+
+
+# class counts the identity cache keeps; oracle-check takes K <= ENUM_MAX_K
+@lru_cache(maxsize=64)
+def _identity(k: int) -> np.ndarray:
+    """The (K, 1, K) identity pi_scores_reverse subtracts, built once per K and read-only."""
+    eye = np.eye(k)[:, None, :]
+    eye.flags.writeable = False
+    return eye
 
 
 def enumerate_optimum_scores(pi: np.ndarray) -> tuple[Assignment, float]:

@@ -16,6 +16,13 @@ import os
 import numpy as np
 
 
+# Philox's starting counter. Passed as an array, numpy copies it (the
+# default, the integer 0, takes a slower path); read-only, so no stream
+# can write through it
+_ZERO = np.zeros(4, dtype=np.uint64)
+_ZERO.flags.writeable = False
+
+
 class _Key(np.random.bit_generator.ISeedSequence):
     """Seed source that hands Philox a precomputed 128-bit key.
 
@@ -40,10 +47,10 @@ def stream(*key_parts: int | str) -> np.random.Generator:
     The same key parts always yield the same stream; any change to any
     part yields an unrelated stream.
     """
-    tag = "/".join(str(p) for p in key_parts).encode("utf-8")
+    tag = "/".join(map(str, key_parts)).encode("utf-8")
     digest = hashlib.blake2b(tag, digest_size=16).digest()
     key = np.frombuffer(digest, dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_Key(key)))
+    return np.random.Generator(np.random.Philox(_Key(key), counter=_ZERO))
 
 
 def thread_cap() -> int:

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -47,12 +48,16 @@ def random_layout(rng: np.random.Generator, trial: int, k: int) -> ModelParams:
 
 
 def load_script(name):
-    """scripts/<name>.py as a module, loaded without touching sys.path."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "scripts", f"{name}.py")
-    spec = importlib.util.spec_from_file_location(name, path)
+    """scripts/<name>.py as a module. scripts/ is first on sys.path while it
+    loads, as when it runs, so it can import another script."""
+    scripts = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+    spec = importlib.util.spec_from_file_location(name, os.path.join(scripts, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.path.insert(0, scripts)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(scripts)
     return module
 
 

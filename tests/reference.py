@@ -2,7 +2,7 @@
 
 No saflex command runs anything here. The module holds the plain losses,
 the contrastive block, central finite differences, the brute-force
-assignment list, the per-instance oracle-check loop, the raw image
+assignment list, oracle-check's instance draw and per-instance loop, the raw image
 writer and the parameter-vector arithmetic that the unit tests and the
 acceptance criteria score the package with. `tests/test_public_names.py`
 checks that no module under `src/saflex` imports from the tests or
@@ -25,8 +25,9 @@ from saflex.config import ConfigError
 from saflex.core import SaflexConfig
 from saflex.data import IMAGE_MAGIC, Dataset, FeatureGroup, decoding, read_schema
 from saflex.losses import check_simplex_rows, one_hot
-from saflex.nn import ModelParams, ParamGrad, block_spans, row_max
+from saflex.nn import ModelParams, ParamGrad, block_spans, init_mlp, row_max
 from saflex.oracle import ENUM_MAX_B, ENUM_MAX_K, Assignment
+from saflex.rng import stream
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +255,21 @@ def iter_assignments(b: int, k: int) -> Iterator[Assignment]:
         labels = np.array([c if c < k else 0 for c in combo], dtype=np.int64)
         weights = np.array([1 if c < k else 0 for c in combo], dtype=np.int64)
         yield Assignment(labels, weights)
+
+
+def oracle_instance_two_draws(seed: int, i: int, b_max: int, k: int):
+    """`cli.oracle_instance` drawn as two normal draws, X's then g_val's, with
+    g_val's copied into the flat layout one block at a time."""
+    g = stream(seed, "oracle_instance", i)
+    dims = [int(g.integers(2, 6)), int(g.integers(4, 17)), int(g.integers(4, 17)), k]
+    params = init_mlp(dims, seed=int(g.integers(0, 2**31)))
+    X = g.standard_normal((int(g.integers(1, b_max + 1)), dims[0]))
+    g_val = ParamGrad.from_flat(np.empty(params.param_count), params.shapes)
+    draw, off = g.standard_normal(params.param_count), 0
+    for block in (*g_val.weights, *g_val.biases):
+        block[...] = draw[off : off + block.size].reshape(block.shape)
+        off += block.size
+    return params, X, g_val
 
 
 def oracle_check_per_instance(args: argparse.Namespace) -> int:

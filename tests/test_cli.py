@@ -417,6 +417,29 @@ def test_a_warning_prints_as_one_line_and_main_restores_showwarning(tmp_path, ca
     assert warnings.showwarning is shown_by
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["train", "--bogus"], "saflex: error: unrecognized arguments: --bogus"),
+    (["eval", "-c", "x.json"],
+     "saflex eval: error: the following arguments are required: --checkpoint"),
+    ([], "saflex: error: the following arguments are required: command"),
+    (["oracle-check", "--n", "abc"],
+     "saflex oracle-check: error: argument --n: invalid int value: 'abc'"),
+], ids=["unknown_flag", "missing_required_flag", "no_subcommand", "not_an_int"])
+def test_a_refused_command_line_is_one_stderr_line(capsys, argv, line):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+def test_help_still_prints_the_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: saflex eval [-h] -c CONFIG --checkpoint CHECKPOINT")
+
+
 def test_oracle_check_small(capsys):
     rc = main(["oracle-check", "--n", "25", "--seed", "3", "--b", "4", "--k", "3"])
     out = capsys.readouterr().out

@@ -1,15 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import random_grad, random_layout, small_mlp
 from reference import (add_scaled, dot, finite_diff, from_blocks, hard_ce, iter_assignments,
-                       norm)
-from saflex import nn, oracle
+                       norm, oracle_instance_two_draws)
+from saflex import cli, nn, oracle
 from saflex.core import closed_form_assignment, mean_ce_gradient, pi_scores
 from saflex.data import Batch
 from saflex.losses import one_hot
 from saflex.cli import oracle_instance
-from saflex.nn import ModelParams, ParamGrad, init_mlp, mlp_backward, mlp_forward
+from saflex.nn import ModelParams, ParamGrad, mlp_backward, mlp_forward
 from saflex.oracle import (
     ENUM_MAX_B,
     ENUM_MAX_K,
@@ -20,7 +22,6 @@ from saflex.oracle import (
     post_step_val_loss,
 )
 from saflex.core import combined_step_gradient
-from saflex.rng import stream
 
 
 def test_finite_diff_linear_function(rng):
@@ -226,28 +227,21 @@ def test_enumerate_keeps_a_zero_score_at_label_0_and_drops_a_later_one():
         assert obj == 0.0
 
 
-def _oracle_instance_reference(seed, i, b_max, k):
-    """oracle_instance with g_val's draw copied into the layout one block at a time."""
-    g = stream(seed, "oracle_instance", i)
-    dims = [int(g.integers(2, 6)), int(g.integers(4, 17)), int(g.integers(4, 17)), k]
-    params = init_mlp(dims, seed=int(g.integers(0, 2**31)))
-    X = g.standard_normal((int(g.integers(1, b_max + 1)), dims[0]))
-    g_val = ParamGrad.from_flat(np.empty(params.param_count), params.shapes)
-    draw, off = g.standard_normal(params.param_count), 0
-    for block in (*g_val.weights, *g_val.biases):
-        block[...] = draw[off : off + block.size].reshape(block.shape)
-        off += block.size
-    return params, X, g_val
-
-
 def test_oracle_instances_are_bitwise_the_block_copies():
-    for i in range(200):
-        k = 2 + i % (ENUM_MAX_K - 1)
-        got = oracle_instance(5, i, ENUM_MAX_B, k)
-        want = _oracle_instance_reference(5, i, ENUM_MAX_B, k)
+    for seed, i, k in itertools.product(range(3), range(50), range(2, ENUM_MAX_K + 1)):
+        got = oracle_instance(seed, i, ENUM_MAX_B, k)
+        want = oracle_instance_two_draws(seed, i, ENUM_MAX_B, k)
         assert got[0].shapes == want[0].shapes == got[2].shapes
         for a, b in zip((got[0].flat, got[1], got[2].flat), (want[0].flat, want[1], want[2].flat)):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (seed, i, k)
+
+
+def test_the_cached_identity_and_draw_order_are_read_only():
+    cached = [oracle._identity(k) for k in range(2, ENUM_MAX_K + 1)]
+    cached.append(cli._draw_order(oracle_instance(0, 0, ENUM_MAX_B, 3)[0].shapes))
+    for array in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
 
 
 @pytest.mark.parametrize("labels, weights", [([0, 1], [1.0, 0.5]), ([0.7, 1], [1, 1]),

@@ -63,3 +63,13 @@ def test_thread_cap_reads_saflex_threads(monkeypatch):
         monkeypatch.setenv("SAFLEX_THREADS", raw)
         with pytest.raises(ValueError, match=f"^SAFLEX_THREADS {message}"):
             thread_cap()
+
+
+def test_the_zero_counter_is_read_only_and_stays_zero():
+    from saflex import rng
+
+    for parts in KEY_PATHS:
+        _draws(stream(*parts))
+    assert rng._ZERO.dtype == np.uint64 and rng._ZERO.tolist() == [0, 0, 0, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        rng._ZERO[0] = 1
