@@ -169,8 +169,8 @@ def oracle_instance(
 
 @functools.lru_cache(maxsize=_LAYOUTS_CACHED)
 def _draw_order(shapes: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Read-only index into a draw of every weight block, then every bias (the
-    order of block_spans), that gathers it into the flat layout."""
+    """Read-only index that gathers a draw of every weight block, then every
+    bias (the order of block_spans), into the flat layout."""
     order = np.argsort(np.concatenate([np.arange(lo, hi) for lo, hi in block_spans(shapes)]))
     order.flags.writeable = False
     return order
