@@ -163,15 +163,21 @@ def oracle_instance(
     # X's draw followed by g_val's
     n = b * dims[0]
     draw = g.standard_normal(n + params.param_count)
-    flat = draw[n:][_draw_order(params.shapes)]
+    flat = draw[n:].take(_draw_order(params.shapes))
     return params, draw[:n].reshape(b, dims[0]), ParamGrad.from_flat(flat, params.shapes)
 
 
 @functools.lru_cache(maxsize=_LAYOUTS_CACHED)
 def _draw_order(shapes: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Read-only index that gathers a draw of every weight block, then every
-    bias (the order of block_spans), into the flat layout."""
+    bias (the order of block_spans), into the flat layout.
+
+    Held in the smallest unsigned type that fits its length (uint8 or
+    uint16 for every oracle-check layout): an intp index for each of the
+    676 layouts of `--k 6` would add about 1 MB to the process.
+    """
     order = np.argsort(np.concatenate([np.arange(lo, hi) for lo, hi in block_spans(shapes)]))
+    order = order.astype(np.min_scalar_type(len(order)))
     order.flags.writeable = False
     return order
 
