@@ -4,7 +4,7 @@
     python3 scripts/bench_ab.py BASE --workload image_crop --pairs 3 --seconds 30 --seed 100
 
 BASE is any commit git can name; it runs in a detached git worktree that
-is removed either way. Pair i runs seed S0 + i (`--seed`, default 0) on
+is removed either way, also when the script is interrupted or terminated. Pair i runs seed S0 + i (`--seed`, default 0) on
 both sides, the base first in even pairs and this checkout first in odd
 ones (ABBA), each side a fresh `python3 perfbench/run.py --workload W
 --seed S --seconds S --trace 0` run from its own tree (`--seconds`,
@@ -29,6 +29,7 @@ import argparse
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -180,6 +181,9 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
+    # a terminated run unwinds as an interrupted one does: the running
+    # benchmark is killed and the worktree removed
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return compare(args.base, args.workload, args.pairs, args.seconds, args.seed)
     except subprocess.CalledProcessError as exc:

@@ -22,8 +22,7 @@ from . import config as cfgmod
 from . import data as datamod
 from .config import ConfigError
 from .core import SaflexConfig, SaflexOutput, pi_scores, saflex_assign
-from .nn import (_LAYOUTS_CACHED, block_spans, init_mlp, load_checkpoint, save_checkpoint,
-                 ModelParams, ParamGrad)
+from .nn import init_mlp, load_checkpoint, save_checkpoint, ModelParams, ParamGrad
 from .oracle import (
     ENUM_MAX_B,
     ENUM_MAX_K,
@@ -158,28 +157,20 @@ def oracle_instance(
     dims = [int(g.integers(2, 6)), int(g.integers(4, 17)), int(g.integers(4, 17)), k]
     params = init_mlp(dims, seed=int(g.integers(0, 2**31)))
     b = int(g.integers(1, b_max + 1))
-    # one draw holds X, then every weight block of g_val, then every bias. A
-    # Generator keeps no normal-draw state between calls, so it is bitwise
-    # X's draw followed by g_val's
-    n = b * dims[0]
+    # one draw holds X, then g_val's weight blocks W0, W1, W2, then its
+    # biases b0, b1, b2. A Generator keeps no normal-draw state between
+    # calls, so it is bitwise X's draw followed by g_val's. The flat layout
+    # takes the blocks in the order W0, b0, W1, b1, W2, b2
+    d0, h1, h2 = dims[:3]
+    n = b * d0
     draw = g.standard_normal(n + params.param_count)
-    flat = draw[n:].take(_draw_order(params.shapes))
-    return params, draw[:n].reshape(b, dims[0]), ParamGrad.from_flat(flat, params.shapes)
-
-
-@functools.lru_cache(maxsize=_LAYOUTS_CACHED)
-def _draw_order(shapes: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Read-only index that gathers a draw of every weight block, then every
-    bias (the order of block_spans), into the flat layout.
-
-    Held in the smallest unsigned type that fits its length (uint8 or
-    uint16 for every oracle-check layout): an intp index for each of the
-    676 layouts of `--k 6` would add about 1 MB to the process.
-    """
-    order = np.argsort(np.concatenate([np.arange(lo, hi) for lo, hi in block_spans(shapes)]))
-    order = order.astype(np.min_scalar_type(len(order)))
-    order.flags.writeable = False
-    return order
+    w1 = n + d0 * h1
+    w2 = w1 + h1 * h2
+    b0 = w2 + h2 * k
+    b1, b2 = b0 + h1, b0 + h1 + h2
+    flat = np.concatenate((draw[n:w1], draw[b0:b1], draw[w1:w2], draw[b1:b2], draw[w2:b0],
+                           draw[b2:]))
+    return params, draw[:n].reshape(b, d0), ParamGrad.from_flat(flat, params.shapes)
 
 
 # instances whose rows one assignment, enumeration and tally take at once,

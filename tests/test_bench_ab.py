@@ -100,20 +100,44 @@ def test_run_once_refuses_a_run_that_did_not_succeed(tmp_path, body, reason):
         bench_ab.run_once(str(tmp_path), "jitter2d", 0, 0.5)
 
 
-def test_head_against_this_checkout_prints_equal_digests(tmp_path):
+def _worktrees():
+    """`git worktree list` of this checkout; skips the test outside a git checkout."""
     root = bench_ab.ROOT
     if subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=root,
                       capture_output=True).returncode:
         pytest.skip("not a git checkout with a HEAD commit")
-    worktrees = subprocess.run(["git", "worktree", "list"], cwd=root, capture_output=True,
-                               text=True).stdout
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "bench_ab.py"), "HEAD",
-         "--workload", "jitter2d", "--pairs", "1", "--seconds", "0.5", "--seed", "3"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    return subprocess.run(["git", "worktree", "list"], cwd=root, capture_output=True,
+                          text=True).stdout
+
+
+def _bench_ab(*args):
+    return [sys.executable, os.path.join(bench_ab.ROOT, "scripts", "bench_ab.py"), "HEAD",
+            "--workload", "jitter2d", *args]
+
+
+def test_head_against_this_checkout_prints_equal_digests(tmp_path):
+    worktrees = _worktrees()
+    proc = subprocess.run(_bench_ab("--pairs", "1", "--seconds", "0.5", "--seed", "3"),
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "digest lines equal at every seed (4 per run)" in proc.stdout
     for m in bench_ab.benchmark()["end_to_end"]:
         assert f"\n{m['name']} ({m['unit']}, {m['better']} is better)\n" in proc.stdout
-    assert subprocess.run(["git", "worktree", "list"], cwd=root, capture_output=True,
-                          text=True).stdout == worktrees
+    assert _worktrees() == worktrees
+
+
+def test_a_terminated_comparison_removes_its_worktree(tmp_path):
+    worktrees = _worktrees()
+    proc = subprocess.Popen(_bench_ab("--pairs", "1", "--seconds", "60"), cwd=tmp_path,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        # the first progress line comes once the worktree exists
+        assert proc.stderr.readline().startswith("pair 0 seed 0: base")
+        assert _worktrees() != worktrees
+        proc.terminate()
+        proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+    assert proc.returncode != 0
+    assert _worktrees() == worktrees
