@@ -4,11 +4,12 @@
     python3 scripts/bench_ab.py BASE --workload image_crop --pairs 3 --seconds 30 --seed 100
 
 BASE is any commit git can name; it runs in a detached git worktree that
-is removed either way, also when the script is interrupted or terminated. Pair i runs seed S0 + i (`--seed`, default 0) on
-both sides, the base first in even pairs and this checkout first in odd
-ones (ABBA), each side a fresh `python3 perfbench/run.py --workload W
---seed S --seconds S --trace 0` run from its own tree (`--seconds`,
-default 30, BENCHMARK.json's run length).
+is removed either way, also when the script is interrupted or
+terminated. Pair i runs seed S0 + i (`--seed`, default 0) on both sides,
+the base first in even pairs and this checkout first in odd ones (ABBA),
+each side a fresh `python3 perfbench/run.py --workload W --seed S
+--seconds S --trace 0` run from its own tree (`--seconds` defaults to
+BENCHMARK.json's `run_seconds`, 30).
 
 For each end-to-end metric of BENCHMARK.json it prints every pair's two
 values, both medians, the base's interquartile range (IQR), the ratio of
@@ -171,12 +172,12 @@ def compare(base: str, workload: str, pairs: int, seconds: float, seed0: int) ->
 
 
 def main(argv: list[str] | None = None) -> int:
+    spec = benchmark()
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("base", help="the commit to compare this checkout against")
-    p.add_argument("--workload", required=True,
-                   choices=[w["name"] for w in benchmark()["workloads"]])
+    p.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
     p.add_argument("--seed", type=int, default=0, help="seed of pair 0; pair i runs seed + i")
     args = p.parse_args(argv)
     if args.pairs < 1:

@@ -4,9 +4,9 @@ No saflex command runs anything here. The module holds the plain losses,
 the contrastive block, central finite differences, the brute-force
 assignment list, oracle-check's two-draw instance and per-instance loop,
 the raw image writer and the parameter-vector arithmetic that the unit
-tests and the acceptance criteria score the package with. `tests/test_public_names.py`
-checks that no module under `src/saflex` imports from the tests or
-defines a name that this module defines.
+tests and the acceptance criteria score the package with.
+`tests/test_public_names.py` checks that no module under `src/saflex`
+imports from the tests or defines a name that this module defines.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from saflex.rng import stream, thread_cap
+from saflex.rng import _ZERO, stream, thread_cap
 
 KEY_PATHS = [
     (0,),
@@ -66,10 +66,8 @@ def test_thread_cap_reads_saflex_threads(monkeypatch):
 
 
 def test_the_zero_counter_is_read_only_and_stays_zero():
-    from saflex import rng
-
     for parts in KEY_PATHS:
         _draws(stream(*parts))
-    assert rng._ZERO.dtype == np.uint64 and rng._ZERO.tolist() == [0, 0, 0, 0]
+    assert _ZERO.dtype == np.uint64 and _ZERO.tolist() == [0, 0, 0, 0]
     with pytest.raises(ValueError, match="read-only"):
-        rng._ZERO[0] = 1
+        _ZERO[0] = 1
