@@ -3,9 +3,9 @@
 Trains the no-augmentation baseline, naive jitter augmentation, and the
 assignment-based pipeline over the jitter strengths `SIGMAS`, averaged over
 `SEEDS`. These are the frozen runs of criterion 6: `run_point` is the one
-definition of them, and tests/test_acceptance.py imports it. Writes one
-metrics CSV per (mode, sigma, seed) into `--out`, the only flag, and prints
-the accuracy table.
+definition of them, and tests/test_acceptance.py imports it. Prints the
+accuracy table, then writes one metrics CSV per (mode, sigma, seed) into
+`--out`, the only flag, all together once every run is done.
 
     python3 scripts/jitter_sweep.py --out runs/sweep
 """
@@ -17,8 +17,8 @@ import numpy as np
 
 from saflex.augment import AugmenterSpec
 from saflex.core import SaflexConfig
-from saflex.data import SplitSpec, gen_two_gaussians
-from saflex.trainer import RunConfig, train, write_metrics_csv
+from saflex.data import SplitSpec, gen_two_gaussians, write_files
+from saflex.trainer import RunConfig, metrics_csv, train
 
 SIGMAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 SEEDS = range(5)
@@ -43,10 +43,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
 
+    files = {}
     baseline = []
     for seed in SEEDS:
         history = run_point("none", 0.0, seed)
-        write_metrics_csv(history, os.path.join(args.out, f"none_seed{seed}.csv"))
+        files[os.path.join(args.out, f"none_seed{seed}.csv")] = metrics_csv(history)
         baseline.append(history[-1].test_acc)
     print(f"no augmentation: {np.mean(baseline):.4f} +- {np.std(baseline):.4f}")
 
@@ -59,11 +60,12 @@ def main(argv=None):
             for seed in SEEDS:
                 history = run_point(mode, sigma, seed)
                 tag = f"{mode}_sigma{sigma}_seed{seed}".replace(".", "p")
-                write_metrics_csv(history, os.path.join(args.out, f"{tag}.csv"))
+                files[os.path.join(args.out, f"{tag}.csv")] = metrics_csv(history)
                 accs.append(history[-1].test_acc)
             row[mode] = (np.mean(accs), np.std(accs))
         print(f"{sigma:6.2f} {row['naive'][0]:8.4f} +-{row['naive'][1]:.4f} "
               f"{row['saflex'][0]:8.4f} +-{row['saflex'][1]:.4f}")
+    write_files(files)
 
 
 if __name__ == "__main__":

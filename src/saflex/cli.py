@@ -22,7 +22,7 @@ from . import config as cfgmod
 from . import data as datamod
 from .config import ConfigError
 from .core import SaflexConfig, SaflexOutput, pi_scores, saflex_assign
-from .nn import init_mlp, load_checkpoint, save_checkpoint, ModelParams, ParamGrad
+from .nn import checkpoint_bytes, init_mlp, load_checkpoint, ModelParams, ParamGrad
 from .oracle import (
     ENUM_MAX_B,
     ENUM_MAX_K,
@@ -32,7 +32,7 @@ from .oracle import (
 # not called here; perfbench/tracing.py wraps cli.assignment_objective, so the name stays
 from .oracle import assignment_objective  # noqa: F401
 from .rng import stream, thread_cap
-from .trainer import DivergenceError, evaluate, run_splits, train, write_metrics_csv
+from .trainer import DivergenceError, evaluate, metrics_csv, run_splits, train
 
 
 def _build_dataset(d: dict, prefix: str) -> datamod.Dataset:
@@ -64,7 +64,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     data_path = os.path.join(args.out, "data.csv")
     schema_path = os.path.join(args.out, "schema.csv")
-    datamod.save_csv(ds, data_path, schema_path)
+    datamod.write_files(dict(zip((data_path, schema_path), datamod.csv_texts(ds))))
     print(f"wrote {data_path} ({ds.size} rows, {ds.num_classes} classes) and {schema_path}")
     return 0
 
@@ -108,20 +108,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     # the points differ only in augment.sigma: one load serves all
     ds = _build_dataset(cfg["data"], "data.")
     for point, run_dir in points:
-        # a run that fails (exit 2 or 3) writes nothing, but a failed write
-        # keeps what came before it: a cut-short checkpoint.bin beside complete
-        # metrics.csv and resolved_config.json (ROADMAP item 15)
         history, params = train(cfgmod.build_run_config(point), ds)
         os.makedirs(run_dir, exist_ok=True)
         resolved = json.loads(json.dumps(point))
         resolved["output"]["dir"] = run_dir
-        config_path = os.path.join(run_dir, "resolved_config.json")
-        with datamod.writing(config_path), open(config_path, "w") as f:
-            f.write(cfgmod.dump(resolved))
-        write_metrics_csv(history, os.path.join(run_dir, "metrics.csv"))
-        checkpoint_path = os.path.join(run_dir, "checkpoint.bin")
-        with datamod.writing(checkpoint_path):
-            save_checkpoint(params, checkpoint_path)
+        datamod.write_files({os.path.join(run_dir, "checkpoint.bin"): checkpoint_bytes(params),
+                             os.path.join(run_dir, "metrics.csv"): metrics_csv(history),
+                             os.path.join(run_dir, "resolved_config.json"): cfgmod.dump(resolved)})
         if history:
             last = history[-1]
             print(f"{run_dir}: epoch {last.epoch} val_loss={last.val_loss:.6f} "

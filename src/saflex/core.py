@@ -108,8 +108,10 @@ def mean_ce_gradient(params: ModelParams, batch: Batch) -> ParamGrad:
     if batch.size == 0:
         raise ValueError("empty batch")
     labels = check_labels(batch.hard_labels, params.n_classes)
-    _, cache = mlp_forward(params, batch.X)
     targets = labels if batch.soft_labels is None else batch.soft_labels
+    if batch.soft_labels is not None and targets.shape != (batch.size, params.n_classes):
+        raise ValueError(f"soft labels must be (n, K) = ({batch.size}, {params.n_classes})")
+    _, cache = mlp_forward(params, batch.X)
     return _mean_ce_gradient(params, cache, slice(None), targets)
 
 

@@ -9,10 +9,12 @@ Datasets are frozen after construction and safe to share.
 from __future__ import annotations
 
 import csv
+import io
+import os
 import struct
 import warnings
 from collections.abc import Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -186,18 +188,6 @@ def decoding(path: str):
         raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
 
 
-@contextmanager
-def writing(path: str):
-    """Raise an OSError of a write to `path` that names no file (a full disk, a
-    file-size limit) again as `<path>: <error>`."""
-    try:
-        yield
-    except OSError as exc:
-        if exc.filename is not None:
-            raise
-        raise OSError(f"{path}: {exc}") from None
-
-
 def read_schema(schema_path: str) -> list[tuple[str, str, int | None]]:
     """Schema file: one `name,kind[,cardinality]` line per column."""
     out = []
@@ -217,21 +207,16 @@ def read_schema(schema_path: str) -> list[tuple[str, str, int | None]]:
             card = row[2].strip() if len(row) == 3 else None
             if card is not None:
                 if not card.isdecimal() or int(card) < 1:
-                    raise ValueError(
-                        f"{schema_path}:{ln}: cardinality must be a positive integer, got {card!r}"
-                    )
+                    raise ValueError(f"{schema_path}:{ln}: cardinality must be a positive "
+                                     f"integer, got {card!r}")
                 card = int(card)
+                if kind != "categorical":
+                    raise ValueError(f"{schema_path}:{ln}: a cardinality is only for "
+                                     "categorical columns")
             out.append((name, kind, card))
     if sum(1 for _, kind, _ in out if kind == "label") != 1:
         raise ValueError(f"{schema_path}: schema must declare exactly one label column")
     return out
-
-
-def write_schema(schema: list[tuple[str, str, int | None]], schema_path: str) -> None:
-    with writing(schema_path), open(schema_path, "w", newline="") as f:
-        w = csv.writer(f)
-        for name, kind, card in schema:
-            w.writerow([name, kind] if card is None else [name, kind, card])
 
 
 CSV_CHUNK_ROWS = 256  # data rows parsed per pass; only one chunk's strings are alive
@@ -375,19 +360,19 @@ def load_csv(path: str, schema_path: str, standardize: bool = False) -> Dataset:
     return apply_train_statistics(ds, (np.arange(n),))[0] if standardize else ds
 
 
-def save_csv(ds: Dataset, path: str, schema_path: str) -> None:
-    """Write a Dataset back to CSV + schema (categoricals from their argmax)."""
-    schema: list[tuple[str, str, int | None]] = []
+def csv_texts(ds: Dataset) -> tuple[str, str]:
+    """A Dataset as the text of a CSV and of its schema (categoricals from their argmax)."""
+    schema: list[list] = []
     names = []
     columns: list[list[str]] = []
     for g in ds.groups:
         names.append(g.name)
         if g.kind == "continuous":
-            schema.append((g.name, "continuous", None))
+            schema.append([g.name, "continuous"])
             columns.append([repr(float(v)) for v in ds.X[:, g.start]])
         else:
             cats = g.categories or [str(i) for i in range(g.width)]
-            schema.append((g.name, "categorical", g.width))
+            schema.append([g.name, "categorical", g.width])
             hot = ds.X[:, g.start : g.start + g.width].argmax(axis=1)
             columns.append([cats[i] for i in hot])
     label, j = "label", 0
@@ -395,15 +380,34 @@ def save_csv(ds: Dataset, path: str, schema_path: str) -> None:
         j += 1
         label = f"label_{j}"
     names.append(label)
-    schema.append((label, "label", None))
+    schema.append([label, "label"])
     lv = ds.label_values or [str(i) for i in range(ds.num_classes)]
     columns.append([lv[i] for i in ds.labels])
-    with writing(path), open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(names)
-        for i in range(ds.size):
-            w.writerow([col[i] for col in columns])
-    write_schema(schema, schema_path)
+    data, schema_text = io.StringIO(), io.StringIO()
+    csv.writer(data).writerows([names, *zip(*columns)])
+    csv.writer(schema_text).writerows(schema)
+    return data.getvalue(), schema_text.getvalue()
+
+
+def write_files(files: dict[str, str | bytes]) -> None:
+    """Write each path's text (newline="") or bytes; no path ever holds a cut-short body.
+
+    Each body goes to `<path>.partial` beside its path; only once all are written
+    is each renamed onto its path, in order, one rename at a time. An OSError
+    removes the partial files and is raised again as `<path>: <error>`.
+    """
+    try:
+        for path, body in files.items():
+            mode, newline = ("wb", None) if isinstance(body, bytes) else ("w", "")
+            with open(path + ".partial", mode, newline=newline) as f:
+                f.write(body)
+        for path in files:
+            os.replace(path + ".partial", path)
+    except OSError as exc:
+        for name in files:
+            with suppress(OSError):  # not made or renamed already; exc is the error to report
+                os.remove(name + ".partial")
+        raise OSError(f"{path}: {OSError(*exc.args)}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,10 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 def check_simplex_rows(y: np.ndarray, name: str) -> None:
     """ValueError unless every row of y is nonnegative and sums to 1, within SIMPLEX_TOL."""
-    if np.any(y < -SIMPLEX_TOL):
-        raise ValueError(f"{name} has negative entries")
-    if np.any(np.abs(y.sum(axis=1) - 1.0) > SIMPLEX_TOL):
+    # each test asks that all entries pass, so a NaN, which compares false, fails it
+    if not (y >= -SIMPLEX_TOL).all():
+        raise ValueError(f"{name} has negative or NaN entries")
+    if not (np.abs(y.sum(axis=1) - 1.0) <= SIMPLEX_TOL).all():
         raise ValueError(f"{name} rows must sum to 1")
 
 

@@ -285,12 +285,11 @@ def sgd_step(params: ModelParams, step: np.ndarray, alpha: float) -> ModelParams
     return ModelParams.from_flat(params.flat - alpha * step, params.shapes)
 
 
-def save_checkpoint(params: ModelParams, path: str) -> None:
+def checkpoint_bytes(params: ModelParams) -> bytes:
     """Little-endian binary checkpoint: magic, layer count, dims, then `flat` as f8."""
     dims = [d for shape in params.shapes for d in shape]
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC + struct.pack(f"<I{len(dims)}I", params.n_layers, *dims))
-        f.write(params.flat.astype("<f8").tobytes())
+    return (CHECKPOINT_MAGIC + struct.pack(f"<I{len(dims)}I", params.n_layers, *dims)
+            + params.flat.astype("<f8").tobytes())
 
 
 def check_exact_length(blob: bytes, expected: int, what: str) -> None:

@@ -28,7 +28,7 @@ from .core import SaflexConfig, SaflexOutput, mean_ce_gradient, saflex_gradient
 # perfbench/tracing.py wraps trainer.split and trainer.apply_train_statistics by name
 # (data.split_s, data.standardize_s): both stay module globals, each called once per
 # standardized train()
-from .data import Batch, Dataset, RangeError, SplitSpec, apply_train_statistics, split, writing
+from .data import Batch, Dataset, RangeError, SplitSpec, apply_train_statistics, split
 from .losses import ce_from_logits
 from .nn import ForwardCache, ModelParams, ParamGrad, init_mlp, mlp_forward, sgd_step
 # not called here; perfbench/tracing.py wraps trainer.mlp_backward and trainer.one_hot,
@@ -244,11 +244,8 @@ def train(
     return history, params
 
 
-def write_metrics_csv(rows: list[MetricsRow], path: str) -> None:
-    """Exact-format metrics file; float fields use shortest round-trip repr."""
-    with writing(path), open(path, "w", newline="") as f:
-        f.write(",".join(METRICS_COLUMNS) + "\n")
-        for row in rows:
-            vals = row.as_tuple()
-            f.write(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in vals))
-            f.write("\n")
+def metrics_csv(rows: list[MetricsRow]) -> str:
+    """Exact-format metrics file text; float fields use shortest round-trip repr."""
+    lines = [",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row.as_tuple())
+             for row in rows]
+    return "\n".join([",".join(METRICS_COLUMNS), *lines]) + "\n"

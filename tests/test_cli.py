@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -15,8 +17,8 @@ from reference import oracle_check_per_instance, save_images_raw
 from saflex import cli, core
 from saflex.cli import build_parser, main
 from saflex.config import DEFAULTS, resolve, ConfigError
-from saflex.data import load_csv
-from saflex.nn import init_mlp, load_checkpoint, save_checkpoint
+from saflex.data import load_csv, write_files
+from saflex.nn import checkpoint_bytes, init_mlp, load_checkpoint
 from saflex.trainer import METRICS_COLUMNS
 
 
@@ -127,7 +129,7 @@ def _empty_train_split_cfg(tmp_path):
 def test_empty_split_exits_two_without_warnings(tmp_path, capsys, command):
     cfg = _empty_train_split_cfg(tmp_path)
     ckpt = str(tmp_path / "init.bin")
-    save_checkpoint(init_mlp([2, 8, 8, 2], seed=0), ckpt)
+    write_files({ckpt: checkpoint_bytes(init_mlp([2, 8, 8, 2], seed=0))})
     argv = {"train": ["train", "-c", cfg],
             "train_sweep": ["train", "-c", cfg, "--sweep-sigma", "0.5,1.0"],
             "eval": ["eval", "-c", cfg, "--checkpoint", ckpt, "--split", "test"]}[command]
@@ -380,7 +382,7 @@ def test_eval_refuses_a_checkpoint_with_a_non_finite_parameter(tmp_path, capsys,
     layer = params.weights[1] if block == "weight" else params.biases[1]
     layer.flat[3] = value  # a view into params.flat
     ckpt = str(tmp_path / "ck.bin")
-    save_checkpoint(params, ckpt)
+    write_files({ckpt: checkpoint_bytes(params)})
     assert main(["eval", "-c", _cfg(tmp_path), "--checkpoint", ckpt]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: checkpoint {ckpt!r} holds 1 non-finite parameters\n"
@@ -391,7 +393,7 @@ def test_eval_rejects_a_checkpoint_of_another_class_count(tmp_path, capsys):
     rows = "".join(f"{i / 7!r},{'uv'[i % 2]},{i % 3}\n" for i in range(30))
     cfg = _csv_cfg(tmp_path, "a,c,label\n" + rows)  # 3 columns after one-hot, 3 classes
     ckpt = str(tmp_path / "two_class.bin")
-    save_checkpoint(init_mlp([3, 8, 2], seed=0), ckpt)
+    write_files({ckpt: checkpoint_bytes(init_mlp([3, 8, 2], seed=0))})
     assert main(["eval", "-c", cfg, "--checkpoint", ckpt]) == 2
     assert capsys.readouterr().err == (
         "error: the checkpoint takes 3 features and 2 classes, the data has 3 and 3\n")
@@ -401,7 +403,7 @@ def test_eval_rejects_a_checkpoint_of_another_input_width(tmp_path, capsys):
     img = str(tmp_path / "imgs.bin")
     save_images_raw(np.zeros((20, 3, 3)), np.arange(20) % 2, 2, img)  # 9 features, 2 classes
     ckpt = str(tmp_path / "two_features.bin")
-    save_checkpoint(init_mlp([2, 8, 2], seed=0), ckpt)
+    write_files({ckpt: checkpoint_bytes(init_mlp([2, 8, 2], seed=0))})
     cfg = _cfg(tmp_path, data={"kind": "images", "path": img})
     assert main(["eval", "-c", cfg, "--checkpoint", ckpt]) == 2
     assert capsys.readouterr().err == (
@@ -713,7 +715,7 @@ def test_truncated_image_header_exits_two(tmp_path, capsys):
 
 def test_a_checkpoint_cut_short_exits_two_naming_the_file(tmp_path, capsys):
     ck = tmp_path / "ck.bin"
-    save_checkpoint(init_mlp([2, 8, 8, 2], seed=0), str(ck))
+    write_files({str(ck): checkpoint_bytes(init_mlp([2, 8, 8, 2], seed=0))})
     expected = len(ck.read_bytes())
     ck.write_bytes(ck.read_bytes()[:-8])
     assert main(["eval", "-c", _cfg(tmp_path), "--checkpoint", str(ck)]) == 2
@@ -723,7 +725,7 @@ def test_a_checkpoint_cut_short_exits_two_naming_the_file(tmp_path, capsys):
 
 def test_a_checkpoint_with_a_byte_appended_exits_two_naming_the_trailing_byte(tmp_path, capsys):
     ck = tmp_path / "ck.bin"
-    save_checkpoint(init_mlp([2, 8, 8, 2], seed=0), str(ck))
+    write_files({str(ck): checkpoint_bytes(init_mlp([2, 8, 8, 2], seed=0))})
     expected = len(ck.read_bytes())
     ck.write_bytes(ck.read_bytes() + b"\x00")
     assert main(["eval", "-c", _cfg(tmp_path), "--checkpoint", str(ck)]) == 2
@@ -765,6 +767,19 @@ def test_csv_short_row_exits_two_naming_file_and_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {tmp_path / 'd.csv'}:3: 2 fields, the header has 3\n"
 
 
+@pytest.mark.parametrize("schema,line", [
+    ("a,continuous,1\nc,categorical\nlabel,label\n", 1),
+    ("a,continuous\nc,categorical,2\nlabel,label,2\n", 3),  # the data has three labels
+])
+def test_a_cardinality_on_a_non_categorical_column_exits_two(tmp_path, capsys, schema, line):
+    cfg = _csv_cfg(tmp_path, "a,c,label\n0.5,u,0\n1.5,v,1\n-1.0,u,2\n")
+    (tmp_path / "s.csv").write_text(schema)
+    assert main(["train", "-c", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 's.csv'}:{line}: a cardinality is only for categorical columns\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_schema_with_a_duplicate_column_name_exits_two_naming_the_file(tmp_path, capsys):
     cfg = _csv_cfg(tmp_path, "a,a,label\n1,2,x\n3,4,y\n")
     (tmp_path / "s.csv").write_text("a,continuous\na,continuous\nlabel,label\n")
@@ -781,26 +796,95 @@ def test_csv_whose_header_lists_the_columns_in_another_order_exits_two(tmp_path,
         "does not match schema order ['a', 'c', 'label']\n")
 
 
-@pytest.mark.parametrize("command", ["train", "gen-data"])
-def test_a_write_past_a_file_size_limit_exits_two_naming_the_file(tmp_path, command):
-    # the limit is set in the child alone; its first file past 4096 bytes
-    # fails in a write or in the close that flushes it, with no file name
+def _main_under_a_file_size_limit(argv: list[str], limit: int) -> subprocess.CompletedProcess:
+    """`saflex argv` in a child that sets its own RLIMIT_FSIZE first: no file
+    it writes may grow past `limit` bytes, and a write past it raises [Errno 27]."""
     import saflex
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(saflex.__file__)))
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+            "from saflex.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("command", ["train", "gen-data"])
+def test_a_write_past_a_file_size_limit_exits_two_naming_the_file(tmp_path, command):
+    # its first file past 4096 bytes fails in a write or in the close that
+    # flushes it, with no file name
     argv, name = {"train": (["train", "-c", _cfg(tmp_path, model={"hidden": [32, 32]})],
                             tmp_path / "run" / "checkpoint.bin"),
                   "gen-data": (["gen-data", "--n", "2000", "--out", str(tmp_path / "data")],
                                tmp_path / "data" / "data.csv")}[command]
-    code = ("import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n"
-            "from saflex.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code, *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _main_under_a_file_size_limit(argv, 4096)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr == f"error: {name}: [Errno 27] File too large\n"
+
+
+def _contents(d: pathlib.Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in d.iterdir()} if d.exists() else {}
+
+
+def _check_nothing_written_past_the_limit(tmp_path, argv, out, name, earlier) -> None:
+    """`saflex *argv out` writes its files into `out`, and `saflex *earlier out`
+    an earlier run there first, unless `earlier` is None. A reference run into
+    tmp_path/ref (a name as long as out's) gives the files' sizes; under a limit
+    between `name`, the largest, and the next largest, `name` is the first file
+    past it. The limited run must exit 2 with one line naming `name` and leave
+    `out` as it was: empty, or holding the earlier run byte for byte. No partial
+    file is left anywhere."""
+    ref = tmp_path / "ref"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, str(ref)]) == 0
+        if earlier:
+            assert main([*earlier, str(out)]) == 0
+    sizes = {p.name: p.stat().st_size for p in ref.iterdir()}
+    rest = max(size for other, size in sizes.items() if other != name)
+    assert sizes[name] - rest > 20, sizes  # no run-to-run wobble crosses the limit
+    before = _contents(out)
+    assert sorted(before) == (sorted(sizes) if earlier else [])
+    proc = _main_under_a_file_size_limit([*argv, str(out)], (rest + sizes[name]) // 2)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == f"error: {out / name}: [Errno 27] File too large\n"
+    assert _contents(out) == before
+    assert not list(tmp_path.rglob("*.partial"))
+
+
+_RUN_FILES = {  # model and epochs that make each of a run's files the largest
+    "checkpoint.bin": {"model": {"hidden": [32, 32]}, "train": {"epochs": 1}},
+    "metrics.csv": {"model": {"hidden": [2]}, "train": {"epochs": 30}},
+    "resolved_config.json": {"model": {"hidden": [2]}, "train": {"epochs": 1}},
+}
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over an earlier run"])
+@pytest.mark.parametrize("name", list(_RUN_FILES))
+def test_a_train_past_a_file_size_limit_leaves_no_partial_run(tmp_path, name, earlier):
+    overrides = _RUN_FILES[name]
+    argv = ["train", "-c", _cfg(tmp_path, **overrides), "--output-dir"]
+    # the earlier run trains another seed, so its files hold other bytes
+    train_seed_1 = dict(overrides, train=dict(overrides["train"], seed=1))
+    earlier_argv = ["train", "-c", _cfg(tmp_path, "earlier.json", **train_seed_1), "--output-dir"]
+    _check_nothing_written_past_the_limit(tmp_path, argv, tmp_path / "run", name,
+                                          earlier_argv if earlier else None)
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over an earlier run"])
+@pytest.mark.parametrize("name", ["data.csv", "schema.csv"])
+def test_a_gen_data_past_a_file_size_limit_leaves_no_partial_pair(tmp_path, name, earlier):
+    if name == "data.csv":
+        argv = ["gen-data", "--n", "400", "--out"]
+    else:  # one row of two columns: the schema outgrows the data
+        (tmp_path / "in.csv").write_text("a,b,label\n1,x,y\n")
+        (tmp_path / "in_schema.csv").write_text("a,continuous\nb,categorical\nlabel,label\n")
+        argv = ["gen-data", "--kind", "csv_passthrough", "--input", str(tmp_path / "in.csv"),
+                "--input-schema", str(tmp_path / "in_schema.csv"), "--out"]
+    _check_nothing_written_past_the_limit(tmp_path, argv, tmp_path / "out", name,
+                                          ["gen-data", "--n", "50", "--seed", "3", "--out"]
+                                          if earlier else None)
 
 
 def test_csv_non_numeric_value_exits_two_naming_line_and_column(tmp_path, capsys):

@@ -94,6 +94,15 @@ def test_val_gradient_empty_batch():
         mean_ce_gradient(params, Batch(np.zeros((0, 3)), np.zeros(0, dtype=np.int64)))
 
 
+@pytest.mark.parametrize("shape", [(3, 1), (3, 3), (3, 2, 1)])
+def test_mean_ce_gradient_refuses_soft_labels_of_another_width(shape):
+    params = small_mlp(dims=(2, 4, 2))  # K = 2
+    soft = np.full(shape, 1.0 / shape[1])  # each row sums to 1, so Batch takes it
+    batch = Batch(np.zeros((3, 2)), [0, 1, 0], soft_labels=soft)
+    with pytest.raises(ValueError, match=r"^soft labels must be \(n, K\) = \(3, 2\)$"):
+        mean_ce_gradient(params, batch)
+
+
 def test_mean_ce_gradient_hard_labels_equal_their_one_hot_rows_bitwise(rng):
     # the none step passes hard labels, which build no one-hot matrix
     params = small_mlp(dims=(3, 6, 5, 4), seed=6)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -25,10 +26,10 @@ from saflex.data import (
     gen_two_gaussians,
     gen_two_moons,
     load_csv,
+    csv_texts,
     load_images_raw,
-    save_csv,
     split,
-    writing,
+    write_files,
 )
 from saflex.rng import stream
 from saflex.trainer import RunConfig, run_splits
@@ -100,7 +101,7 @@ def test_csv_roundtrip(tmp_path):
     schema = _write(tmp_path / "s.csv", "a,continuous\nc,categorical,2\nlabel,label\n")
     ds = load_csv(data, schema)
     out_d, out_s = str(tmp_path / "out.csv"), str(tmp_path / "out_schema.csv")
-    save_csv(ds, out_d, out_s)
+    write_files(dict(zip((out_d, out_s), csv_texts(ds))))
     back = load_csv(out_d, out_s)
     np.testing.assert_allclose(back.X, ds.X, atol=1e-12)
     np.testing.assert_array_equal(back.labels, ds.labels)
@@ -296,21 +297,56 @@ def test_a_column_constant_on_train_is_shifted_by_its_mean_and_left_unscaled():
         assert out.X[:, 1].tobytes() == (X[rows, 1] - 2.5).tobytes()
 
 
+def test_a_batch_refuses_nan_soft_labels():
+    with pytest.raises(ValueError, match="^soft labels has negative or NaN entries$"):
+        Batch(np.zeros((2, 3)), [0, 1], soft_labels=[[np.nan, np.nan], [0.5, 0.5]])
+
+
 def test_a_batch_refuses_soft_labels_of_another_row_count():
     Batch(np.zeros((2, 3)), [0, 1], soft_labels=np.full((2, 2), 0.5))
     with pytest.raises(ValueError, match="^soft labels must have one row per sample$"):
         Batch(np.zeros((2, 3)), [0, 1], soft_labels=np.full((3, 2), 0.5))
 
 
-def test_a_write_error_names_its_file_unless_it_names_one_already(tmp_path):
-    path = str(tmp_path / "out.csv")
-    with pytest.raises(OSError, match=f"^{re.escape(path)}: \\[Errno 27\\] File too large$"):
-        with writing(path):
-            raise OSError(27, "File too large")  # as a write past RLIMIT_FSIZE raises it
-    with pytest.raises(FileNotFoundError) as exc:
-        with writing(path), open(tmp_path / "no" / "out.csv", "w"):
-            pass
-    assert exc.value.filename == str(tmp_path / "no" / "out.csv")
+def test_csv_texts_are_the_rows_and_the_schema_as_csv_writes_them():
+    ds = Dataset(np.array([[0.5, 0.0, 1.0], [-2.0, 1.0, 0.0]]), [1, 0], 2,
+                 [FeatureGroup("a,b", "continuous", 0, 1),
+                  FeatureGroup("c", "categorical", 1, 2, ["u", "v"])], ["no", "yes"])
+    assert csv_texts(ds) == ('"a,b",c,label\r\n0.5,v,yes\r\n-2.0,u,no\r\n',
+                             '"a,b",continuous\r\nc,categorical,2\r\nlabel,label\r\n')
+
+
+def test_write_files_writes_text_and_bytes_as_they_are(tmp_path):
+    text, blob = str(tmp_path / "a.csv"), str(tmp_path / "b.bin")
+    write_files({text: "x,y\r\nz\n", blob: b"\x00\r\n\xff"})
+    assert (tmp_path / "a.csv").read_bytes() == b"x,y\r\nz\n"  # newline="": no translation
+    assert (tmp_path / "b.bin").read_bytes() == b"\x00\r\n\xff"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.bin"]
+
+
+def test_a_write_error_names_its_file_and_leaves_the_earlier_contents(tmp_path):
+    paths = [str(tmp_path / name) for name in ("a", "b", "c")]
+    for path in paths:
+        pathlib.Path(path).write_text(f"old {path}")
+    os.mkdir(paths[1] + ".partial")  # b's partial file cannot be opened
+    with pytest.raises(OSError, match=f"^{re.escape(paths[1])}: \\[Errno 21\\] Is a directory$"):
+        write_files({path: f"new {path}" for path in paths})
+    for path in paths:  # a's partial was written, but nothing was renamed
+        assert pathlib.Path(path).read_text() == f"old {path}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "b.partial", "c"]
+
+
+def test_a_failed_rename_keeps_the_earlier_renames_and_removes_the_partials(tmp_path):
+    paths = [str(tmp_path / name) for name in ("a", "b", "c")]
+    pathlib.Path(paths[0]).write_text("old a")
+    os.mkdir(paths[1])  # no file is renamed onto a directory
+    pathlib.Path(paths[2]).write_text("old c")
+    with pytest.raises(OSError, match=f"^{re.escape(paths[1])}: \\[Errno 21\\] Is a directory$"):
+        write_files({path: "new" for path in paths})
+    # the renames run in order and are not one atomic step
+    assert [pathlib.Path(p).is_dir() or pathlib.Path(p).read_text() for p in paths] == [
+        "new", True, "old c"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "c"]
 
 
 def test_split_spec_validation():

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import load_script
-from saflex.trainer import MetricsRow, write_metrics_csv
+from saflex.trainer import MetricsRow, metrics_csv
 
 sweep_script = load_script("jitter_sweep")
 label_noise_script = load_script("label_noise_exp")
@@ -40,9 +40,8 @@ def test_jitter_sweep_prints_the_table_and_writes_one_csv_per_run(tmp_path, monk
         for seed in range(5)
     }
     assert {p.name for p in tmp_path.iterdir()} == names
-    write_metrics_csv(_history(0.9 - 0.025 + 3 * _SEED_SHIFT), str(tmp_path / "expected"))
-    assert (tmp_path / "naive_sigma0p25_seed3.csv").read_text() == (
-        (tmp_path / "expected").read_text())
+    assert (tmp_path / "naive_sigma0p25_seed3.csv").read_bytes() == (
+        metrics_csv(_history(0.9 - 0.025 + 3 * _SEED_SHIFT)).encode())
 
 
 def test_label_noise_prints_accuracies_and_relabel_rates(monkeypatch, capsys):

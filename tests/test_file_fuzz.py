@@ -24,7 +24,8 @@ from conftest import load_outcome
 from reference import load_csv_unchunked, save_images_raw
 from saflex import data as saflex_data
 from saflex.cli import main
-from saflex.nn import init_mlp, save_checkpoint
+from saflex.data import write_files
+from saflex.nn import checkpoint_bytes, init_mlp
 
 TINY = {"model": {"hidden": [4]}, "train": {"epochs": 1, "batch_size": 16}}
 
@@ -43,8 +44,8 @@ def inputs(tmp_path_factory):
     pixels = g.integers(0, 256, size=(40, 4, 4)).astype(np.uint8)
     save_images_raw(pixels, (pixels.mean(axis=(1, 2)) > 127).astype(np.uint8), 2,
                     str(d / "images.bin"))
-    save_checkpoint(init_mlp([4, 4, 3], seed=0), str(d / "csv.ckpt"))
-    save_checkpoint(init_mlp([16, 4, 2], seed=0), str(d / "images.ckpt"))
+    write_files({str(d / "csv.ckpt"): checkpoint_bytes(init_mlp([4, 4, 3], seed=0))})
+    write_files({str(d / "images.ckpt"): checkpoint_bytes(init_mlp([16, 4, 2], seed=0))})
     return {p.name: str(p) for p in d.iterdir()}
 
 

@@ -242,5 +242,12 @@ def test_simplex_rows_are_checked_to_the_default_tolerance():
     check_simplex_rows(np.array([[0.5, 0.5 + 1e-10], [0.0, 1.0]]), "y")
     with pytest.raises(ValueError, match="y rows must sum to 1"):
         check_simplex_rows(np.array([[0.5, 0.5 + 1e-8]]), "y")
-    with pytest.raises(ValueError, match="y has negative entries"):
+    with pytest.raises(ValueError, match="y has negative or NaN entries"):
         check_simplex_rows(np.array([[-1e-8, 1.0 + 1e-8]]), "y")
+
+
+@pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0], [0.5, np.nan]])
+def test_a_nan_entry_fails_the_simplex_check(row):
+    # every comparison with NaN is false, so each test must ask that all entries pass it
+    with pytest.raises(ValueError, match="^y has negative or NaN entries$"):
+        check_simplex_rows(np.array([row, [0.5, 0.5]]), "y")

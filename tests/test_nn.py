@@ -20,6 +20,7 @@ from reference import (
     zeros_like,
 )
 from saflex import nn, oracle
+from saflex.data import write_files
 from saflex.nn import (
     CHECKPOINT_MAGIC,
     ForwardCache,
@@ -30,8 +31,8 @@ from saflex.nn import (
     load_checkpoint,
     mlp_backward,
     mlp_forward,
+    checkpoint_bytes,
     row_sum,
-    save_checkpoint,
     sgd_step,
     softmax,
 )
@@ -245,7 +246,7 @@ def test_param_dot_shape_mismatch():
 def test_checkpoint_roundtrip(tmp_path, rng):
     params = small_mlp(dims=(5, 11, 8, 3), seed=9)
     path = str(tmp_path / "ck.bin")
-    save_checkpoint(params, path)
+    write_files({path: checkpoint_bytes(params)})
     back = load_checkpoint(path)
     assert back.shapes == params.shapes
     for w0, w1 in zip(params.weights, back.weights):
@@ -254,15 +255,13 @@ def test_checkpoint_roundtrip(tmp_path, rng):
         np.testing.assert_array_equal(b0, b1)
 
 
-def test_flat_vector_is_checkpoint_order_and_views_write_through(tmp_path):
+def test_flat_vector_is_checkpoint_order_and_views_write_through():
     params = small_mlp(dims=(3, 5, 2), seed=1)
     w0, b0, w1, b1 = params.weights[0], params.biases[0], params.weights[1], params.biases[1]
     np.testing.assert_array_equal(
         params.flat, np.concatenate([w0.ravel(), b0, w1.ravel(), b1]))
-    path = tmp_path / "ck.bin"
-    save_checkpoint(params, str(path))
     header = CHECKPOINT_MAGIC + struct.pack("<5I", 2, 3, 5, 5, 2)
-    assert path.read_bytes() == header + params.flat.astype("<f8").tobytes()
+    assert checkpoint_bytes(params) == header + params.flat.astype("<f8").tobytes()
     w1[0, 0] = 7.0
     assert params.flat[3 * 5 + 5] == 7.0
 
@@ -482,7 +481,7 @@ def test_dot_is_bitwise_the_sum_of_raveled_block_dots(rng):
 
 def test_checkpoint_every_strict_prefix_rejected(tmp_path):
     path = tmp_path / "ck.bin"
-    save_checkpoint(small_mlp(dims=(2, 3, 2)), str(path))
+    write_files({str(path): checkpoint_bytes(small_mlp(dims=(2, 3, 2)))})
     blob = path.read_bytes()
     for n in range(len(blob)):
         path.write_bytes(blob[:n])
@@ -519,7 +518,7 @@ def test_checkpoint_whose_dims_do_not_chain_names_the_file(tmp_path):
 def test_checkpoint_truncated(tmp_path):
     params = small_mlp()
     path = tmp_path / "trunc.bin"
-    save_checkpoint(params, str(path))
+    write_files({str(path): checkpoint_bytes(params)})
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
     with pytest.raises(ValueError) as exc:

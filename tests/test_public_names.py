@@ -27,6 +27,11 @@ Every name a package module imports is loaded in that module, unless the
 tracer's site table (`perfbench/tracing.py:_SITES`) wraps that name at that
 module: the tracer replaces the attribute, so the import has to stay.
 
+Only `data.write_files` opens a file for writing: every other `open(...)`
+in the package, bare or as an attribute (`io.open`, `Path.open`), has a
+literal mode, or none, without `w`, `a`, `x` or `+`. So the write rule
+(partial files, then renames) has one home.
+
 What only the tests call lives in `tests/reference.py`. The package
 never imports from the tests, and defines no function, class or method
 under a name that the reference module defines at its top level, so a
@@ -258,3 +263,32 @@ def _unloaded_imports() -> set[str]:
 def test_every_import_is_loaded_or_traced():
     assert sorted(_unloaded_imports() - _traced_sites()) == [], \
         "imported and never loaded: drop the import"
+
+
+def _write_opens() -> tuple[list[str], int]:
+    """'module.py:line' of each open(...) in the package outside data.write_files
+    whose mode may write, and the count of open(...) calls inside write_files."""
+    outside, inside = [], 0
+    for module, tree in _package_trees().items():
+        home = {id(node) for fn in tree.body if module == "data"
+                and isinstance(fn, ast.FunctionDef) and fn.name == "write_files"
+                for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", getattr(func, "attr", ""))
+            if not isinstance(node, ast.Call) or name != "open":
+                continue
+            if id(node) in home:
+                inside += 1
+                continue
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            mode = modes[0] if modes else ast.Constant("r")
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                outside.append(f"{module}.py:{node.lineno}")
+    return outside, inside
+
+
+def test_only_write_files_opens_a_file_for_writing():
+    outside, inside = _write_opens()
+    assert inside > 0, "data.write_files opens no file: the guard has lost its home"
+    assert outside == [], "write through data.write_files"

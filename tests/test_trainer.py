@@ -17,8 +17,8 @@ from saflex.trainer import (
     RunConfig,
     evaluate,
     run_splits,
+    metrics_csv,
     train,
-    write_metrics_csv,
     METRICS_COLUMNS,
 )
 
@@ -191,13 +191,10 @@ def test_single_iteration_epoch_reports_that_iterations_fractions():
     assert any(row.frac_zero_w > 0 for row in history)
 
 
-def test_metrics_csv_format(tmp_path):
+def test_metrics_csv_format():
     rows = [MetricsRow(0, 0.5, 0.4, 0.9, 0.1, 0.2, 0.3, 1.5)]
-    path = tmp_path / "m.csv"
-    write_metrics_csv(rows, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(METRICS_COLUMNS)
-    assert lines[1].startswith("0,0.5,0.4,0.9,")
+    assert metrics_csv(rows) == ",".join(METRICS_COLUMNS) + "\n0,0.5,0.4,0.9,0.1,0.2,0.3,1.5\n"
+    assert metrics_csv([]) == ",".join(METRICS_COLUMNS) + "\n"
 
 
 def test_mixup_mode_trains():
